@@ -198,7 +198,10 @@ def _parse_n_range(text: str) -> list[int]:
         lo, hi = int(lo_text), int(hi_text)
         if lo > hi:
             raise BadParams(f"empty n range {text!r}")
-        return [n for n in range(lo, hi + 1) if n != 0]
+        values = [n for n in range(lo, hi + 1) if n != 0]
+        if not values:
+            raise BadParams(f"n range {text!r} holds no nonzero twist power")
+        return values
     n = int(text)
     if n == 0:
         raise BadParams("twist power n must be nonzero")

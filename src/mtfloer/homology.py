@@ -1,22 +1,30 @@
 """Exact homology of finite free integer chain complexes.
 
-Everything here runs over Python's arbitrary-precision integers: matrices
-are dense lists of lists, Smith normal form is computed by the classical
-pivoting algorithm while tracking the unimodular row and column transforms,
-and homology groups come out as free ranks plus invariant-factor torsion.
+Everything here runs over Python's arbitrary-precision integers.  A
+:class:`FreeComplex` keeps each boundary as a dense :class:`IntMatrix` for
+its callers, but works only from the nonzero entries: the d^2 = 0 check
+composes boundaries entry by entry, and homology splits each boundary into
+the connected blocks of its nonzero pattern (rows and columns joined when
+they share an entry).  Each block is a direct summand of the boundary, so
+its Smith normal form, computed by the classical pivoting algorithm with
+unimodular row and column transforms, gives that block's share of the
+invariant factors.  Homology groups come out as free ranks plus
+invariant-factor torsion.
 
 Set :data:`VERIFY_SNF` (or the environment variable ``MTFLOER_SNF_VERIFY``)
 to make every Smith decomposition re-check its own postconditions by direct
-multiplication; the test suite runs with this on.
+multiplication, and every block split check that its blocks cover each
+nonzero entry exactly once; the test suite runs with this on.
 """
 
 from __future__ import annotations
 
 import os
+from itertools import compress
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import NotAComplex
-from .graded import GradedGroup
+from .graded import GradedGroup, torsion_chain
 
 # When true, every smith_normal_form call verifies U m V == D, unimodularity
 # of U and V, and the divisibility chain before returning.
@@ -276,6 +284,109 @@ def matrix_rank(m: IntMatrix) -> int:
     return sum(1 for x in smith_normal_form(m).d.diagonal() if x)
 
 
+# (row, value) pairs of one column's nonzero entries
+Column = list[tuple[int, int]]
+
+
+def _nonzero_columns(mat: IntMatrix) -> dict[int, Column]:
+    """The nonzero entries of a matrix, grouped by column; zero columns omitted."""
+    columns: dict[int, Column] = {}
+    positions = range(mat.cols)
+    for i, row in enumerate(mat.data):
+        # boundaries are very sparse: count and compress pass over the
+        # zeros at C speed, and most rows are zero throughout
+        if row.count(0) != mat.cols:
+            for j in compress(positions, row):
+                columns.setdefault(j, []).append((i, row[j]))
+    return columns
+
+
+def _blocks(columns: Mapping[int, Column]) -> list[tuple[list[int], list[int], IntMatrix]]:
+    """Split a matrix into the connected blocks of its nonzero pattern.
+
+    Rows and columns sharing a nonzero entry are joined by union-find; each
+    block is returned as (its rows, its columns, the submatrix on them), so
+    the matrix is the direct sum of the submatrices up to permuting rows and
+    columns.  Rows and columns with no nonzero entry belong to no block.
+    """
+    # union-find nodes: row i is i, column j is ~j (negative)
+    parent: dict[int, int] = {}
+
+    def find(node: int) -> int:
+        parent.setdefault(node, node)
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for j, column in columns.items():
+        col_root = find(~j)
+        for i, _ in column:
+            row_root = find(i)
+            if row_root != col_root:
+                parent[row_root] = col_root
+    members: dict[int, tuple[set[int], list[int]]] = {}
+    for j in columns:
+        rows, cols = members.setdefault(find(~j), (set(), []))
+        cols.append(j)
+        rows.update(i for i, _ in columns[j])
+    blocks = []
+    for row_set, cols in members.values():
+        rows = sorted(row_set)
+        cols.sort()
+        where = {i: r for r, i in enumerate(rows)}
+        sub = IntMatrix(len(rows), len(cols))
+        for c, j in enumerate(cols):
+            for i, x in columns[j]:
+                sub.data[where[i]][c] = x
+        blocks.append((rows, cols, sub))
+    return blocks
+
+
+def _check_blocks(columns: Mapping[int, Column], blocks) -> None:
+    """Verify that ``blocks`` split the matrix ``columns``; raise on failure.
+
+    No row or column may lie in two blocks, and every nonzero entry must
+    appear, with its value, in the one block owning its row and column, so
+    the blocks hold each nonzero entry exactly once and nothing else.
+    """
+    row_at: dict[int, tuple[int, int]] = {}  # row -> (block, position in block)
+    col_at: dict[int, tuple[int, int]] = {}
+    held = 0
+    for b, (rows, cols, sub) in enumerate(blocks):
+        for at, keys in ((row_at, rows), (col_at, cols)):
+            for position, key in enumerate(keys):
+                if at.setdefault(key, (b, position)) != (b, position):
+                    raise AssertionError("a row or column lies in two blocks")
+        held += sum(len(row) - row.count(0) for row in sub.data)
+    entries = 0
+    for j, column in columns.items():
+        for i, x in column:
+            if i not in row_at or j not in col_at or row_at[i][0] != col_at[j][0]:
+                raise AssertionError("a nonzero entry lies outside its block")
+            (b, r), (_, c) = row_at[i], col_at[j]
+            if blocks[b][2].data[r][c] != x:
+                raise AssertionError("a block holds the wrong value")
+            entries += 1
+    if held != entries:
+        raise AssertionError("the blocks hold entries the matrix does not")
+
+
+def _invariant_factors(columns: Mapping[int, Column]) -> list[int]:
+    """Nonzero invariant factors of a matrix, one Smith form per block.
+
+    The factors of the blocks together present the same cokernel as the
+    whole matrix, but they need not form one divisibility chain.
+    """
+    blocks = _blocks(columns)
+    if VERIFY_SNF:
+        _check_blocks(columns, blocks)
+    factors = []
+    for _, _, sub in blocks:
+        factors.extend(x for x in smith_normal_form(sub).d.diagonal() if x)
+    return factors
+
+
 class FreeComplex:
     """A finite chain complex of free abelian groups with labeled bases.
 
@@ -294,6 +405,8 @@ class FreeComplex:
     ):
         self.basis = {d: tuple(labels) for d, labels in basis.items() if len(labels)}
         self.differentials: dict[int, IntMatrix] = {}
+        # the nonzero entries of each stored differential, by column
+        self._columns: dict[int, dict[int, Column]] = {}
         for d, mat in (differentials or {}).items():
             target = len(self.basis.get(d - 1, ()))
             source = len(self.basis.get(d, ()))
@@ -301,12 +414,21 @@ class FreeComplex:
                 raise NotAComplex(
                     f"differential at degree {d} has shape {mat.shape}, expected {(target, source)}"
                 )
-            if not mat.is_zero():
+            columns = _nonzero_columns(mat)
+            if columns:
                 self.differentials[d] = mat.copy()
-        for d, mat in self.differentials.items():
-            below = self.differentials.get(d - 1)
-            if below is not None and not (below @ mat).is_zero():
-                raise NotAComplex(f"boundary squared is nonzero from degree {d}")
+                self._columns[d] = columns
+        for d, columns in self._columns.items():
+            below = self._columns.get(d - 1)
+            if below is None:
+                continue
+            for column in columns.values():
+                image: dict[int, int] = {}
+                for t, a in column:
+                    for i, b in below.get(t, ()):
+                        image[i] = image.get(i, 0) + a * b
+                if any(image.values()):
+                    raise NotAComplex(f"boundary squared is nonzero from degree {d}")
 
     def degrees(self) -> list[int]:
         return sorted(self.basis)
@@ -329,27 +451,21 @@ class FreeComplex:
         )
 
     def homology(self) -> GradedGroup:
-        """Integer homology via one Smith decomposition per differential.
+        """Integer homology from the invariant factors of each differential.
 
-        In each degree, the free rank is dim ker(boundary out) minus
-        rank(boundary in), and the torsion is the set of invariant factors
-        of the incoming boundary that exceed 1.
+        Each differential is split into the connected blocks of its nonzero
+        pattern and one Smith decomposition runs per block.  In each degree,
+        the free rank is dim ker(boundary out) minus rank(boundary in), and
+        the torsion is the incoming boundary's factors above 1 over all its
+        blocks, merged back into one divisibility chain (a Z/2 block and a
+        Z/3 block give Z/6).
         """
-        forms = {d: smith_normal_form(mat) for d, mat in self.differentials.items()}
+        factors = {d: _invariant_factors(columns) for d, columns in self._columns.items()}
         result: dict[int, tuple[int, tuple[int, ...]]] = {}
         for d in self.degrees():
-            n = self.size(d)
-            out_rank = 0
-            if d in forms:
-                out_rank = sum(1 for x in forms[d].d.diagonal() if x)
-            in_rank = 0
-            torsion: tuple[int, ...] = ()
-            incoming = forms.get(d + 1)
-            if incoming is not None:
-                diag = [x for x in incoming.d.diagonal() if x]
-                in_rank = len(diag)
-                torsion = tuple(x for x in diag if x > 1)
-            result[d] = (n - out_rank - in_rank, torsion)
+            incoming = factors.get(d + 1, ())
+            rank = self.size(d) - len(factors.get(d, ())) - len(incoming)
+            result[d] = (rank, torsion_chain(x for x in incoming if x > 1))
         return GradedGroup.of(result)
 
 

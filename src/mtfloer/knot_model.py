@@ -319,7 +319,8 @@ def build_e1_region(
 
     total = len(surface) + len(circles)
     bound = (2 ** (2 * spec.g) + 2 * spec.abs_n * 2 ** (2 * spec.g - 2)) * spec.g
-    assert total <= bound, f"region size {total} exceeds bound {bound}"
+    if total > bound:
+        raise GateFailure(f"region size {total} exceeds bound {bound} at {spec}")
 
     def image(gen: PageGenerator):
         if gen.tag != SURFACE:

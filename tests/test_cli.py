@@ -29,6 +29,8 @@ def test_parse_n_range():
         cli._parse_n_range("3..1")
     with pytest.raises(BadParams):
         cli._parse_n_range("0")
+    with pytest.raises(BadParams):
+        cli._parse_n_range("0..0")
 
 
 def test_worker_count(monkeypatch):
@@ -197,6 +199,13 @@ def test_verify_bad_range_exit_two(capsys):
     code, out, err = run_main(capsys, "verify", "--n", "3..1")
     assert code == 2
     assert "error:" in err
+
+
+def test_verify_range_without_nonzero_n_exit_two(capsys):
+    code, out, err = run_main(capsys, "verify", "--n", "0..0", "--g-max", "3")
+    assert code == 2
+    assert out == ""
+    assert "no nonzero twist power" in err
 
 
 def test_sweep_matches_golden_file(capsys):

@@ -9,6 +9,9 @@ from mtfloer.graded import GradedGroup
 from mtfloer.homology import (
     FreeComplex,
     IntMatrix,
+    _blocks,
+    _check_blocks,
+    _nonzero_columns,
     check_smith_form,
     euler_characteristic,
     matrix_rank,
@@ -238,7 +241,12 @@ def random_matrix(rng: random.Random, rows: int, cols: int, spread=2) -> IntMatr
 def random_two_step_complex(rng: random.Random) -> FreeComplex:
     """A complex 2 -> 1 -> 0 with the top map factored through ker of the bottom."""
     n0, n1, n2 = (rng.randint(1, 5) for _ in range(3))
-    d1 = random_matrix(rng, n0, n1)
+    return complex_over(rng, random_matrix(rng, n0, n1), n2)
+
+
+def complex_over(rng: random.Random, d1: IntMatrix, n2: int) -> FreeComplex:
+    """A complex 2 -> 1 -> 0 with bottom map d1 and a random top map into ker d1."""
+    n0, n1 = d1.rows, d1.cols
     form = smith_normal_form(d1)
     rank = sum(1 for x in form.d.diagonal() if x)
     kernel_dim = n1 - rank
@@ -288,3 +296,107 @@ def test_top_homology_of_random_complex_is_kernel():
         expected = cx.size(2) - matrix_rank(cx.differential(2))
         assert h2.rank(2) == expected
         assert h2.torsion(2) == ()
+
+
+# -- block-split homology against the dense reference -----------------------------
+
+
+def dense_homology(cx: FreeComplex) -> GradedGroup:
+    """Homology from one Smith decomposition of each whole differential."""
+    forms = {d: smith_normal_form(mat, verify=False) for d, mat in cx.differentials.items()}
+    result = {}
+    for d in cx.degrees():
+        out_rank = sum(1 for x in forms[d].d.diagonal() if x) if d in forms else 0
+        incoming = [x for x in forms[d + 1].d.diagonal() if x] if d + 1 in forms else []
+        torsion = tuple(x for x in incoming if x > 1)
+        result[d] = (cx.size(d) - out_rank - len(incoming), torsion)
+    return GradedGroup.of(result)
+
+
+def permuted_block_diagonal(rng: random.Random, blocks) -> IntMatrix:
+    """The direct sum of ``blocks``, with its rows and columns shuffled."""
+    rows = list(range(sum(b.rows for b in blocks)))
+    cols = list(range(sum(b.cols for b in blocks)))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    out = IntMatrix(len(rows), len(cols))
+    r0 = c0 = 0
+    for b in blocks:
+        for i in range(b.rows):
+            for j in range(b.cols):
+                out.data[rows[r0 + i]][cols[c0 + j]] = b.data[i][j]
+        r0 += b.rows
+        c0 += b.cols
+    return out
+
+
+def random_block(rng: random.Random) -> IntMatrix:
+    if rng.random() < 0.4:
+        # a torsion block: one invariant factor from 2..6
+        return IntMatrix.from_rows([[rng.choice([2, 3, 4, 5, 6])]])
+    return random_matrix(rng, rng.randint(0, 3), rng.randint(0, 3))
+
+
+def test_split_torsion_merges_into_one_chain():
+    blocks = [IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[3]])]
+    d1 = permuted_block_diagonal(random.Random(1), blocks)
+    cx = FreeComplex({0: ["x", "y"], 1: ["a", "b"]}, {1: d1})
+    assert cx.homology().torsion(0) == (6,)
+    assert cx.homology() == dense_homology(cx) == GradedGroup.of({0: (0, [6])})
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_block_split_matches_dense_on_random_complexes(seed):
+    rng = random.Random(seed)
+    cx = random_two_step_complex(rng)
+    assert cx.homology() == dense_homology(cx)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_block_split_matches_dense_on_permuted_block_diagonals(seed):
+    rng = random.Random(seed)
+    blocks = [random_block(rng) for _ in range(rng.randint(1, 5))]
+    d1 = permuted_block_diagonal(rng, blocks)
+    if not d1.rows or not d1.cols:
+        return
+    cx = complex_over(rng, d1, rng.randint(1, 5))
+    assert cx.homology() == dense_homology(cx)
+    lone = FreeComplex({0: range(d1.rows), 1: range(d1.cols)}, {1: d1})
+    assert lone.homology() == dense_homology(lone)
+
+
+def test_boundary_squared_may_cancel_across_paths():
+    # d1 d2 sums the paths f -> a -> v, f -> b -> v and f -> c -> v
+    cells = {0: ["v"], 1: ["a", "b", "c"], 2: ["f"]}
+    d1 = IntMatrix.from_rows([[1, 1, -2]])
+    d2 = IntMatrix.from_rows([[1], [1], [1]])
+    cx = FreeComplex(cells, {1: d1, 2: d2})
+    assert cx.homology() == dense_homology(cx) == GradedGroup.free({1: 1})
+    with pytest.raises(NotAComplex):
+        # two of the three paths cancel, the third does not
+        FreeComplex(cells, {1: d1, 2: IntMatrix.from_rows([[1], [-1], [1]])})
+
+
+def test_check_blocks_rejects_bad_splits():
+    d1 = permuted_block_diagonal(
+        random.Random(3), [IntMatrix.from_rows([[1, 2], [0, 3]]), IntMatrix.from_rows([[4]])]
+    )
+    columns = _nonzero_columns(d1)
+    blocks = sorted(_blocks(columns), key=lambda block: -len(block[0]))
+    assert [sub.shape for _, _, sub in blocks] == [(2, 2), (1, 1)]
+    _check_blocks(columns, blocks)
+    rows, cols, sub = blocks[0]
+    altered = sub.copy()
+    altered.data[0][0] += 1
+    padded = sub.copy()
+    r, c = next((r, c) for r, row in enumerate(sub.data) for c, x in enumerate(row) if not x)
+    padded.data[r][c] = 1
+    forgeries = [
+        blocks[:1],  # an entry left out
+        blocks + blocks[:1],  # an entry held twice
+        [(rows, cols, altered)] + blocks[1:],  # a wrong value
+        [(rows, cols, padded)] + blocks[1:],  # an entry the matrix lacks
+    ]
+    for forged in forgeries:
+        with pytest.raises(AssertionError):
+            _check_blocks(columns, forged)

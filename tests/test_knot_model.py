@@ -4,6 +4,7 @@ from mtfloer.closed_form import theorem_answer
 from mtfloer.errors import BadGenus, BadParams, GateFailure, UnknownTable, ZeroTwist
 from mtfloer.graded import GradedGroup
 from mtfloer.homology import FreeComplex
+from mtfloer import knot_model
 from mtfloer.knot_model import (
     CIRCLES,
     SURFACE,
@@ -28,6 +29,7 @@ from mtfloer.knot_model import (
     run_d1,
     run_d2,
 )
+from test_homology import dense_homology
 
 G = GradedGroup.free
 
@@ -97,6 +99,30 @@ def test_region_size_at_g3():
     page1 = build_e1_region(RegionSpec(3, 2, 1))
     assert page1.total_size() == 12
     assert {d: page1.size(d) for d in page1.degrees()} == {-1: 1, 0: 8, 1: 3}
+
+
+def test_region_size_bound_is_enforced(monkeypatch):
+    # the bound at g=2, |n|=1 is (2^4 + 2 * 2^2) * 2 = 48 generators
+    padding = [PageGenerator(CIRCLES, (), 1)] * 49
+    monkeypatch.setattr(knot_model, "_circle_generators", lambda spec, labels: padding)
+    with pytest.raises(GateFailure, match="exceeds bound 48"):
+        build_e1_region(RegionSpec(2, 1, 1))
+
+
+REGIONS = [
+    RegionSpec(g, n, k)
+    for g in range(2, 6)
+    for n in (1, -1, 2, -2, 3, -3)
+    for k in range(1, g)
+]
+
+
+@pytest.mark.parametrize("spec", REGIONS, ids=str)
+def test_region_homology_matches_dense_reference(spec):
+    page1 = build_e1_region(spec)
+    assert page1.homology() == dense_homology(page1)
+    page2 = build_e2_symbolic(spec).d2_complex
+    assert page2.homology() == dense_homology(page2)
 
 
 def test_region_rejects_bad_circle_labels():
