@@ -7,11 +7,9 @@ sweeps both over a parameter grid and reports any disagreement.
 """
 
 from .closed_form import (
-    ClosedFormParams,
     corollary_answer,
     degree_shift,
     degree_shift_argmax,
-    is_adjunction_vanishing,
     surface_complement_cohomology,
     surface_rel_cohomology,
     theorem_answer,
@@ -35,6 +33,7 @@ from .exterior import (
     e_half,
     lambda_group,
     sym_betti,
+    x_ranks,
 )
 from .graded import (
     GradedGroup,
@@ -57,7 +56,6 @@ from .knot_model import (
     FilteredGroup,
     HomologyResult,
     PageGenerator,
-    RegionSpec,
     build_e1_region,
     build_e2_symbolic,
     build_hfk,
@@ -69,6 +67,7 @@ from .knot_model import (
     run_d1,
     run_d2,
 )
+from .params import Params
 
 __version__ = "0.1.0"
 
@@ -76,7 +75,6 @@ __all__ = [
     "BadGenus",
     "BadParams",
     "CIRCLES",
-    "ClosedFormParams",
     "E2Page",
     "ExtVector",
     "FilteredGroup",
@@ -89,7 +87,7 @@ __all__ = [
     "MtfloerError",
     "NotAComplex",
     "PageGenerator",
-    "RegionSpec",
+    "Params",
     "SURFACE",
     "ShiftReport",
     "TorsionUnsupported",
@@ -110,7 +108,6 @@ __all__ = [
     "e_half",
     "euler_characteristic",
     "hfk_M",
-    "is_adjunction_vanishing",
     "lambda_group",
     "odd_spheres_homology",
     "oracle_hfplus",
@@ -124,4 +121,5 @@ __all__ = [
     "theorem_answer",
     "torsion_chain",
     "x_homology_formula",
+    "x_ranks",
 ]

@@ -17,16 +17,16 @@ from .closed_form import (
     degree_shift,
     degree_shift_argmax,
     fraction_json,
-    is_adjunction_vanishing,
     surface_complement_cohomology,
     surface_rel_cohomology,
     theorem_answer,
     x_homology_formula,
 )
 from .errors import BadParams, GateFailure, UnknownTable
-from .exterior import build_X
+from .exterior import x_ranks
 from .graded import GradedGroup
 from .knot_model import FilteredGroup, build_x_complex, oracle_hfplus, reference_tables
+from .params import Params
 
 SCHEMA = "1"
 
@@ -113,9 +113,7 @@ def _print(text: str) -> None:
 
 def cmd_compute(args) -> int:
     g, n, k = args.g, args.n, args.k
-    if n == 0:
-        raise BadParams("twist power n must be nonzero")
-    if is_adjunction_vanishing(g, k):
+    if Params(g, n, k).vanishes_by_adjunction:
         # the group is zero for |k| >= g; report it for any method without
         # running the pipeline, so parameter rectangles never crash
         zero = GradedGroup.zero()
@@ -345,7 +343,7 @@ def cmd_xgd(args) -> int:
         formula = x_homology_formula(args.g, args.d, left=args.left)
         match = group == formula
     else:
-        group = build_X(args.g, args.d).graded
+        group = x_ranks(args.g, args.d)
         formula = None
         match = None
     if args.format == "json":

@@ -2,54 +2,22 @@
 
 Each function here assembles a graded group directly from binomial and
 tower primitives, with no chain-level computation; the region pipeline in
-``knot_model`` is the independent check on every formula.
+``knot_model`` is the independent check on every formula.  The two routes
+share only the parameter type (:class:`~mtfloer.params.Params`) and the
+rank count of the truncated tower (:func:`~mtfloer.exterior.x_ranks`),
+which the oracle's page-one gate checks at chain level.  Nothing here
+enumerates a basis, so the cost is polynomial in the genus.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
 from .errors import BadParams
-from .exterior import build_X
+from .exterior import x_ranks
 from .graded import GradedGroup, circles_cohomology, odd_spheres_homology
-
-
-@dataclass(frozen=True)
-class ClosedFormParams:
-    """Validated (g, n, k) for the closed-form group, k reduced by |.|."""
-
-    g: int
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.g < 2:
-            raise BadParams(f"genus {self.g} < 2")
-        if self.n == 0:
-            raise BadParams("twist power n must be nonzero")
-        if self.k == 0:
-            raise BadParams("the torsion spin-c structure k=0 is out of scope")
-        if abs(self.k) > self.g - 1:
-            raise BadParams(f"spin-c level |k|={abs(self.k)} exceeds g-1={self.g - 1}")
-
-    @property
-    def d(self) -> int:
-        return self.g - 1 - abs(self.k)
-
-    @property
-    def eps_n(self) -> int:
-        return 0 if self.n > 0 else -1
-
-
-def is_adjunction_vanishing(g: int, k: int) -> bool:
-    """Whether the group vanishes outright because |k| meets or exceeds g."""
-    if g < 2:
-        raise BadParams(f"genus {g} < 2")
-    if k == 0:
-        raise BadParams("the torsion spin-c structure k=0 is out of scope")
-    return abs(k) >= g
+from .params import Params
 
 
 def theorem_answer(g: int, n: int, k: int) -> GradedGroup:
@@ -59,26 +27,19 @@ def theorem_answer(g: int, n: int, k: int) -> GradedGroup:
     circles (shifted down by one for left twists), a single top exterior
     class, and one odd-sphere family per U-depth p = 1..d with |n|-1
     components each.  Inputs with |k| >= g return the zero group (adjunction
-    vanishing); pair with :func:`is_adjunction_vanishing` to mark them.
+    vanishing).
     """
-    if g < 2:
-        raise BadParams(f"genus {g} < 2")
-    if n == 0:
-        raise BadParams("twist power n must be nonzero")
-    if k == 0:
-        raise BadParams("the torsion spin-c structure k=0 is out of scope")
-    if abs(k) >= g:
+    params = Params(g, n, k)
+    if params.vanishes_by_adjunction:
         return GradedGroup.zero()
-    params = ClosedFormParams(g, n, k)
     d, eps_n = params.d, params.eps_n
 
-    tower = build_X(g - 1, d - 1).graded
-    total = tower.tensor(circles_cohomology(2, eps_n))
+    total = x_ranks(g - 1, d - 1).tensor(circles_cohomology(2, eps_n))
     total += GradedGroup.free({g - d: comb(2 * g - 2, d)})
     for p in range(1, d + 1):
         label_rank = comb(2 * g - 2, d - p)
         family = GradedGroup.free({g - d - p + 1 + eps_n: label_rank})
-        total += family.tensor(odd_spheres_homology(abs(n) - 1, p))
+        total += family.tensor(odd_spheres_homology(params.abs_n - 1, p))
     return total
 
 
@@ -135,8 +96,7 @@ def x_homology_formula(g: int, d: int, left: bool = False) -> GradedGroup:
     if not 0 <= d <= g - 1:
         raise BadParams(f"need 0 <= d <= g-1, got d={d}")
     eps = -1 if left else 0
-    tower = build_X(g - 1, d - 1).graded
-    return tower.tensor(circles_cohomology(1, eps)) + GradedGroup.free(
+    return x_ranks(g - 1, d - 1).tensor(circles_cohomology(1, eps)) + GradedGroup.free(
         {g - d: comb(2 * g - 2, d)}
     )
 

@@ -9,6 +9,14 @@ and the Poincare dual of gamma is (a sign times) b1.
 
 The centered grading convention puts Lambda^i H^1 in degree i - g, so the
 grading range is symmetric about zero.
+
+The truncated tower X(g, d) appears two ways.  :func:`build_X` enumerates
+its basis, which only the chain-level tower complex and the oracle's tower
+check need.  :func:`x_ranks` counts its graded ranks from the Betti numbers
+of a symmetric product, for every caller that needs only ranks: the closed
+form, the symbolic page two and ``xgd`` without ``--homology``.  The
+oracle's page-one gate compares that page two with homology computed by
+linear algebra, so every oracle run checks the count at chain level.
 """
 
 from __future__ import annotations
@@ -61,12 +69,6 @@ def _sort_with_sign(indices: Sequence[int]) -> tuple[Monomial, int] | None:
             sign = -sign
             j -= 1
     return tuple(items), sign
-
-
-def _merge_with_sign(left: Monomial, right: Monomial) -> tuple[Monomial, int] | None:
-    """Concatenate two sorted monomials, counting transpositions; None if they share a symbol."""
-    merged = _sort_with_sign(left + right)
-    return merged
 
 
 @dataclass(frozen=True)
@@ -183,7 +185,7 @@ class ExtVector:
         raw = []
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
-                merged = _merge_with_sign(m1, m2)
+                merged = _sort_with_sign(m1 + m2)
                 if merged is not None:
                     mono, sign = merged
                     raw.append((mono, sign * c1 * c2))
@@ -256,35 +258,38 @@ class XBasisElement:
 
 class XModule(NamedTuple):
     basis: tuple[XBasisElement, ...]
-    graded: GradedGroup
 
 
-def build_X(genus: int, d: int) -> XModule:
-    """The module X(g, d) = sum over i <= d of Lambda^{2g-i} (x) Z[U]/U^{d+1-i}.
-
-    Returns the canonical ordered basis together with its graded group.
-    ``d = -1`` (or below, clamped at -1 by the defining sum being empty) is
-    the zero module.
-    """
+def _check_x_params(genus: int, d: int) -> None:
     if genus < 1:
         raise BadParams("genus must be >= 1")
     if d < -1:
         raise BadParams("truncation parameter d must be >= -1")
+
+
+def build_X(genus: int, d: int) -> XModule:
+    """The canonical ordered basis of the truncated tower X(g, d).
+
+    X(g, d) = sum over i <= d of Lambda^{2g-i} (x) Z[U]/U^{d+1-i}.  Only
+    callers that need the basis itself enumerate it: the tower complex
+    ``knot_model.build_x_complex`` and the tower check in
+    ``knot_model.build_e1_region``.  The basis grows exponentially in g;
+    callers that need only graded ranks use :func:`x_ranks`.  ``d = -1`` is
+    the zero module.
+    """
+    _check_x_params(genus, d)
     basis: list[XBasisElement] = []
     for i in range(0, min(d, 2 * genus) + 1):
         for mono in monomials(range(2 * genus), 2 * genus - i):
             for u in range(d - i + 1):
                 basis.append(XBasisElement(genus, mono, u))
-    ranks: dict[int, int] = {}
-    for x in basis:
-        ranks[x.grading] = ranks.get(x.grading, 0) + 1
-    return XModule(tuple(basis), GradedGroup.free(ranks))
+    return XModule(tuple(basis))
 
 
 def sym_betti(genus: int, d: int, j: int) -> int:
     """Rank of the degree-j part of H*(Sym^d of a genus-g surface), centered.
 
-    Extracted from the generating function
+    Extracted from Macdonald's generating function
     sum_d P(Sym^d)(t) q^d = (1 + tq)^{2g} / ((1 - q)(1 - t^2 q)),
     with the cohomological degree m = g - j recentered about the middle.
     """
@@ -301,3 +306,17 @@ def sym_betti(genus: int, d: int, j: int) -> int:
         if r + b <= d:
             total += comb(2 * genus, r)
     return total
+
+
+def x_ranks(genus: int, d: int) -> GradedGroup:
+    """The graded ranks of X(g, d), counted without enumerating a basis.
+
+    X(g, d) has the ranks of H*(Sym^d of a genus-g surface), which sit in
+    degrees g - 2d .. g; this is the one rank count of the tower that both
+    routes use.
+
+    >>> x_ranks(2, 1) == GradedGroup.free({2: 1, 1: 4, 0: 1})
+    True
+    """
+    _check_x_params(genus, d)
+    return GradedGroup.free({j: sym_betti(genus, d, j) for j in range(genus - 2 * d, genus + 1)})

@@ -247,13 +247,6 @@ class GradedGroup:
         return " + ".join(parts)
 
 
-def direct_sum_many(groups: Iterable[GradedGroup]) -> GradedGroup:
-    total = GradedGroup.zero()
-    for g in groups:
-        total = total.direct_sum(g)
-    return total
-
-
 def circles_cohomology(count: int, shift: int = 0) -> GradedGroup:
     """Cohomology of a disjoint union of ``count`` circles, shifted.
 

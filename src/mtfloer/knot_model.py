@@ -35,9 +35,11 @@ from .exterior import (
     e_half,
     monomial_symbols,
     monomials,
+    x_ranks,
 )
 from .graded import GradedGroup, circles_cohomology
 from .homology import FreeComplex, IntMatrix
+from .params import Params, eps
 
 SURFACE = "surface"
 CIRCLES = "circles"
@@ -68,56 +70,23 @@ class PageGenerator:
         return out
 
 
-@dataclass(frozen=True)
-class RegionSpec:
-    """Validated parameters (g, n, k) of one region computation.
-
-    k is the reduced (positive) spin-c level; callers reduce k < 0 by
-    conjugation invariance before building a spec.
-    """
-
-    g: int
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.g < 2:
-            raise BadGenus(f"genus {self.g} < 2")
-        if self.n == 0:
-            raise ZeroTwist("twist power n must be nonzero")
-        if not 1 <= self.k <= self.g - 1:
-            raise BadParams(f"spin-c level k={self.k} outside 1..{self.g - 1}")
-
-    @property
-    def d(self) -> int:
-        return self.g - 1 - self.k
-
-    @property
-    def eps_n(self) -> int:
-        return 0 if self.n > 0 else -1
-
-    @property
-    def abs_n(self) -> int:
-        return abs(self.n)
-
-    @property
-    def active_half(self) -> str:
-        """Half of the exterior splitting the page-one differential acts on."""
-        return "E-" if self.n > 0 else "E+"
+def active_half(n: int) -> str:
+    """Half of the exterior splitting the page-one differential acts on."""
+    return "E-" if n > 0 else "E+"
 
 
-def centered_degree(spec: RegionSpec, gen: PageGenerator) -> int:
+def centered_degree(spec: Params, gen: PageGenerator) -> int:
     """Centered exterior degree F of the generator's label."""
     if gen.tag == SURFACE:
         return len(gen.monomial) - spec.g
     return len(gen.monomial) - (spec.g - 1)
 
 
-def filtration(spec: RegionSpec, gen: PageGenerator) -> int:
+def filtration(spec: Params, gen: PageGenerator) -> int:
     return centered_degree(spec, gen) - gen.p
 
 
-def model_grading(spec: RegionSpec, gen: PageGenerator) -> int:
+def model_grading(spec: Params, gen: PageGenerator) -> int:
     """Region grading: label grading (with eps and the left-twist shift) minus 2p."""
     base = centered_degree(spec, gen)
     if gen.tag == CIRCLES:
@@ -260,7 +229,7 @@ def build_x_complex(genus: int, d: int, left: bool = False, pd_sign: int = 1) ->
 # -- region pipeline -------------------------------------------------------
 
 
-def _circle_labels(spec: RegionSpec, labels: Sequence[int] | None) -> tuple[int, ...]:
+def _circle_labels(spec: Params, labels: Sequence[int] | None) -> tuple[int, ...]:
     if labels is None:
         return tuple(range(1, spec.abs_n + 1))
     if sorted(labels) != sorted(set(labels)) or len(labels) != spec.abs_n:
@@ -268,30 +237,30 @@ def _circle_labels(spec: RegionSpec, labels: Sequence[int] | None) -> tuple[int,
     return tuple(labels)
 
 
-def _surface_generators(spec: RegionSpec) -> list[PageGenerator]:
+def _surface_generators(spec: Params) -> list[PageGenerator]:
     gens = []
-    for size in range(spec.g + spec.k + 1, 2 * spec.g + 1):
+    for size in range(spec.g + spec.abs_k + 1, 2 * spec.g + 1):
         F = size - spec.g
         for mono in monomials(range(2 * spec.g), size):
-            for p in range(1, F - spec.k + 1):
+            for p in range(1, F - spec.abs_k + 1):
                 gens.append(PageGenerator(SURFACE, mono, p))
     return gens
 
 
-def _circle_generators(spec: RegionSpec, labels: Sequence[int]) -> list[PageGenerator]:
+def _circle_generators(spec: Params, labels: Sequence[int]) -> list[PageGenerator]:
     gens = []
-    for size in range(spec.g + spec.k, 2 * spec.g - 1):
+    for size in range(spec.g + spec.abs_k, 2 * spec.g - 1):
         F = size - (spec.g - 1)
         for mono in monomials(range(2, 2 * spec.g), size):
             for c in labels:
-                for eps in (0, 1):
-                    for p in range(1, F - spec.k + 1):
-                        gens.append(PageGenerator(CIRCLES, mono, p, c, eps))
+                for bit in (0, 1):
+                    for p in range(1, F - spec.abs_k + 1):
+                        gens.append(PageGenerator(CIRCLES, mono, p, c, bit))
     return gens
 
 
 def build_e1_region(
-    spec: RegionSpec,
+    spec: Params,
     pd_sign: int = 1,
     circle_labels: Sequence[int] | None = None,
 ) -> FreeComplex:
@@ -322,12 +291,12 @@ def build_e1_region(
     if total > bound:
         raise GateFailure(f"region size {total} exceeds bound {bound} at {spec}")
 
+    half = active_half(spec.n)
+
     def image(gen: PageGenerator):
         if gen.tag != SURFACE:
             return
-        terms = _d1_image(
-            gen.monomial, gen.p - 1, spec.g, spec.d, spec.active_half, pd_sign
-        )
+        terms = _d1_image(gen.monomial, gen.p - 1, spec.g, spec.d, half, pd_sign)
         for mono, u, coeff in terms:
             yield PageGenerator(SURFACE, mono, u + 1), coeff
 
@@ -337,7 +306,7 @@ def build_e1_region(
 
 
 def build_e2_symbolic(
-    spec: RegionSpec,
+    spec: Params,
     circle_labels: Sequence[int] | None = None,
     corrupt_d2: bool = False,
 ) -> E2Page:
@@ -352,8 +321,7 @@ def build_e2_symbolic(
     """
     labels = _circle_labels(spec, circle_labels)
     g, d = spec.g, spec.d
-    tower = build_X(g - 1, d - 1).graded
-    fixed = tower.tensor(circles_cohomology(2, spec.eps_n))
+    fixed = x_ranks(g - 1, d - 1).tensor(circles_cohomology(2, spec.eps_n))
     fixed += GradedGroup.free({g - d: comb(2 * g - 2, d)})
 
     active = _circle_generators(spec, labels[1:])
@@ -361,7 +329,7 @@ def build_e2_symbolic(
     def arrows(gen: PageGenerator):
         if corrupt_d2 or gen.eps != 0:
             return
-        capacity = len(gen.monomial) - (g - 1) - spec.k
+        capacity = len(gen.monomial) - (g - 1) - spec.abs_k
         if gen.p + 1 <= capacity:
             yield replace(gen, eps=1, p=gen.p + 1), 1
 
@@ -371,7 +339,7 @@ def build_e2_symbolic(
     return E2Page(fixed, tuple(sorted(active)), d2_complex)
 
 
-def run_d1(spec: RegionSpec, page1: FreeComplex, e2: E2Page | None = None) -> HomologyResult:
+def run_d1(spec: Params, page1: FreeComplex, e2: E2Page | None = None) -> HomologyResult:
     """Homology of page one, gated against the symbolic page two.
 
     The graded group computed by integer linear algebra must agree exactly
@@ -396,7 +364,7 @@ def run_d1(spec: RegionSpec, page1: FreeComplex, e2: E2Page | None = None) -> Ho
     )
 
 
-def run_d2(spec: RegionSpec, e2: E2Page) -> HomologyResult:
+def run_d2(spec: Params, e2: E2Page) -> HomologyResult:
     """Homology of the page-two complex, plus the fixed part, in X-convention."""
     survivors = e2.d2_complex.homology()
     if not survivors.is_free():
@@ -417,15 +385,15 @@ def oracle_hfplus(
 ) -> HomologyResult:
     """Full region pipeline for the plus-flavor group at spin-c level k.
 
-    Negative k is reduced to |k| by conjugation invariance.  The result is
+    The region depends on |k| only (conjugation invariance); the result
+    reports k as given.  Levels with |k| >= g, where the group vanishes by
+    adjunction, are refused: the region is empty there.  The result is
     torsion-free in the X-convention grading; torsion anywhere, a gate
     mismatch, or an Euler-characteristic drift is a hard failure.
     """
-    if k == 0:
-        raise BadParams("the torsion spin-c structure k=0 is out of scope")
-    if abs(k) > max(g - 1, 0):
-        raise BadParams(f"spin-c level |k|={abs(k)} exceeds g-1={g - 1}")
-    spec = RegionSpec(g, n, abs(k))
+    spec = Params(g, n, k)
+    if spec.vanishes_by_adjunction:
+        raise BadParams(f"spin-c level |k|={spec.abs_k} exceeds g-1={g - 1}")
     page1 = build_e1_region(spec, pd_sign, circle_labels)
     e2 = build_e2_symbolic(spec, circle_labels, corrupt_d2)
     run_d1(spec, page1, e2)
@@ -434,7 +402,7 @@ def oracle_hfplus(
         raise GateFailure(f"oracle output has torsion at g={g} n={n} k={k}")
     if page1.euler_characteristic() != result.group.euler_characteristic():
         raise GateFailure(f"Euler characteristic drifted through the pipeline at g={g} n={n} k={k}")
-    return replace(result, k=k)
+    return result
 
 
 # -- knot Floer tables -----------------------------------------------------
@@ -501,9 +469,7 @@ def hfk_M(n: int) -> FilteredGroup:
     = grading) plus |n| circle classes in filtration 0, graded at {0,1} for
     right twists and {-1,0} for left twists.
     """
-    if n == 0:
-        raise ZeroTwist("twist power n must be nonzero")
-    eps_n = 0 if n > 0 else -1
+    eps_n = eps(n)
     levels = {
         1: GradedGroup.free({1: 1}),
         0: GradedGroup.free({0: 2}) + GradedGroup.free({eps_n: abs(n), eps_n + 1: abs(n)}),
@@ -527,25 +493,12 @@ def lambda_filtered(genus: int) -> FilteredGroup:
 def build_hfk(g: int, n: int) -> FilteredGroup:
     """Knot Floer table of the full connected-sum knot at genus g, signed twist.
 
-    Equals the small-summand table tensored with the exterior algebra of a
-    genus-(g-1) surface; assembled here summand by summand.
+    The small-summand table tensored with the exterior algebra of a
+    genus-(g-1) surface.
     """
     if g < 2:
         raise BadGenus(f"genus {g} < 2")
-    if n == 0:
-        raise ZeroTwist("twist power n must be nonzero")
-    eps_n = 0 if n > 0 else -1
-    acc: dict[int, GradedGroup] = {}
-    for e in range(2 * g + 1):
-        j = e - g
-        acc[j] = acc.get(j, GradedGroup.zero()) + GradedGroup.free({j: comb(2 * g, e)})
-    for e in range(2 * g - 1):
-        j = e - (g - 1)
-        circles = GradedGroup.free(
-            {j + eps_n: abs(n) * comb(2 * g - 2, e), j + eps_n + 1: abs(n) * comb(2 * g - 2, e)}
-        )
-        acc[j] = acc.get(j, GradedGroup.zero()) + circles
-    return FilteredGroup.of(acc)
+    return hfk_M(n).tensor(lambda_filtered(g - 1))
 
 
 def collapse_hfk(n: int) -> GradedGroup:
@@ -556,10 +509,8 @@ def collapse_hfk(n: int) -> GradedGroup:
     for right twists, an injection out of the top class for left twists);
     the circle classes never move.
     """
-    if n == 0:
-        raise ZeroTwist("twist power n must be nonzero")
-    eps_n = 0 if n > 0 else -1
-    active_half = "E-" if n > 0 else "E+"
+    eps_n = eps(n)
+    half = active_half(n)
 
     gens: list[PageGenerator] = [
         PageGenerator(SURFACE, mono, 0)
@@ -567,9 +518,9 @@ def collapse_hfk(n: int) -> GradedGroup:
         for mono in monomials(range(2), size)
     ]
     gens += [
-        PageGenerator(CIRCLES, (), 0, c, eps)
+        PageGenerator(CIRCLES, (), 0, c, bit)
         for c in range(1, abs(n) + 1)
-        for eps in (0, 1)
+        for bit in (0, 1)
     ]
 
     def grading(gen: PageGenerator) -> int:
@@ -578,7 +529,7 @@ def collapse_hfk(n: int) -> GradedGroup:
         return gen.eps + eps_n
 
     def image(gen: PageGenerator):
-        if gen.tag != SURFACE or e_half(gen.monomial) != active_half:
+        if gen.tag != SURFACE or e_half(gen.monomial) != half:
             return
         mono = gen.monomial
         if mono and mono[0] == 0:

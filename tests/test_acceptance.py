@@ -25,7 +25,6 @@ from mtfloer.exterior import ExtVector
 from mtfloer.graded import GradedGroup, ShiftReport
 from mtfloer.homology import FreeComplex, IntMatrix, check_smith_form, smith_normal_form
 from mtfloer.knot_model import (
-    RegionSpec,
     build_e1_region,
     build_e2_symbolic,
     build_x_complex,
@@ -35,6 +34,7 @@ from mtfloer.knot_model import (
     oracle_hfplus,
     reference_tables,
 )
+from mtfloer.params import Params
 
 G = GradedGroup.free
 
@@ -136,7 +136,7 @@ def test_a5_linear_algebra_properties():
             check_smith_form(m, smith_normal_form(m, verify=False))
 
         for g, n, k in GRID:
-            spec = RegionSpec(g, n, abs(k))
+            spec = Params(g, n, k)
             for cx in (build_e1_region(spec), build_e2_symbolic(spec).d2_complex):
                 assert cx.homology().euler_characteristic() == cx.euler_characteristic()
         for g in range(2, 6):

@@ -1,23 +1,23 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from mtfloer.closed_form import (
-    ClosedFormParams,
     corollary_answer,
     degree_shift,
     degree_shift_argmax,
     fraction_json,
-    is_adjunction_vanishing,
     surface_complement_cohomology,
     surface_rel_cohomology,
     theorem_answer,
     x_homology_formula,
 )
-from mtfloer.errors import BadParams
+from mtfloer.errors import BadGenus, BadParams, ZeroTwist
 from mtfloer.graded import GradedGroup
+from mtfloer.params import Params
 
 G = GradedGroup.free
 
@@ -26,31 +26,29 @@ G = GradedGroup.free
 
 
 def test_params_validation():
+    with pytest.raises(BadGenus):
+        Params(1, 1, 1)
+    with pytest.raises(ZeroTwist):
+        Params(3, 0, 1)
     with pytest.raises(BadParams):
-        ClosedFormParams(1, 1, 1)
-    with pytest.raises(BadParams):
-        ClosedFormParams(3, 0, 1)
-    with pytest.raises(BadParams):
-        ClosedFormParams(3, 1, 0)
-    with pytest.raises(BadParams):
-        ClosedFormParams(3, 1, 3)
+        Params(3, 1, 0)
+    # |k| >= g is a valid input whose group vanishes
+    assert Params(3, 1, 3).d == -1
 
 
 def test_params_properties():
-    params = ClosedFormParams(4, -2, -1)
+    params = Params(4, -2, -1)
+    assert params.k == -1 and params.abs_k == 1 and params.abs_n == 2
     assert params.d == 2
     assert params.eps_n == -1
-    assert ClosedFormParams(4, 2, 1).eps_n == 0
+    assert Params(4, 2, 1).eps_n == 0
 
 
 def test_adjunction_predicate():
-    assert is_adjunction_vanishing(3, 3)
-    assert is_adjunction_vanishing(3, -5)
-    assert not is_adjunction_vanishing(3, 2)
-    with pytest.raises(BadParams):
-        is_adjunction_vanishing(1, 1)
-    with pytest.raises(BadParams):
-        is_adjunction_vanishing(3, 0)
+    assert Params(3, 1, 3).vanishes_by_adjunction
+    assert Params(3, 1, -5).vanishes_by_adjunction
+    assert not Params(3, 1, 2).vanishes_by_adjunction
+    assert not Params(3, 1, -2).vanishes_by_adjunction
 
 
 # -- the main formula -------------------------------------------------------------
@@ -110,6 +108,17 @@ def test_corollary_agrees_with_theorem():
     for g in (3, 4, 5):
         for n in (1, 2, -1, -3):
             assert corollary_answer(g, n) == theorem_answer(g, n, g - 2), (g, n)
+
+
+@pytest.mark.parametrize("g", [30, 40])
+@pytest.mark.parametrize("n", [3, -3])
+def test_theorem_at_large_genus(g, n):
+    # chi is the Lefschetz number of the identity on Sym^(g-1-k) of the
+    # surface; no chain-level route reaches these genera
+    for k in (1, 5, g - 2):
+        chi = theorem_answer(g, n, k).euler_characteristic()
+        assert chi == (-1) ** (k + 1) * comb(2 * g - 2, g - 1 - k), (g, n, k)
+    assert theorem_answer(g, n, g - 2) == corollary_answer(g, n)
 
 
 def test_relative_cohomology_reference():

@@ -9,7 +9,6 @@ from mtfloer.graded import (
     GradedGroup,
     ShiftReport,
     circles_cohomology,
-    direct_sum_many,
     odd_spheres_homology,
     torsion_chain,
 )
@@ -114,10 +113,6 @@ def test_direct_sum_associative(a, b, c):
 @given(groups)
 def test_zero_is_identity(a):
     assert a + GradedGroup.zero() == a
-
-
-def test_direct_sum_many():
-    assert direct_sum_many([G({0: 1}), G({1: 1}), G({0: 2})]) == G({0: 3, 1: 1})
 
 
 # -- tensor ----------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from math import comb
+
 import pytest
 
 from mtfloer.closed_form import theorem_answer
@@ -10,7 +12,7 @@ from mtfloer.knot_model import (
     SURFACE,
     FilteredGroup,
     PageGenerator,
-    RegionSpec,
+    active_half,
     build_e1_region,
     build_e2_symbolic,
     build_hfk,
@@ -29,6 +31,7 @@ from mtfloer.knot_model import (
     run_d1,
     run_d2,
 )
+from mtfloer.params import Params
 from test_homology import dense_homology
 
 G = GradedGroup.free
@@ -39,27 +42,36 @@ G = GradedGroup.free
 
 def test_region_spec_validation():
     with pytest.raises(BadGenus):
-        RegionSpec(1, 1, 1)
+        Params(1, 1, 1)
     with pytest.raises(ZeroTwist):
-        RegionSpec(2, 0, 1)
+        Params(2, 0, 1)
     with pytest.raises(BadParams):
-        RegionSpec(2, 1, 0)
-    with pytest.raises(BadParams):
-        RegionSpec(2, 1, 2)
+        Params(2, 1, 0)
+    # a valid level past the genus bound has no region
+    with pytest.raises(BadParams, match="exceeds g-1"):
+        oracle_hfplus(2, 1, 2)
 
 
 def test_region_spec_properties():
-    spec = RegionSpec(4, -3, 2)
+    spec = Params(4, -3, 2)
     assert spec.d == 1
     assert spec.eps_n == -1
     assert spec.abs_n == 3
-    assert spec.active_half == "E+"
-    assert RegionSpec(4, 3, 2).active_half == "E-"
-    assert RegionSpec(4, 3, 2).eps_n == 0
+    assert active_half(spec.n) == "E+"
+    assert active_half(4) == "E-"
+    assert Params(4, 3, 2).eps_n == 0
+
+
+def test_region_depends_on_the_level_up_to_sign():
+    plus = build_e1_region(Params(3, 2, 1))
+    minus = build_e1_region(Params(3, 2, -1))
+    assert plus.basis == minus.basis
+    assert plus.differentials == minus.differentials
+    assert run_d1(Params(3, 2, -1), minus).k == -1
 
 
 def test_generator_gradings():
-    spec = RegionSpec(3, 2, 1)
+    spec = Params(3, 2, 1)
     top = PageGenerator(SURFACE, tuple(range(6)), 2)
     assert centered_degree(spec, top) == 3
     assert filtration(spec, top) == 1
@@ -68,7 +80,7 @@ def test_generator_gradings():
     assert centered_degree(spec, circle) == 2
     assert filtration(spec, circle) == 1
     assert model_grading(spec, circle) == 1
-    left = RegionSpec(3, -2, 1)
+    left = Params(3, -2, 1)
     assert model_grading(left, circle) == 0
 
 
@@ -89,14 +101,14 @@ def test_generator_json():
 
 
 def test_smallest_region_is_one_generator():
-    page1 = build_e1_region(RegionSpec(2, 1, 1))
+    page1 = build_e1_region(Params(2, 1, 1))
     assert page1.total_size() == 1
     assert page1.degrees() == [0]
     assert not page1.differentials
 
 
 def test_region_size_at_g3():
-    page1 = build_e1_region(RegionSpec(3, 2, 1))
+    page1 = build_e1_region(Params(3, 2, 1))
     assert page1.total_size() == 12
     assert {d: page1.size(d) for d in page1.degrees()} == {-1: 1, 0: 8, 1: 3}
 
@@ -106,18 +118,23 @@ def test_region_size_bound_is_enforced(monkeypatch):
     padding = [PageGenerator(CIRCLES, (), 1)] * 49
     monkeypatch.setattr(knot_model, "_circle_generators", lambda spec, labels: padding)
     with pytest.raises(GateFailure, match="exceeds bound 48"):
-        build_e1_region(RegionSpec(2, 1, 1))
+        build_e1_region(Params(2, 1, 1))
 
 
 REGIONS = [
-    RegionSpec(g, n, k)
+    Params(g, n, k)
     for g in range(2, 6)
     for n in (1, -1, 2, -2, 3, -3)
     for k in range(1, g)
 ]
 
 
-@pytest.mark.parametrize("spec", REGIONS, ids=str)
+def region_id(spec):
+    # the ids these cases have always had, so their names stay stable
+    return f"RegionSpec(g={spec.g}, n={spec.n}, k={spec.k})"
+
+
+@pytest.mark.parametrize("spec", REGIONS, ids=region_id)
 def test_region_homology_matches_dense_reference(spec):
     page1 = build_e1_region(spec)
     assert page1.homology() == dense_homology(page1)
@@ -126,7 +143,7 @@ def test_region_homology_matches_dense_reference(spec):
 
 
 def test_region_rejects_bad_circle_labels():
-    spec = RegionSpec(3, 2, 1)
+    spec = Params(3, 2, 1)
     with pytest.raises(BadParams):
         build_e1_region(spec, circle_labels=[1, 1])
     with pytest.raises(BadParams):
@@ -137,20 +154,20 @@ def test_region_rejects_bad_circle_labels():
 
 
 def test_e2_shape_at_g3():
-    e2 = build_e2_symbolic(RegionSpec(3, 2, 1))
+    e2 = build_e2_symbolic(Params(3, 2, 1))
     assert e2.fixed == G({3: 2, 2: 6})
     assert len(e2.active) == 2
     assert not e2.d2_complex.differentials
 
 
 def test_e2_single_twist_has_no_active_part():
-    e2 = build_e2_symbolic(RegionSpec(3, 1, 1))
+    e2 = build_e2_symbolic(Params(3, 1, 1))
     assert e2.fixed == G({3: 2, 2: 6})
     assert e2.active == ()
 
 
 def test_e2_arrows_appear_at_g4():
-    e2 = build_e2_symbolic(RegionSpec(4, 2, 1))
+    e2 = build_e2_symbolic(Params(4, 2, 1))
     assert len(e2.active) == 16
     arrows = sum(
         sum(1 for x in row if x)
@@ -162,7 +179,7 @@ def test_e2_arrows_appear_at_g4():
 
 
 def test_corrupt_hook_drops_arrows():
-    e2 = build_e2_symbolic(RegionSpec(4, 2, 1), corrupt_d2=True)
+    e2 = build_e2_symbolic(Params(4, 2, 1), corrupt_d2=True)
     assert not e2.d2_complex.differentials
     assert e2.d2_complex.homology().total_rank() == 16
 
@@ -171,20 +188,20 @@ def test_corrupt_hook_drops_arrows():
 
 
 def test_run_d1_reports_in_x_convention():
-    spec = RegionSpec(2, 1, 1)
+    spec = Params(2, 1, 1)
     result = run_d1(spec, build_e1_region(spec))
     assert result.group == G({2: 1})
     assert (result.pipeline, result.page, result.gate) == ("oracle", "E2", "passed")
 
 
 def test_run_d1_gate_rejects_wrong_homology():
-    spec = RegionSpec(2, 1, 1)
+    spec = Params(2, 1, 1)
     with pytest.raises(GateFailure):
         run_d1(spec, FreeComplex({0: ["x", "y"]}))
 
 
 def test_run_d2_without_active_part_returns_fixed():
-    spec = RegionSpec(3, 1, 1)
+    spec = Params(3, 1, 1)
     e2 = build_e2_symbolic(spec)
     result = run_d2(spec, e2)
     assert result.group == e2.fixed
@@ -319,11 +336,60 @@ def test_hfk_table_left_twist():
     assert table.level(1) == G({1: 1})
 
 
+def summand_hfk(g, n):
+    """The full knot Floer table assembled summand by summand: the genus-g
+    exterior algebra plus |n| circle pairs on the genus-(g-1) one."""
+    shift = 0 if n > 0 else -1
+    acc = {}
+    for e in range(2 * g + 1):
+        j = e - g
+        acc[j] = acc.get(j, GradedGroup.zero()) + G({j: comb(2 * g, e)})
+    for e in range(2 * g - 1):
+        j = e - (g - 1)
+        rank = abs(n) * comb(2 * g - 2, e)
+        acc[j] = acc.get(j, GradedGroup.zero()) + G({j + shift: rank, j + shift + 1: rank})
+    return FilteredGroup.of(acc)
+
+
 def test_hfk_kunneth_factorization():
-    for g in (2, 3):
+    for g in (2, 3, 4):
         for n in (1, -2, 3):
-            product = hfk_M(n).tensor(lambda_filtered(g - 1))
-            assert build_hfk(g, n) == product, (g, n)
+            assert build_hfk(g, n) == summand_hfk(g, n), (g, n)
+
+
+def table_json(levels):
+    """The JSON form of a torsion-free table given as {j: {degree: rank}}."""
+    return {
+        "filtration": [
+            {
+                "j": j,
+                "degrees": [
+                    {"degree": d, "rank": r, "torsion": []} for d, r in sorted(ranks.items())
+                ],
+            }
+            for j, ranks in sorted(levels.items())
+        ]
+    }
+
+
+def test_build_hfk_pinned_values():
+    assert build_hfk(2, 1).to_json_dict() == table_json(
+        {-2: {-2: 1}, -1: {-1: 5, 0: 1}, 0: {0: 8, 1: 2}, 1: {1: 5, 2: 1}, 2: {2: 1}}
+    )
+    assert build_hfk(2, -1).to_json_dict() == table_json(
+        {-2: {-2: 1}, -1: {-2: 1, -1: 5}, 0: {-1: 2, 0: 8}, 1: {0: 1, 1: 5}, 2: {2: 1}}
+    )
+    assert build_hfk(3, -2).to_json_dict() == table_json(
+        {
+            -3: {-3: 1},
+            -2: {-3: 2, -2: 8},
+            -1: {-2: 8, -1: 23},
+            0: {-1: 12, 0: 32},
+            1: {0: 8, 1: 23},
+            2: {1: 2, 2: 8},
+            3: {3: 1},
+        }
+    )
 
 
 def test_lambda_filtered_trivial_genus():
