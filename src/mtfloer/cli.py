@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -11,6 +12,7 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from typing import NamedTuple, Sequence
 
 from .closed_form import (
     corollary_answer,
@@ -31,11 +33,42 @@ from .params import Params
 SCHEMA = "1"
 
 
-# -- serialization helpers -------------------------------------------------
+# -- output -------------------------------------------------------------------
+
+
+class Output(NamedTuple):
+    """What a command computed, in every form ``main`` can print it.
+
+    ``payload`` is printed as JSON, ``rows`` as CSV and ``lines`` as the
+    table; ``failure`` goes to stderr and makes the exit code 3.  ``verify``
+    has no table format: its ``lines`` hold the summary that ``--emit``
+    prints in place of the report.
+    """
+
+    payload: object = None
+    lines: Sequence[str] = ()
+    rows: Sequence[list] = ()
+    failure: str | None = None
 
 
 def _dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def _csv_text(rows: Sequence[list]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["g", "n", "k", "degree", "rank_oracle", "rank_closed", "match"])
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _render(out: Output, fmt: str) -> str:
+    if fmt == "json":
+        return _dumps(out.payload)
+    if fmt == "csv":
+        return _csv_text(out.rows)
+    return "".join(line + "\n" for line in out.lines)
 
 
 def _group_lines(group: GradedGroup, indent: str = "") -> list[str]:
@@ -67,123 +100,66 @@ def _closed_json(
     return out
 
 
-def _csv_text(rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["g", "n", "k", "degree", "rank_oracle", "rank_closed", "match"])
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _comparison_rows(
-    g: int,
-    n: int,
-    k: int,
-    oracle: GradedGroup | None,
-    closed: GradedGroup | None,
-    match: bool | None,
+    triple: tuple[int, int, int], oracle: GradedGroup | None, closed: GradedGroup | None, match: bool | None
 ) -> list[list]:
-    degrees: set[int] = set()
-    for group in (oracle, closed):
-        if group is not None:
-            degrees.update(group.degrees())
-    rows = []
-    match_cell = "" if match is None else ("true" if match else "false")
-    for degree in sorted(degrees):
-        rows.append(
-            [
-                g,
-                n,
-                k,
-                degree,
-                "" if oracle is None else oracle.rank(degree),
-                "" if closed is None else closed.rank(degree),
-                match_cell,
-            ]
-        )
-    return rows
-
-
-def _print(text: str) -> None:
-    sys.stdout.write(text)
+    """One CSV row per degree of either group; a missing group leaves its cells empty."""
+    groups = (oracle, closed)
+    degrees = sorted({d for group in groups if group is not None for d in group.degrees()})
+    match_cell = "" if match is None else str(match).lower()
+    return [
+        [*triple, d, *("" if group is None else group.rank(d) for group in groups), match_cell]
+        for d in degrees
+    ]
 
 
 # -- compute ----------------------------------------------------------------
 
 
-def cmd_compute(args) -> int:
+def cmd_compute(args) -> Output:
     g, n, k = args.g, args.n, args.k
-    if Params(g, n, k).vanishes_by_adjunction:
-        # the group is zero for |k| >= g; report it for any method without
-        # running the pipeline, so parameter rectangles never crash
-        zero = GradedGroup.zero()
-        if args.format == "json":
-            pipeline = "adjunction" if args.method == "oracle" else "closed"
-            payload: dict = _closed_json(g, n, k, zero, True, pipeline)
-            if args.method == "both":
-                payload = {
-                    "g": g,
-                    "n": n,
-                    "k": k,
-                    "oracle": _closed_json(g, n, k, zero, True, "adjunction"),
-                    "closed": _closed_json(g, n, k, zero, True),
-                    "match": True,
-                    "shift": 0,
-                }
-            _print(_dumps(payload))
-        elif args.format == "csv":
-            _print(_csv_text(_comparison_rows(g, n, k, zero, zero, True)))
-        else:
-            _print(f"(g={g}, n={n}, k={k}) vanishes by adjunction: zero group\n")
-        return 0
-
-    oracle_result = None
-    oracle = closed = None
+    vanishes = Params(g, n, k).vanishes_by_adjunction
+    oracle = closed = oracle_json = closed_json = None
     if args.method in ("oracle", "both"):
-        oracle_result = oracle_hfplus(g, n, k)
-        oracle = oracle_result.group
+        if vanishes:
+            # the group is zero for |k| >= g; report it without running the
+            # pipeline, so parameter rectangles never crash
+            oracle = GradedGroup.zero()
+            oracle_json = _closed_json(g, n, k, oracle, True, "adjunction")
+        else:
+            result = oracle_hfplus(g, n, k)
+            oracle, oracle_json = result.group, result.to_json_dict()
     if args.method in ("closed", "both"):
         closed = theorem_answer(g, n, k)
+        closed_json = _closed_json(g, n, k, closed, vanishes)
 
-    match = shift = None
+    match = None
+    payload = oracle_json or closed_json
     if args.method == "both":
         match = oracle == closed
-        report = closed.compare_up_to_shift(oracle)
-        shift = report.shift
+        payload = {
+            "g": g,
+            "n": n,
+            "k": k,
+            "oracle": oracle_json,
+            "closed": closed_json,
+            "match": match,
+            "shift": closed.compare_up_to_shift(oracle).shift,
+        }
 
-    if args.format == "json":
-        if args.method == "oracle":
-            payload = oracle_result.to_json_dict()
-        elif args.method == "closed":
-            payload = _closed_json(g, n, k, closed, False)
-        else:
-            payload = {
-                "g": g,
-                "n": n,
-                "k": k,
-                "oracle": oracle_result.to_json_dict(),
-                "closed": _closed_json(g, n, k, closed, False),
-                "match": match,
-                "shift": shift,
-            }
-        _print(_dumps(payload))
-    elif args.format == "csv":
-        _print(_csv_text(_comparison_rows(g, n, k, oracle, closed, match)))
+    header = f"(g={g}, n={n}, k={k})"
+    if vanishes:
+        lines = [f"{header} vanishes by adjunction: zero group"]
     else:
-        header = f"(g={g}, n={n}, k={k})"
-        blocks = []
-        if oracle is not None:
-            blocks.append(f"{header} oracle:\n" + "\n".join(_group_lines(oracle, "  ")))
-        if closed is not None:
-            blocks.append(f"{header} closed form:\n" + "\n".join(_group_lines(closed, "  ")))
+        lines = []
+        for title, group in (("oracle", oracle), ("closed form", closed)):
+            if group is not None:
+                lines += [f"{header} {title}:", *_group_lines(group, "  ")]
         if match is not None:
-            blocks.append(f"match: {str(match).lower()}")
-        _print("\n".join(blocks) + "\n")
+            lines.append(f"match: {str(match).lower()}")
 
-    if match is False:
-        print(f"compute: oracle/closed mismatch at g={g} n={n} k={k}", file=sys.stderr)
-        return 3
-    return 0
+    failure = f"compute: oracle/closed mismatch at g={g} n={n} k={k}" if match is False else None
+    return Output(payload, lines, _comparison_rows((g, n, k), oracle, closed, match), failure)
 
 
 # -- verify -------------------------------------------------------------------
@@ -219,24 +195,31 @@ def _worker_count() -> int:
 
 
 def _verify_triple(task: tuple[int, int, int, bool, bool]) -> dict:
+    """One report entry; an exception from either route fails this entry only."""
     g, n, k, corrupt, timing = task
     start = time.perf_counter()
     gate = "passed"
-    oracle_group = None
+    oracle_group = closed = None
     try:
         oracle_group = oracle_hfplus(g, n, k, corrupt_d2=corrupt).group
     except GateFailure as exc:
         gate = f"failed: {exc}"
-    closed = theorem_answer(g, n, k)
+    except Exception as exc:
+        gate = f"error: {type(exc).__name__}: {exc}"
+    try:
+        closed = theorem_answer(g, n, k)
+    except Exception as exc:
+        if gate == "passed":
+            gate = f"error: {type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - start
     match = gate == "passed" and oracle_group == closed
     shift = None
-    if oracle_group is not None:
+    if oracle_group is not None and closed is not None:
         shift = closed.compare_up_to_shift(oracle_group).shift
     return {
         "params": {"g": g, "n": n, "k": k},
         "oracle": None if oracle_group is None else oracle_group.to_json_dict(),
-        "closed": closed.to_json_dict(),
+        "closed": None if closed is None else closed.to_json_dict(),
         "match": match,
         "shift": shift,
         "gate": gate,
@@ -273,104 +256,74 @@ def run_sweep(
     }
 
 
-def cmd_verify(args) -> int:
+def _group_or_none(obj: dict | None) -> GradedGroup | None:
+    return None if obj is None else GradedGroup.from_json_dict(obj)
+
+
+def cmd_verify(args) -> Output:
     n_values = _parse_n_range(args.n)
     report = run_sweep(args.g_max, n_values, corrupt_d2=args.corrupt_d2, timing=args.timing)
-
-    if args.format == "csv":
-        rows = []
-        for entry in report["entries"]:
-            params = entry["params"]
-            oracle = None if entry["oracle"] is None else GradedGroup.from_json_dict(entry["oracle"])
-            closed = GradedGroup.from_json_dict(entry["closed"])
-            rows.extend(
-                _comparison_rows(
-                    params["g"], params["n"], params["k"], oracle, closed, entry["match"]
-                )
-            )
-        text = _csv_text(rows)
-    else:
-        text = _dumps(report)
-
-    if args.emit:
-        with open(args.emit, "w") as handle:
-            handle.write(text)
-        total = len(report["entries"])
-        good = sum(1 for entry in report["entries"] if entry["match"])
-        _print(f"verify: {good}/{total} triples match; report written to {args.emit}\n")
-    else:
-        _print(text)
-
-    for entry in report["entries"]:
-        if not entry["match"]:
-            params = entry["params"]
-            print(
-                "verify: first mismatch at "
-                f"g={params['g']} n={params['n']} k={params['k']} (gate: {entry['gate']})",
-                file=sys.stderr,
-            )
-            return 3
-    return 0
+    entries = report["entries"]
+    rows = []
+    failure = None
+    for entry in entries:
+        params = entry["params"]
+        g, n, k = params["g"], params["n"], params["k"]
+        oracle, closed = _group_or_none(entry["oracle"]), _group_or_none(entry["closed"])
+        rows.extend(_comparison_rows((g, n, k), oracle, closed, entry["match"]))
+        if failure is None and not entry["match"]:
+            failure = f"verify: first mismatch at g={g} n={n} k={k} (gate: {entry['gate']})"
+    out = Output(report, rows=rows, failure=failure)
+    if not args.emit:
+        return out
+    with open(args.emit, "w") as handle:
+        handle.write(_render(out, args.format))
+    good = sum(1 for entry in entries if entry["match"])
+    summary = f"verify: {good}/{len(entries)} triples match; report written to {args.emit}"
+    return Output(lines=[summary], failure=failure)
 
 
 # -- tables / xgd / corollary / degshift ---------------------------------------
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args) -> Output:
     table = reference_tables(args.name, args.n, top=args.top)
-    if args.format == "json":
-        payload = {"table": args.name, "n": args.n}
-        if args.name in ("hfplus_Z", "hfplus_Mn"):
-            payload["top"] = args.top
-        payload.update(table.to_json_dict())
-        _print(_dumps(payload))
+    payload = {"table": args.name, "n": args.n}
+    if args.name in ("hfplus_Z", "hfplus_Mn"):
+        payload["top"] = args.top
+    payload.update(table.to_json_dict())
+    lines = [f"table {args.name} at n={args.n}"]
+    if isinstance(table, FilteredGroup):
+        for j, group in reversed(table.levels):
+            lines.append(f"filtration j={j}:")
+            lines.extend(_group_lines(group, "  "))
     else:
-        lines = [f"table {args.name} at n={args.n}"]
-        if isinstance(table, FilteredGroup):
-            for j, group in reversed(table.levels):
-                lines.append(f"filtration j={j}:")
-                lines.extend(_group_lines(group, "  "))
-        else:
-            lines.extend(_group_lines(table, "  "))
-        _print("\n".join(lines) + "\n")
-    return 0
+        lines.extend(_group_lines(table, "  "))
+    return Output(payload, lines)
 
 
-def cmd_xgd(args) -> int:
+def cmd_xgd(args) -> Output:
+    payload = {"g": args.g, "d": args.d, "left": args.left, "homology": args.homology}
+    title = "X module"
+    failure = None
     if args.homology:
         group = build_x_complex(args.g, args.d, left=args.left).homology()
         # the closed form for the same page; mismatch here is a library bug
-        formula = x_homology_formula(args.g, args.d, left=args.left)
-        match = group == formula
+        payload["matches_formula"] = group == x_homology_formula(args.g, args.d, left=args.left)
+        title = "homology of (X, d1)"
+        if not payload["matches_formula"]:
+            failure = f"xgd: homology/formula mismatch at g={args.g} d={args.d}"
     else:
         group = x_ranks(args.g, args.d)
-        formula = None
-        match = None
-    if args.format == "json":
-        payload = {
-            "g": args.g,
-            "d": args.d,
-            "left": args.left,
-            "homology": args.homology,
-        }
-        payload.update(group.to_json_dict())
-        if match is not None:
-            payload["matches_formula"] = match
-        _print(_dumps(payload))
-    else:
-        title = "homology of (X, d1)" if args.homology else "X module"
-        lines = [f"{title} at g={args.g}, d={args.d}" + (" (left)" if args.left else "")]
-        lines.extend(_group_lines(group, "  "))
-        if match is not None:
-            lines.append(f"matches formula: {str(match).lower()}")
-        _print("\n".join(lines) + "\n")
-    if match is False:
-        print(f"xgd: homology/formula mismatch at g={args.g} d={args.d}", file=sys.stderr)
-        return 3
-    return 0
+    payload.update(group.to_json_dict())
+    lines = [f"{title} at g={args.g}, d={args.d}" + (" (left)" if args.left else "")]
+    lines.extend(_group_lines(group, "  "))
+    if args.homology:
+        lines.append(f"matches formula: {str(payload['matches_formula']).lower()}")
+    return Output(payload, lines, failure=failure)
 
 
-def cmd_corollary(args) -> int:
+def cmd_corollary(args) -> Output:
     g, n = args.g, args.n
     theorem = theorem_answer(g, n, g - 2)
     corollary = corollary_answer(g, n)
@@ -385,127 +338,96 @@ def cmd_corollary(args) -> int:
         report = reference.compare_up_to_shift(theorem)
         match = theorem == corollary and report.equal
         shift = report.shift
-    if args.format == "json":
-        _print(
-            _dumps(
-                {
-                    "g": g,
-                    "n": n,
-                    "k": g - 2,
-                    "theorem": theorem.to_json_dict(),
-                    "corollary": corollary.to_json_dict(),
-                    "reference": reference.to_json_dict(),
-                    "reference_kind": kind,
-                    "match": match,
-                    "shift": shift,
-                }
-            )
-        )
-    else:
-        lines = [f"(g={g}, n={n}, k={g - 2}) closed form:"]
-        lines.extend(_group_lines(theorem, "  "))
-        lines.append(f"reference ({kind} cohomology) shift: {shift}")
-        lines.append(f"match: {str(match).lower()}")
-        _print("\n".join(lines) + "\n")
-    if not match:
-        print(f"corollary: mismatch at g={g} n={n}", file=sys.stderr)
-        return 3
-    return 0
+    payload = {
+        "g": g,
+        "n": n,
+        "k": g - 2,
+        "theorem": theorem.to_json_dict(),
+        "corollary": corollary.to_json_dict(),
+        "reference": reference.to_json_dict(),
+        "reference_kind": kind,
+        "match": match,
+        "shift": shift,
+    }
+    lines = [f"(g={g}, n={n}, k={g - 2}) closed form:"]
+    lines.extend(_group_lines(theorem, "  "))
+    lines.append(f"reference ({kind} cohomology) shift: {shift}")
+    lines.append(f"match: {str(match).lower()}")
+    failure = None if match else f"corollary: mismatch at g={g} n={n}"
+    return Output(payload, lines, failure=failure)
 
 
-def cmd_degshift(args) -> int:
+def cmd_degshift(args) -> Output:
     value = degree_shift(args.n, args.k, args.x)
+    argmax = degree_shift_argmax(args.n, args.k)
     payload = {
         "n": args.n,
         "k": args.k,
         "x": args.x,
         "value": fraction_json(value),
-        "argmax": degree_shift_argmax(args.n, args.k),
+        "argmax": argmax,
     }
-    if args.format == "json":
-        _print(_dumps(payload))
-    else:
-        _print(
-            f"deg(n={args.n}, k={args.k}, x={args.x}) = {value}; "
-            f"argmax = {payload['argmax']}\n"
-        )
-    return 0
+    return Output(payload, [f"deg(n={args.n}, k={args.k}, x={args.x}) = {value}; argmax = {argmax}"])
 
 
 # -- parser ---------------------------------------------------------------------
 
-
-def _allow_negative_values(parser: argparse.ArgumentParser) -> None:
-    # let bare values like -2..2 through; argparse would read them as options
-    parser._negative_number_matcher = re.compile(r"^-\d")
+# lets bare values like -2..2 through; argparse would read them as options
+_NEGATIVE_VALUE = re.compile(r"^-\d")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _command(sub, name: str, formats: tuple[str, ...], help: str, ints: tuple[str, ...] = ()) -> argparse.ArgumentParser:
+    """Add subcommand ``name`` with its ``--format`` choices (default: table,
+    where offered) and the required integer options ``--<ints>``."""
+    parser = sub.add_parser(name, help=help)
+    parser._negative_number_matcher = _NEGATIVE_VALUE
+    default = "table" if "table" in formats else formats[0]
+    parser.add_argument("--format", choices=formats, default=default)
+    for option in ints:
+        parser.add_argument(f"--{option}", type=int, required=True)
+    return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The whole parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="mtfloer",
         description="Exact Floer groups of separating-twist mapping tori, two ways.",
     )
-    _allow_negative_values(parser)
+    parser._negative_number_matcher = _NEGATIVE_VALUE
     sub = parser.add_subparsers(dest="command", required=True)
 
-    compute = sub.add_parser("compute", help="one (g, n, k) group, by either or both methods")
-    _allow_negative_values(compute)
-    compute.add_argument("--g", type=int, required=True)
-    compute.add_argument("--n", type=int, required=True)
-    compute.add_argument("--k", type=int, required=True)
+    compute = _command(sub, "compute", ("json", "table", "csv"), "one (g, n, k) group, by either or both methods", ("g", "n", "k"))
     compute.add_argument("--method", choices=("oracle", "closed", "both"), default="both")
-    compute.add_argument("--format", choices=("json", "table", "csv"), default="table")
-    compute.set_defaults(func=cmd_compute)
 
-    verify = sub.add_parser("verify", help="sweep oracle vs closed form over a grid")
-    _allow_negative_values(verify)
+    verify = _command(sub, "verify", ("json", "csv"), "sweep oracle vs closed form over a grid")
     verify.add_argument("--g-max", type=int, default=3, dest="g_max")
     verify.add_argument("--n", default="-2..2", help="single value or inclusive range lo..hi (0 skipped)")
     verify.add_argument("--emit", help="write the report to this path")
-    verify.add_argument("--format", choices=("json", "csv"), default="json")
     verify.add_argument("--timing", action="store_true", help="record real wall times (non-reproducible output)")
     verify.add_argument("--corrupt-d2", action="store_true", dest="corrupt_d2", help="test hook: drop every page-two arrow")
-    verify.set_defaults(func=cmd_verify)
 
-    tables = sub.add_parser("tables", help="dump a bundled reference table")
-    _allow_negative_values(tables)
+    tables = _command(sub, "tables", ("json", "table"), "dump a bundled reference table", ("n",))
     tables.add_argument("name", choices=("hfk_M1", "hfk_Mn", "hf_hat_Mn", "hfplus_Z", "hfplus_Mn"))
-    tables.add_argument("--n", type=int, required=True)
     tables.add_argument("--top", type=int, default=6, help="truncation slot for the tower tables")
-    tables.add_argument("--format", choices=("json", "table"), default="table")
-    tables.set_defaults(func=cmd_tables)
 
-    xgd = sub.add_parser("xgd", help="the truncated tower module X(g, d), or its page-one homology")
-    _allow_negative_values(xgd)
-    xgd.add_argument("--g", type=int, required=True)
-    xgd.add_argument("--d", type=int, required=True)
+    xgd = _command(sub, "xgd", ("json", "table"), "the truncated tower module X(g, d), or its page-one homology", ("g", "d"))
     xgd.add_argument("--homology", action="store_true")
     xgd.add_argument("--left", action="store_true", help="left-handed twist convention")
-    xgd.add_argument("--format", choices=("json", "table"), default="table")
-    xgd.set_defaults(func=cmd_xgd)
 
-    corollary = sub.add_parser("corollary", help="the k = g-2 group three ways")
-    _allow_negative_values(corollary)
-    corollary.add_argument("--g", type=int, required=True)
-    corollary.add_argument("--n", type=int, required=True)
-    corollary.add_argument("--format", choices=("json", "table"), default="table")
-    corollary.set_defaults(func=cmd_corollary)
-
-    degshift = sub.add_parser("degshift", help="exact degree-shift values and maximizer")
-    _allow_negative_values(degshift)
-    degshift.add_argument("--n", type=int, required=True)
-    degshift.add_argument("--k", type=int, required=True)
+    _command(sub, "corollary", ("json", "table"), "the k = g-2 group three ways", ("g", "n"))
+    degshift = _command(sub, "degshift", ("json", "table"), "exact degree-shift values and maximizer", ("n", "k"))
     degshift.add_argument("--x", type=int, default=0)
-    degshift.add_argument("--format", choices=("json", "table"), default="table")
-    degshift.set_defaults(func=cmd_degshift)
-
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up on each call, so a command patched on the module is the one run
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        out = command(args)
     except BadParams as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -515,6 +437,12 @@ def main(argv=None) -> int:
     except GateFailure as exc:
         print(f"gate failure: {exc}", file=sys.stderr)
         return 3
+    # verify --emit has written its report; stdout gets the summary line
+    sys.stdout.write(_render(out, "table" if getattr(args, "emit", None) else args.format))
+    if out.failure:
+        print(out.failure, file=sys.stderr)
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

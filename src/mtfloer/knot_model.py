@@ -339,6 +339,20 @@ def build_e2_symbolic(
     return E2Page(fixed, tuple(sorted(active)), d2_complex)
 
 
+def _torsion_text(torsion: tuple[int, ...]) -> str:
+    return "+".join(f"Z/{c}" for c in torsion) or "none"
+
+
+def _degree_differences(computed: GradedGroup, symbolic: GradedGroup) -> str:
+    """The degrees where two groups differ, each with both ranks and torsion."""
+    return "; ".join(
+        f"model degree {d}: computed rank {computed.rank(d)} torsion {_torsion_text(computed.torsion(d))}, "
+        f"symbolic rank {symbolic.rank(d)} torsion {_torsion_text(symbolic.torsion(d))}"
+        for d in sorted(set(computed.degrees()) | set(symbolic.degrees()))
+        if (computed.rank(d), computed.torsion(d)) != (symbolic.rank(d), symbolic.torsion(d))
+    )
+
+
 def run_d1(spec: Params, page1: FreeComplex, e2: E2Page | None = None) -> HomologyResult:
     """Homology of page one, gated against the symbolic page two.
 
@@ -357,7 +371,7 @@ def run_d1(spec: Params, page1: FreeComplex, e2: E2Page | None = None) -> Homolo
     if computed != expected:
         raise GateFailure(
             f"page-one gate failed at g={spec.g} n={spec.n} k={spec.k}: "
-            f"computed {computed}, symbolic {expected} (model grading)"
+            + _degree_differences(computed, expected)
         )
     return HomologyResult(
         computed.shift(2), "oracle", "E2", "passed", spec.g, spec.n, spec.k
@@ -368,8 +382,9 @@ def run_d2(spec: Params, e2: E2Page) -> HomologyResult:
     """Homology of the page-two complex, plus the fixed part, in X-convention."""
     survivors = e2.d2_complex.homology()
     if not survivors.is_free():
+        torsion = ", ".join(f"{d} ({_torsion_text(t)})" for d, _, t in survivors.entries if t)
         raise GateFailure(
-            f"page-two homology has torsion at g={spec.g} n={spec.n} k={spec.k}"
+            f"page-two homology has torsion at g={spec.g} n={spec.n} k={spec.k} in model degrees {torsion}"
         )
     group = e2.fixed + survivors.shift(2)
     return HomologyResult(group, "oracle", "final", "passed", spec.g, spec.n, spec.k)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from mtfloer import cli
-from mtfloer.errors import BadParams
+from mtfloer.errors import BadParams, NotAComplex
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "sweep_g4_n3.json"
 
@@ -195,6 +195,47 @@ def test_verify_corrupt_hook_fails_the_sweep(capsys):
     assert not by_params[(4, 1)]
 
 
+def _raise_at(route, triple):
+    """``route``, except that it raises NotAComplex at ``triple``."""
+
+    def patched(g, n, k, **kwargs):
+        if (g, n, k) == triple:
+            raise NotAComplex("planted failure")
+        return route(g, n, k, **kwargs)
+
+    return patched
+
+
+@pytest.mark.parametrize("route", ["oracle_hfplus", "theorem_answer"])
+def test_verify_records_a_raising_triple_and_keeps_the_rest(capsys, monkeypatch, tmp_path, route):
+    monkeypatch.setenv("MTFLOER_THREADS", "1")
+    argv = ["verify", "--g-max", "4", "--n", "1"]
+    _, clean, _ = run_main(capsys, *argv)
+    monkeypatch.setattr(cli, route, _raise_at(getattr(cli, route), (3, 1, 2)))
+    target = tmp_path / "r.json"
+    code, out, err = run_main(capsys, *argv, "--emit", str(target))
+    assert code == 3
+    assert out == f"verify: 5/6 triples match; report written to {target}\n"
+    assert err == "verify: first mismatch at g=3 n=1 k=2 (gate: error: NotAComplex: planted failure)\n"
+    clean_entries = json.loads(clean)["entries"]
+    entries = json.loads(target.read_text())["entries"]
+    assert [e["params"] for e in entries] == [e["params"] for e in clean_entries]
+    for entry, clean_entry in zip(entries, clean_entries):
+        if entry["params"] != {"g": 3, "n": 1, "k": 2}:
+            assert entry == clean_entry
+            continue
+        side = "oracle" if route == "oracle_hfplus" else "closed"
+        assert entry[side] is None and entry["shift"] is None
+        assert entry["match"] is False
+        assert entry["gate"] == "error: NotAComplex: planted failure"
+
+    code, out, err = run_main(capsys, *argv, "--format", "csv")
+    assert code == 3
+    failed_rows = [line for line in out.splitlines() if line.startswith("3,1,2,")]
+    present = "3,1,2,3,,1,false" if route == "oracle_hfplus" else "3,1,2,3,1,,false"
+    assert failed_rows == [present]
+
+
 def test_verify_bad_range_exit_two(capsys):
     code, out, err = run_main(capsys, "verify", "--n", "3..1")
     assert code == 2
@@ -362,6 +403,200 @@ def test_degshift_text_and_negative_x(capsys):
 def test_degshift_bad_level(capsys):
     code, out, err = run_main(capsys, "degshift", "--n", "2", "--k", "2")
     assert code == 2
+
+
+# -- exact bytes of every command and format -----------------------------------------------
+
+
+def _degrees(*pairs):
+    return [{"degree": d, "rank": r, "torsion": []} for d, r in pairs]
+
+
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+G3_TABLE = "  degree  rank  torsion\n       3     3  -\n       2     7  -\n"
+
+EXACT_TEXT = [
+    (
+        ["compute", "--g", "3", "--n", "2", "--k", "1"],
+        "(g=3, n=2, k=1) oracle:\n" + G3_TABLE
+        + "(g=3, n=2, k=1) closed form:\n" + G3_TABLE + "match: true\n",
+    ),
+    (
+        ["compute", "--g", "3", "--n", "2", "--k", "1", "--method", "oracle"],
+        "(g=3, n=2, k=1) oracle:\n" + G3_TABLE,
+    ),
+    (
+        ["compute", "--g", "3", "--n", "2", "--k", "1", "--method", "closed"],
+        "(g=3, n=2, k=1) closed form:\n" + G3_TABLE,
+    ),
+    (
+        ["compute", "--g", "3", "--n", "2", "--k", "5"],
+        "(g=3, n=2, k=5) vanishes by adjunction: zero group\n",
+    ),
+    (
+        ["compute", "--g", "3", "--n", "2", "--k", "-3", "--method", "oracle"],
+        "(g=3, n=2, k=-3) vanishes by adjunction: zero group\n",
+    ),
+    (
+        ["compute", "--g", "3", "--n", "2", "--k", "3", "--format", "csv"],
+        "g,n,k,degree,rank_oracle,rank_closed,match\n",
+    ),
+    (
+        ["verify", "--g-max", "3", "--n", "-1..1", "--format", "csv"],
+        "g,n,k,degree,rank_oracle,rank_closed,match\n"
+        "2,-1,1,2,1,1,true\n"
+        "2,1,1,2,1,1,true\n"
+        "3,-1,1,1,2,2,true\n"
+        "3,-1,1,2,6,6,true\n"
+        "3,-1,2,3,1,1,true\n"
+        "3,1,1,2,6,6,true\n"
+        "3,1,1,3,2,2,true\n"
+        "3,1,2,3,1,1,true\n",
+    ),
+    (
+        ["tables", "hfk_M1", "--n", "1"],
+        "table hfk_M1 at n=1\n"
+        "filtration j=1:\n  degree  rank  torsion\n       1     1  -\n"
+        "filtration j=0:\n  degree  rank  torsion\n       1     1  -\n       0     3  -\n"
+        "filtration j=-1:\n  degree  rank  torsion\n      -1     1  -\n",
+    ),
+    (
+        ["tables", "hfplus_Z", "--n", "2", "--top", "2"],
+        "table hfplus_Z at n=2\n  degree  rank  torsion\n"
+        "       2     1  -\n       1     1  -\n       0     2  -\n",
+    ),
+    (
+        ["xgd", "--g", "2", "--d", "1", "--homology", "--left"],
+        "homology of (X, d1) at g=2, d=1 (left)\n  degree  rank  torsion\n"
+        "       1     3  -\n       0     1  -\nmatches formula: true\n",
+    ),
+    (
+        ["corollary", "--g", "3", "--n", "2"],
+        "(g=3, n=2, k=1) closed form:\n" + G3_TABLE
+        + "reference (relative cohomology) shift: 1\nmatch: true\n",
+    ),
+    (
+        ["corollary", "--g", "3", "--n", "-2"],
+        "(g=3, n=-2, k=1) closed form:\n  degree  rank  torsion\n       2     7  -\n       1     3  -\n"
+        "reference (complement cohomology) shift: 1\nmatch: true\n",
+    ),
+    (
+        ["degshift", "--n", "5", "--k", "2", "--x", "-1"],
+        "deg(n=5, k=2, x=-1) = -19/5; argmax = 0\n",
+    ),
+]
+
+
+def _closed_payload(g, n, k, degrees, **extra):
+    payload = {
+        "degrees": degrees, "g": g, "gate": "n/a", "grading_convention": "X",
+        "k": k, "n": n, "pipeline": "closed",
+    }
+    payload.update(extra)
+    return payload
+
+
+def _oracle_payload(g, n, k, degrees):
+    return {
+        "degrees": degrees, "g": g, "gate": "passed", "grading_convention": "X",
+        "k": k, "n": n, "page": "final", "pipeline": "oracle",
+    }
+
+
+EXACT_JSON = [
+    (
+        ["compute", "--g", "2", "--n", "1", "--k", "1"],
+        {
+            "closed": _closed_payload(2, 1, 1, _degrees((2, 1))),
+            "g": 2, "k": 1, "match": True, "n": 1,
+            "oracle": _oracle_payload(2, 1, 1, _degrees((2, 1))),
+            "shift": 0,
+        },
+    ),
+    (
+        ["compute", "--g", "3", "--n", "-2", "--k", "1", "--method", "oracle"],
+        _oracle_payload(3, -2, 1, _degrees((1, 3), (2, 7))),
+    ),
+    (
+        ["compute", "--g", "3", "--n", "2", "--k", "1", "--method", "closed"],
+        _closed_payload(3, 2, 1, _degrees((2, 7), (3, 3))),
+    ),
+    (
+        ["compute", "--g", "3", "--n", "2", "--k", "-4"],
+        {
+            "closed": _closed_payload(3, 2, -4, [], vanishes_by_adjunction=True),
+            "g": 3, "k": -4, "match": True, "n": 2,
+            "oracle": _closed_payload(
+                3, 2, -4, [], pipeline="adjunction", vanishes_by_adjunction=True
+            ),
+            "shift": 0,
+        },
+    ),
+    (
+        ["compute", "--g", "3", "--n", "2", "--k", "3", "--method", "oracle"],
+        _closed_payload(3, 2, 3, [], pipeline="adjunction", vanishes_by_adjunction=True),
+    ),
+    (
+        ["compute", "--g", "3", "--n", "2", "--k", "-3", "--method", "closed"],
+        _closed_payload(3, 2, -3, [], vanishes_by_adjunction=True),
+    ),
+    (
+        ["xgd", "--g", "2", "--d", "1", "--homology", "--left"],
+        {
+            "d": 1, "degrees": _degrees((0, 1), (1, 3)), "g": 2,
+            "homology": True, "left": True, "matches_formula": True,
+        },
+    ),
+    (
+        ["tables", "hfk_M1", "--n", "1"],
+        {
+            "filtration": [
+                {"degrees": _degrees((-1, 1)), "j": -1},
+                {"degrees": _degrees((0, 3), (1, 1)), "j": 0},
+                {"degrees": _degrees((1, 1)), "j": 1},
+            ],
+            "n": 1,
+            "table": "hfk_M1",
+        },
+    ),
+    (
+        ["corollary", "--g", "3", "--n", "2"],
+        {
+            "corollary": {"degrees": _degrees((2, 7), (3, 3))},
+            "g": 3, "k": 1, "match": True, "n": 2,
+            "reference": {"degrees": _degrees((2, 7), (3, 3))},
+            "reference_kind": "relative",
+            "shift": 1,
+            "theorem": {"degrees": _degrees((2, 7), (3, 3))},
+        },
+    ),
+    (
+        ["degshift", "--n", "5", "--k", "2", "--x", "-1"],
+        {"argmax": 0, "k": 2, "n": 5, "value": {"den": 5, "num": -19}, "x": -1},
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", EXACT_TEXT, ids=[" ".join(a) for a, _ in EXACT_TEXT])
+def test_exact_text_output(capsys, argv, expected):
+    code, out, err = run_main(capsys, *argv)
+    assert (code, out, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv, expected", EXACT_JSON, ids=[" ".join(a) for a, _ in EXACT_JSON])
+def test_exact_json_output(capsys, argv, expected):
+    code, out, err = run_main(capsys, *argv, "--format", "json")
+    assert (code, out, err) == (0, _json_text(expected), "")
+
+
+def test_parser_is_built_once_and_commands_are_looked_up_per_call(capsys, monkeypatch):
+    run_main(capsys, "degshift", "--n", "2", "--k", "1")
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "cmd_degshift", lambda args: cli.Output(lines=[f"patched n={args.n}"]))
+    assert run_main(capsys, "degshift", "--n", "2", "--k", "1") == (0, "patched n=2\n", "")
 
 
 # -- end to end through the interpreter -------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+from dataclasses import replace
 from math import comb
 
 import pytest
@@ -5,7 +7,7 @@ import pytest
 from mtfloer.closed_form import theorem_answer
 from mtfloer.errors import BadGenus, BadParams, GateFailure, UnknownTable, ZeroTwist
 from mtfloer.graded import GradedGroup
-from mtfloer.homology import FreeComplex
+from mtfloer.homology import FreeComplex, IntMatrix
 from mtfloer import knot_model
 from mtfloer.knot_model import (
     CIRCLES,
@@ -198,6 +200,28 @@ def test_run_d1_gate_rejects_wrong_homology():
     spec = Params(2, 1, 1)
     with pytest.raises(GateFailure):
         run_d1(spec, FreeComplex({0: ["x", "y"]}))
+
+
+def test_run_d1_gate_names_only_the_differing_degree():
+    spec = Params(4, 2, 1)
+    e2 = build_e2_symbolic(spec)
+    # one extra class at X-degree 3, which is model degree 1
+    off = replace(e2, fixed=e2.fixed + G({3: 1}))
+    with pytest.raises(GateFailure) as failure:
+        run_d1(spec, build_e1_region(spec), off)
+    message = str(failure.value)
+    assert message.startswith("page-one gate failed at g=4 n=2 k=1: ")
+    assert re.findall(r"degree (-?\d+)", message) == ["1"]
+    assert "computed rank 21 torsion none, symbolic rank 22 torsion none" in message
+
+
+def test_run_d2_torsion_names_its_degree():
+    spec = Params(3, 1, 1)
+    e2 = build_e2_symbolic(spec)
+    twisted = FreeComplex({4: ["x"], 5: ["y"]}, {5: IntMatrix.from_rows([[2]])})
+    with pytest.raises(GateFailure) as failure:
+        run_d2(spec, replace(e2, d2_complex=twisted))
+    assert str(failure.value) == "page-two homology has torsion at g=3 n=1 k=1 in model degrees 4 (Z/2)"
 
 
 def test_run_d2_without_active_part_returns_fixed():
