@@ -12,7 +12,8 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import NamedTuple, Sequence
+from concurrent.futures.process import BrokenProcessPool
+from typing import Callable, NamedTuple, Sequence
 
 from .closed_form import (
     corollary_answer,
@@ -39,15 +40,16 @@ SCHEMA = "1"
 class Output(NamedTuple):
     """What a command computed, in every form ``main`` can print it.
 
-    ``payload`` is printed as JSON, ``rows`` as CSV and ``lines`` as the
-    table; ``failure`` goes to stderr and makes the exit code 3.  ``verify``
-    has no table format: its ``lines`` hold the summary that ``--emit``
-    prints in place of the report.
+    ``payload`` is printed as JSON, the rows that ``rows()`` returns as CSV
+    (built only when CSV is asked for) and ``lines`` as the table;
+    ``failure`` goes to stderr and makes the exit code 3.  ``verify`` has no
+    table format: its ``lines`` hold the summary that ``--emit`` prints in
+    place of the report.
     """
 
     payload: object = None
     lines: Sequence[str] = ()
-    rows: Sequence[list] = ()
+    rows: Callable[[], Sequence[list]] = tuple
     failure: str | None = None
 
 
@@ -67,7 +69,7 @@ def _render(out: Output, fmt: str) -> str:
     if fmt == "json":
         return _dumps(out.payload)
     if fmt == "csv":
-        return _csv_text(out.rows)
+        return _csv_text(out.rows())
     return "".join(line + "\n" for line in out.lines)
 
 
@@ -159,7 +161,7 @@ def cmd_compute(args) -> Output:
             lines.append(f"match: {str(match).lower()}")
 
     failure = f"compute: oracle/closed mismatch at g={g} n={n} k={k}" if match is False else None
-    return Output(payload, lines, _comparison_rows((g, n, k), oracle, closed, match), failure)
+    return Output(payload, lines, lambda: _comparison_rows((g, n, k), oracle, closed, match), failure)
 
 
 # -- verify -------------------------------------------------------------------
@@ -194,6 +196,33 @@ def _worker_count() -> int:
     return workers
 
 
+def _entry(
+    triple: tuple[int, int, int],
+    oracle: GradedGroup | None,
+    closed: GradedGroup | None,
+    gate: str,
+    wall_time: float,
+) -> dict:
+    """One report entry; a triple matches only when its gate passed."""
+    g, n, k = triple
+    shift = None
+    if oracle is not None and closed is not None:
+        shift = closed.compare_up_to_shift(oracle).shift
+    return {
+        "params": {"g": g, "n": n, "k": k},
+        "oracle": None if oracle is None else oracle.to_json_dict(),
+        "closed": None if closed is None else closed.to_json_dict(),
+        "match": gate == "passed" and oracle == closed,
+        "shift": shift,
+        "gate": gate,
+        "wall_time": wall_time,
+    }
+
+
+def _error_gate(exc: BaseException) -> str:
+    return f"error: {type(exc).__name__}: {exc}"
+
+
 def _verify_triple(task: tuple[int, int, int, bool, bool]) -> dict:
     """One report entry; an exception from either route fails this entry only."""
     g, n, k, corrupt, timing = task
@@ -205,32 +234,24 @@ def _verify_triple(task: tuple[int, int, int, bool, bool]) -> dict:
     except GateFailure as exc:
         gate = f"failed: {exc}"
     except Exception as exc:
-        gate = f"error: {type(exc).__name__}: {exc}"
+        gate = _error_gate(exc)
     try:
         closed = theorem_answer(g, n, k)
     except Exception as exc:
         if gate == "passed":
-            gate = f"error: {type(exc).__name__}: {exc}"
+            gate = _error_gate(exc)
     elapsed = time.perf_counter() - start
-    match = gate == "passed" and oracle_group == closed
-    shift = None
-    if oracle_group is not None and closed is not None:
-        shift = closed.compare_up_to_shift(oracle_group).shift
-    return {
-        "params": {"g": g, "n": n, "k": k},
-        "oracle": None if oracle_group is None else oracle_group.to_json_dict(),
-        "closed": None if closed is None else closed.to_json_dict(),
-        "match": match,
-        "shift": shift,
-        "gate": gate,
-        "wall_time": elapsed if timing else 0.0,
-    }
+    return _entry((g, n, k), oracle_group, closed, gate, elapsed if timing else 0.0)
 
 
 def run_sweep(
     g_max: int, n_values: list[int], corrupt_d2: bool = False, timing: bool = False
 ) -> dict:
-    """Oracle-vs-closed comparison over all admissible (g, n, k); order-stable."""
+    """Oracle-vs-closed comparison over all admissible (g, n, k); order-stable.
+
+    If a worker process dies, the entries already returned are kept and
+    every unfinished triple is recorded as failed.
+    """
     if g_max < 2:
         raise BadParams(f"g-max {g_max} < 2")
     tasks = [
@@ -243,9 +264,13 @@ def run_sweep(
     if workers == 1 or len(tasks) <= 1:
         entries = [_verify_triple(task) for task in tasks]
     else:
+        entries = []
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                entries = list(pool.map(_verify_triple, tasks))
+                for entry in pool.map(_verify_triple, tasks):
+                    entries.append(entry)
+        except BrokenProcessPool as exc:
+            entries += [_entry(task[:3], None, None, _error_gate(exc), 0.0) for task in tasks[len(entries):]]
         except OSError:
             entries = [_verify_triple(task) for task in tasks]
     return {
@@ -260,20 +285,27 @@ def _group_or_none(obj: dict | None) -> GradedGroup | None:
     return None if obj is None else GradedGroup.from_json_dict(obj)
 
 
+def _verify_rows(entries: list[dict]) -> list[list]:
+    rows = []
+    for entry in entries:
+        params = entry["params"]
+        triple = (params["g"], params["n"], params["k"])
+        oracle, closed = _group_or_none(entry["oracle"]), _group_or_none(entry["closed"])
+        rows.extend(_comparison_rows(triple, oracle, closed, entry["match"]))
+    return rows
+
+
 def cmd_verify(args) -> Output:
     n_values = _parse_n_range(args.n)
     report = run_sweep(args.g_max, n_values, corrupt_d2=args.corrupt_d2, timing=args.timing)
     entries = report["entries"]
-    rows = []
     failure = None
     for entry in entries:
-        params = entry["params"]
-        g, n, k = params["g"], params["n"], params["k"]
-        oracle, closed = _group_or_none(entry["oracle"]), _group_or_none(entry["closed"])
-        rows.extend(_comparison_rows((g, n, k), oracle, closed, entry["match"]))
-        if failure is None and not entry["match"]:
-            failure = f"verify: first mismatch at g={g} n={n} k={k} (gate: {entry['gate']})"
-    out = Output(report, rows=rows, failure=failure)
+        if not entry["match"]:
+            p = entry["params"]
+            failure = f"verify: first mismatch at g={p['g']} n={p['n']} k={p['k']} (gate: {entry['gate']})"
+            break
+    out = Output(report, rows=lambda: _verify_rows(entries), failure=failure)
     if not args.emit:
         return out
     with open(args.emit, "w") as handle:

@@ -1,15 +1,16 @@
 """Exact homology of finite free integer chain complexes.
 
 Everything here runs over Python's arbitrary-precision integers.  A
-:class:`FreeComplex` keeps each boundary as a dense :class:`IntMatrix` for
-its callers, but works only from the nonzero entries: the d^2 = 0 check
-composes boundaries entry by entry, and homology splits each boundary into
-the connected blocks of its nonzero pattern (rows and columns joined when
-they share an entry).  Each block is a direct summand of the boundary, so
-its Smith normal form, computed by the classical pivoting algorithm with
+:class:`FreeComplex` stores each boundary only as its nonzero entries,
+grouped by column: the d^2 = 0 check composes boundaries entry by entry,
+and homology splits each boundary into the connected blocks of its nonzero
+pattern (rows and columns joined when they share an entry).  Each block is
+a direct summand of the boundary, so its Smith normal form, computed as a
+small dense :class:`IntMatrix` by the classical pivoting algorithm with
 unimodular row and column transforms, gives that block's share of the
 invariant factors.  Homology groups come out as free ranks plus
-invariant-factor torsion.
+invariant-factor torsion.  No whole boundary is ever held densely; a dense
+view is built only when a caller asks for one.
 
 Set :data:`VERIFY_SNF` (or the environment variable ``MTFLOER_SNF_VERIFY``)
 to make every Smith decomposition re-check its own postconditions by direct
@@ -280,10 +281,6 @@ def check_smith_form(m: IntMatrix, f: SmithForm) -> None:
             raise AssertionError("diagonal violates the divisibility chain")
 
 
-def matrix_rank(m: IntMatrix) -> int:
-    return sum(1 for x in smith_normal_form(m).d.diagonal() if x)
-
-
 # (row, value) pairs of one column's nonzero entries
 Column = list[tuple[int, int]]
 
@@ -390,45 +387,71 @@ def _invariant_factors(columns: Mapping[int, Column]) -> list[int]:
 class FreeComplex:
     """A finite chain complex of free abelian groups with labeled bases.
 
-    ``basis`` maps a degree to the tuple of generator labels in that degree;
-    ``differentials`` maps degree d to the matrix of the boundary map from
-    degree d to degree d-1, with shape (len(basis[d-1]), len(basis[d])).
-    Missing matrices are zero maps.  The constructor checks shapes and that
-    consecutive boundaries compose to zero: a silently invalid complex is
-    the worst failure mode this package could have.
+    ``basis`` maps a degree to the tuple of generator labels in that degree.
+    ``columns`` maps degree d to the boundary from degree d to degree d-1,
+    given by its nonzero columns: ``{col: [(row, value), ...]}``, where
+    ``col`` indexes ``basis[d]`` and ``row`` indexes ``basis[d-1]``.  Entries
+    listed twice are added up and zero entries are dropped; missing columns
+    and degrees are zero.  The constructor refuses an index outside the
+    bases and checks that consecutive boundaries compose to zero: a silently
+    invalid complex is the worst failure mode this package could have.
     """
 
     def __init__(
         self,
         basis: Mapping[int, Sequence],
-        differentials: Mapping[int, IntMatrix] | None = None,
+        columns: Mapping[int, Mapping[int, Iterable[tuple[int, int]]]] | None = None,
     ):
         self.basis = {d: tuple(labels) for d, labels in basis.items() if len(labels)}
-        self.differentials: dict[int, IntMatrix] = {}
-        # the nonzero entries of each stored differential, by column
+        # the nonzero entries of each boundary, by column
         self._columns: dict[int, dict[int, Column]] = {}
-        for d, mat in (differentials or {}).items():
-            target = len(self.basis.get(d - 1, ()))
-            source = len(self.basis.get(d, ()))
-            if mat.shape != (target, source):
-                raise NotAComplex(
-                    f"differential at degree {d} has shape {mat.shape}, expected {(target, source)}"
-                )
-            columns = _nonzero_columns(mat)
-            if columns:
-                self.differentials[d] = mat.copy()
-                self._columns[d] = columns
-        for d, columns in self._columns.items():
+        for d, given in (columns or {}).items():
+            targets, sources = self.size(d - 1), self.size(d)
+            kept: dict[int, Column] = {}
+            for j, column in given.items():
+                if not 0 <= j < sources:
+                    raise NotAComplex(
+                        f"differential at degree {d} has column {j}, but degree {d} has {sources} generators"
+                    )
+                entries: dict[int, int] = {}
+                for i, x in column:
+                    if not 0 <= i < targets:
+                        raise NotAComplex(
+                            f"differential at degree {d} has row {i}, but degree {d - 1} has {targets} generators"
+                        )
+                    entries[i] = entries.get(i, 0) + x
+                nonzero = [(i, x) for i, x in entries.items() if x]
+                if nonzero:
+                    kept[j] = nonzero
+            if kept:
+                self._columns[d] = kept
+        for d, boundary in self._columns.items():
             below = self._columns.get(d - 1)
             if below is None:
                 continue
-            for column in columns.values():
+            for column in boundary.values():
                 image: dict[int, int] = {}
                 for t, a in column:
                     for i, b in below.get(t, ()):
                         image[i] = image.get(i, 0) + a * b
                 if any(image.values()):
                     raise NotAComplex(f"boundary squared is nonzero from degree {d}")
+
+    @classmethod
+    def from_matrices(cls, basis: Mapping[int, Sequence], mats: Mapping[int, IntMatrix]) -> "FreeComplex":
+        """The complex whose boundary at degree d is the dense matrix ``mats[d]``.
+
+        Each matrix must have shape (len(basis[d-1]), len(basis[d])); its
+        nonzero entries are handed to the constructor, which does the rest
+        of the checking.
+        """
+        for d, mat in mats.items():
+            expected = (len(basis.get(d - 1, ())), len(basis.get(d, ())))
+            if mat.shape != expected:
+                raise NotAComplex(
+                    f"differential at degree {d} has shape {mat.shape}, expected {expected}"
+                )
+        return cls(basis, {d: _nonzero_columns(mat) for d, mat in mats.items()})
 
     def degrees(self) -> list[int]:
         return sorted(self.basis)
@@ -440,10 +463,17 @@ class FreeComplex:
         return sum(len(labels) for labels in self.basis.values())
 
     def differential(self, degree: int) -> IntMatrix:
-        mat = self.differentials.get(degree)
-        if mat is None:
-            return IntMatrix.zeros(self.size(degree - 1), self.size(degree))
+        """A dense copy of the boundary out of ``degree``, built on each call."""
+        mat = IntMatrix.zeros(self.size(degree - 1), self.size(degree))
+        for j, column in self._columns.get(degree, {}).items():
+            for i, x in column:
+                mat.data[i][j] = x
         return mat
+
+    @property
+    def differentials(self) -> dict[int, IntMatrix]:
+        """Dense copies of the nonzero boundaries, by degree, built on each read."""
+        return {d: self.differential(d) for d in self._columns}
 
     def euler_characteristic(self) -> int:
         return sum(

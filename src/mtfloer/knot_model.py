@@ -38,7 +38,7 @@ from .exterior import (
     x_ranks,
 )
 from .graded import GradedGroup, circles_cohomology
-from .homology import FreeComplex, IntMatrix
+from .homology import FreeComplex
 from .params import Params, eps
 
 SURFACE = "surface"
@@ -149,35 +149,36 @@ def _assemble_complex(
     """Build a FreeComplex from generators, a grading, and a differential rule.
 
     ``image(gen)`` yields (target_generator, coefficient) pairs; targets must
-    be generators of grading one less, or the assembly refuses.
+    be generators of grading one less, or the assembly refuses.  Each
+    generator's image is summed into its own column, keyed by target row, so
+    only the nonzero part of each boundary is ever built.
     """
     by_degree: dict[int, list] = {}
-    for gen in sorted(gens):
+    for gen in gens:
         by_degree.setdefault(grading(gen), []).append(gen)
     index: dict = {}
     for deg, row in by_degree.items():
+        row.sort()
         for i, gen in enumerate(row):
             index[gen] = (deg, i)
-    mats: dict[int, IntMatrix] = {}
-    for deg, sources in sorted(by_degree.items()):
-        targets = by_degree.get(deg - 1)
-        if not targets:
-            for gen in sources:
-                if list(image(gen)):
-                    raise NotAComplex(f"differential leaves the generator set at degree {deg}")
-            continue
-        mat = IntMatrix.zeros(len(targets), len(sources))
-        filled = False
+    boundaries: dict[int, dict[int, list[tuple[int, int]]]] = {}
+    for deg, sources in by_degree.items():
+        columns = {}
         for col, gen in enumerate(sources):
+            column: dict[int, int] = {}
             for target, coeff in image(gen):
-                tdeg, row = index[target]
+                found = index.get(target)
+                if found is None:
+                    raise NotAComplex(f"differential leaves the generator set at degree {deg}")
+                tdeg, row = found
                 if tdeg != deg - 1:
                     raise NotAComplex(f"differential drops grading by {deg - tdeg}, not 1")
-                mat.data[row][col] += coeff
-                filled = True
-        if filled:
-            mats[deg] = mat
-    return FreeComplex({d: tuple(row) for d, row in by_degree.items()}, mats)
+                column[row] = column.get(row, 0) + coeff
+            if column:
+                columns[col] = list(column.items())
+        if columns:
+            boundaries[deg] = columns
+    return FreeComplex({d: tuple(row) for d, row in by_degree.items()}, boundaries)
 
 
 # -- the page-one differential -------------------------------------------
@@ -259,6 +260,22 @@ def _circle_generators(spec: Params, labels: Sequence[int]) -> list[PageGenerato
     return gens
 
 
+def region_size(spec: Params) -> int:
+    """The number of region generators, counted without enumerating them.
+
+    A surface monomial with s symbols carries U-powers p = 1 .. s - g - |k|;
+    a circle monomial with s symbols carries p = 1 .. s - g + 1 - |k| for
+    each of the |n| circles and both values of eps.
+
+    >>> region_size(Params(6, 3, 1)), region_size(Params(11, 3, 1))
+    (2650, 5086660)
+    """
+    g, k = spec.g, spec.abs_k
+    surface = sum(comb(2 * g, s) * (s - g - k) for s in range(g + k + 1, 2 * g + 1))
+    circles = sum(comb(2 * g - 2, s) * (s - g + 1 - k) for s in range(g + k, 2 * g - 1))
+    return surface + 2 * spec.abs_n * circles
+
+
 def build_e1_region(
     spec: Params,
     pd_sign: int = 1,
@@ -286,10 +303,9 @@ def build_e1_region(
         if model_grading(spec, gen) != x.grading - 2:
             raise GateFailure(f"region/tower grading mismatch at {spec}: {gen}")
 
-    total = len(surface) + len(circles)
-    bound = (2 ** (2 * spec.g) + 2 * spec.abs_n * 2 ** (2 * spec.g - 2)) * spec.g
-    if total > bound:
-        raise GateFailure(f"region size {total} exceeds bound {bound} at {spec}")
+    total, expected_size = len(surface) + len(circles), region_size(spec)
+    if total != expected_size:
+        raise GateFailure(f"region has {total} generators, but its count is {expected_size} at {spec}")
 
     half = active_half(spec.n)
 
@@ -324,7 +340,8 @@ def build_e2_symbolic(
     fixed = x_ranks(g - 1, d - 1).tensor(circles_cohomology(2, spec.eps_n))
     fixed += GradedGroup.free({g - d: comb(2 * g - 2, d)})
 
-    active = _circle_generators(spec, labels[1:])
+    # sorted once here; the assembly's own sort then finds each degree in order
+    active = sorted(_circle_generators(spec, labels[1:]))
 
     def arrows(gen: PageGenerator):
         if corrupt_d2 or gen.eps != 0:
@@ -336,7 +353,7 @@ def build_e2_symbolic(
     d2_complex = _assemble_complex(
         active, lambda gen: model_grading(spec, gen), arrows
     )
-    return E2Page(fixed, tuple(sorted(active)), d2_complex)
+    return E2Page(fixed, tuple(active), d2_complex)
 
 
 def _torsion_text(torsion: tuple[int, ...]) -> str:

@@ -148,7 +148,7 @@ def test_a5_linear_algebra_properties():
                     )
 
         with pytest.raises(NotAComplex):
-            FreeComplex(
+            FreeComplex.from_matrices(
                 {0: ["x"], 1: ["y"], 2: ["z"]},
                 {1: IntMatrix.from_rows([[1]]), 2: IntMatrix.from_rows([[1]])},
             )

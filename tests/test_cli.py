@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -234,6 +235,66 @@ def test_verify_records_a_raising_triple_and_keeps_the_rest(capsys, monkeypatch,
     failed_rows = [line for line in out.splitlines() if line.startswith("3,1,2,")]
     present = "3,1,2,3,,1,false" if route == "oracle_hfplus" else "3,1,2,3,1,,false"
     assert failed_rows == [present]
+
+
+class DyingPool:
+    """A stand-in for ProcessPoolExecutor whose workers die after two results."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, tasks):
+        for task in list(tasks)[:2]:
+            yield fn(task)
+        raise BrokenProcessPool("a worker died")
+
+
+def test_verify_keeps_the_sweep_when_a_worker_dies(capsys, monkeypatch, tmp_path):
+    argv = ["verify", "--g-max", "3", "--n", "1..2"]
+    monkeypatch.setenv("MTFLOER_THREADS", "1")
+    _, clean, _ = run_main(capsys, *argv)
+    monkeypatch.setenv("MTFLOER_THREADS", "2")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", DyingPool)
+    target = tmp_path / "r.json"
+    code, out, err = run_main(capsys, *argv, "--emit", str(target))
+    assert code == 3
+    assert out == f"verify: 2/6 triples match; report written to {target}\n"
+    assert err == "verify: first mismatch at g=3 n=1 k=1 (gate: error: BrokenProcessPool: a worker died)\n"
+    report = json.loads(target.read_text())
+    assert set(report) == set(json.loads(clean))
+    clean_entries = json.loads(clean)["entries"]
+    entries = report["entries"]
+    assert [e["params"] for e in entries] == [e["params"] for e in clean_entries]
+    assert entries[:2] == clean_entries[:2]
+    for entry in entries[2:]:
+        assert set(entry) == set(clean_entries[0])
+        assert entry["match"] is False
+        assert entry["gate"] == "error: BrokenProcessPool: a worker died"
+        assert entry["oracle"] is None and entry["closed"] is None and entry["shift"] is None
+
+
+def test_csv_rows_are_built_only_for_csv(capsys, monkeypatch):
+    def unwanted(*args):
+        raise AssertionError("CSV rows built for another format")
+
+    monkeypatch.setenv("MTFLOER_THREADS", "1")
+    monkeypatch.setattr(cli, "_comparison_rows", unwanted)
+    for argv in (
+        ("verify", "--g-max", "3", "--n", "1"),
+        ("compute", "--g", "3", "--n", "1", "--k", "1", "--format", "json"),
+        ("compute", "--g", "3", "--n", "1", "--k", "1"),
+    ):
+        code, out, err = run_main(capsys, *argv)
+        assert (code, err) == (0, "")
+    with pytest.raises(AssertionError, match="CSV rows built"):
+        cli.main(["verify", "--g-max", "2", "--n", "1", "--format", "csv"])
 
 
 def test_verify_bad_range_exit_two(capsys):

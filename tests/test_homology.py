@@ -14,7 +14,6 @@ from mtfloer.homology import (
     _nonzero_columns,
     check_smith_form,
     euler_characteristic,
-    matrix_rank,
     smith_normal_form,
 )
 
@@ -142,6 +141,10 @@ def test_check_smith_form_rejects_forgeries():
         )
 
 
+def matrix_rank(m: IntMatrix) -> int:
+    return sum(1 for x in smith_normal_form(m).d.diagonal() if x)
+
+
 def test_matrix_rank():
     assert matrix_rank(IntMatrix.from_rows([[1, 2], [2, 4]])) == 1
     assert matrix_rank(IntMatrix.identity(3)) == 3
@@ -152,26 +155,26 @@ def test_matrix_rank():
 
 
 def test_circle_homology():
-    circle = FreeComplex({0: ["v"], 1: ["e"]}, {1: IntMatrix.zeros(1, 1)})
+    circle = FreeComplex.from_matrices({0: ["v"], 1: ["e"]}, {1: IntMatrix.zeros(1, 1)})
     assert circle.homology() == GradedGroup.free({0: 1, 1: 1})
 
 
 def test_interval_homology():
-    interval = FreeComplex(
+    interval = FreeComplex.from_matrices(
         {0: ["a", "b"], 1: ["e"]}, {1: IntMatrix.from_rows([[-1], [1]])}
     )
     assert interval.homology() == GradedGroup.free({0: 1})
 
 
 def test_multiplication_by_two():
-    cx = FreeComplex({0: ["x"], 1: ["y"]}, {1: IntMatrix.from_rows([[2]])})
+    cx = FreeComplex.from_matrices({0: ["x"], 1: ["y"]}, {1: IntMatrix.from_rows([[2]])})
     assert cx.homology() == GradedGroup.of({0: (0, [2])})
 
 
 def test_projective_plane():
     cells = {0: ["v"], 1: ["e"], 2: ["f"]}
     maps = {1: IntMatrix.zeros(1, 1), 2: IntMatrix.from_rows([[2]])}
-    assert FreeComplex(cells, maps).homology() == GradedGroup.of(
+    assert FreeComplex.from_matrices(cells, maps).homology() == GradedGroup.of(
         {0: (1, []), 1: (0, [2])}
     )
 
@@ -179,7 +182,7 @@ def test_projective_plane():
 def test_klein_bottle():
     cells = {0: ["v"], 1: ["a", "b"], 2: ["f"]}
     maps = {1: IntMatrix.zeros(1, 2), 2: IntMatrix.from_rows([[2], [0]])}
-    assert FreeComplex(cells, maps).homology() == GradedGroup.of(
+    assert FreeComplex.from_matrices(cells, maps).homology() == GradedGroup.of(
         {0: (1, []), 1: (1, [2])}
     )
 
@@ -187,7 +190,7 @@ def test_klein_bottle():
 def test_three_dimensional_projective_space():
     cells = {0: ["v"], 1: ["e"], 2: ["f"], 3: ["c"]}
     maps = {2: IntMatrix.from_rows([[2]])}
-    h = FreeComplex(cells, maps).homology()
+    h = FreeComplex.from_matrices(cells, maps).homology()
     assert h == GradedGroup.of({0: (1, []), 1: (0, [2]), 3: (1, [])})
 
 
@@ -205,7 +208,7 @@ def test_empty_degrees_are_dropped():
 
 
 def test_zero_differentials_are_dropped_but_shaped():
-    cx = FreeComplex({0: ["a"], 1: ["b"]}, {1: IntMatrix.zeros(1, 1)})
+    cx = FreeComplex.from_matrices({0: ["a"], 1: ["b"]}, {1: IntMatrix.zeros(1, 1)})
     assert 1 not in cx.differentials
     assert cx.differential(1).shape == (1, 1)
     assert cx.differential(7).shape == (0, 0)
@@ -213,14 +216,52 @@ def test_zero_differentials_are_dropped_but_shaped():
 
 def test_shape_mismatch_is_rejected():
     with pytest.raises(NotAComplex):
-        FreeComplex({0: ["a"], 1: ["b"]}, {1: IntMatrix.zeros(2, 1)})
+        FreeComplex.from_matrices({0: ["a"], 1: ["b"]}, {1: IntMatrix.zeros(2, 1)})
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        {1: {0: [(1, 1)]}},  # row past the end of degree 0
+        {1: {0: [(-1, 1)]}},  # negative row
+        {1: {1: [(0, 1)]}},  # column past the end of degree 1
+        {1: {-1: [(0, 1)]}},  # negative column
+        {2: {0: [(0, 1)]}},  # a boundary out of an empty degree
+        {0: {0: [(0, 1)]}},  # a boundary into an empty degree
+    ],
+)
+def test_out_of_range_entries_are_rejected(columns):
+    with pytest.raises(NotAComplex):
+        FreeComplex({0: ["a"], 1: ["b"]}, columns)
+
+
+def test_columns_drop_zeros_and_add_repeated_rows():
+    cx = FreeComplex(
+        {0: ["x", "y"], 1: ["a", "b", "c"]},
+        {1: {0: [(0, 1), (0, -1)], 1: [(1, 0)], 2: [(1, 2), (0, 3), (1, 1)]}},
+    )
+    assert cx._columns == {1: {2: [(1, 3), (0, 3)]}}
+    assert cx.differentials == {1: IntMatrix.from_rows([[0, 0, 3], [0, 0, 3]])}
+    cancelled = FreeComplex({0: ["x"], 1: ["a"]}, {1: {0: [(0, 2), (0, -2)]}})
+    assert cancelled._columns == {} and cancelled.differentials == {}
+    assert cancelled.homology() == GradedGroup.free({0: 1, 1: 1})
+
+
+def test_from_matrices_equals_the_columns():
+    d1 = IntMatrix.from_rows([[1, 0, -2], [0, 0, 4]])
+    cells = {0: ["x", "y"], 1: ["a", "b", "c"]}
+    dense = FreeComplex.from_matrices(cells, {1: d1})
+    sparse = FreeComplex(cells, {1: {0: [(0, 1)], 2: [(0, -2), (1, 4)]}})
+    assert dense._columns == sparse._columns
+    assert dense.differential(1) == sparse.differential(1) == d1
+    assert dense.homology() == sparse.homology() == GradedGroup.of({0: (0, [4]), 1: (1, [])})
 
 
 def test_boundary_squared_is_enforced():
     cells = {0: ["x"], 1: ["y"], 2: ["z"]}
     maps = {1: IntMatrix.from_rows([[1]]), 2: IntMatrix.from_rows([[1]])}
     with pytest.raises(NotAComplex):
-        FreeComplex(cells, maps)
+        FreeComplex.from_matrices(cells, maps)
 
 
 def test_euler_characteristic_helper():
@@ -262,7 +303,7 @@ def complex_over(rng: random.Random, d1: IntMatrix, n2: int) -> FreeComplex:
         1: [f"c1.{i}" for i in range(n1)],
         2: [f"c2.{i}" for i in range(n2)],
     }
-    return FreeComplex(basis, {1: d1, 2: d2})
+    return FreeComplex.from_matrices(basis, {1: d1, 2: d2})
 
 
 def test_random_complexes_preserve_euler_characteristic():
@@ -284,7 +325,7 @@ def test_homology_invariant_under_basis_sign_flip():
             d1.data[r][i] = -d1.data[r][i]
         for c in range(d2.cols):
             d2.data[i][c] = -d2.data[i][c]
-        flipped = FreeComplex(cx.basis, {1: d1, 2: d2})
+        flipped = FreeComplex.from_matrices(cx.basis, {1: d1, 2: d2})
         assert flipped.homology() == cx.homology()
 
 
@@ -340,7 +381,7 @@ def random_block(rng: random.Random) -> IntMatrix:
 def test_split_torsion_merges_into_one_chain():
     blocks = [IntMatrix.from_rows([[2]]), IntMatrix.from_rows([[3]])]
     d1 = permuted_block_diagonal(random.Random(1), blocks)
-    cx = FreeComplex({0: ["x", "y"], 1: ["a", "b"]}, {1: d1})
+    cx = FreeComplex.from_matrices({0: ["x", "y"], 1: ["a", "b"]}, {1: d1})
     assert cx.homology().torsion(0) == (6,)
     assert cx.homology() == dense_homology(cx) == GradedGroup.of({0: (0, [6])})
 
@@ -361,7 +402,7 @@ def test_block_split_matches_dense_on_permuted_block_diagonals(seed):
         return
     cx = complex_over(rng, d1, rng.randint(1, 5))
     assert cx.homology() == dense_homology(cx)
-    lone = FreeComplex({0: range(d1.rows), 1: range(d1.cols)}, {1: d1})
+    lone = FreeComplex.from_matrices({0: range(d1.rows), 1: range(d1.cols)}, {1: d1})
     assert lone.homology() == dense_homology(lone)
 
 
@@ -370,11 +411,11 @@ def test_boundary_squared_may_cancel_across_paths():
     cells = {0: ["v"], 1: ["a", "b", "c"], 2: ["f"]}
     d1 = IntMatrix.from_rows([[1, 1, -2]])
     d2 = IntMatrix.from_rows([[1], [1], [1]])
-    cx = FreeComplex(cells, {1: d1, 2: d2})
+    cx = FreeComplex.from_matrices(cells, {1: d1, 2: d2})
     assert cx.homology() == dense_homology(cx) == GradedGroup.free({1: 1})
     with pytest.raises(NotAComplex):
         # two of the three paths cancel, the third does not
-        FreeComplex(cells, {1: d1, 2: IntMatrix.from_rows([[1], [-1], [1]])})
+        FreeComplex.from_matrices(cells, {1: d1, 2: IntMatrix.from_rows([[1], [-1], [1]])})
 
 
 def test_check_blocks_rejects_bad_splits():

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from mtfloer.closed_form import theorem_answer
-from mtfloer.errors import BadGenus, BadParams, GateFailure, UnknownTable, ZeroTwist
+from mtfloer.errors import BadGenus, BadParams, GateFailure, NotAComplex, UnknownTable, ZeroTwist
 from mtfloer.graded import GradedGroup
 from mtfloer.homology import FreeComplex, IntMatrix
 from mtfloer import knot_model
@@ -30,6 +30,7 @@ from mtfloer.knot_model import (
     model_grading,
     oracle_hfplus,
     reference_tables,
+    region_size,
     run_d1,
     run_d2,
 )
@@ -116,11 +117,39 @@ def test_region_size_at_g3():
 
 
 def test_region_size_bound_is_enforced(monkeypatch):
-    # the bound at g=2, |n|=1 is (2^4 + 2 * 2^2) * 2 = 48 generators
+    # the region at g=2, |n|=1, k=1 is one surface generator and no circles
     padding = [PageGenerator(CIRCLES, (), 1)] * 49
     monkeypatch.setattr(knot_model, "_circle_generators", lambda spec, labels: padding)
-    with pytest.raises(GateFailure, match="exceeds bound 48"):
+    with pytest.raises(GateFailure, match="region has 50 generators, but its count is 1"):
         build_e1_region(Params(2, 1, 1))
+
+
+@pytest.mark.parametrize("g", range(2, 8))
+def test_region_size_counts_the_enumeration(g):
+    for n in (1, -1, 2, -2, 3, -3):
+        for k in range(1, g):
+            spec = Params(g, n, k)
+            surface = knot_model._surface_generators(spec)
+            circles = knot_model._circle_generators(spec, range(1, spec.abs_n + 1))
+            enumerated = len(surface) + len(circles)
+            assert region_size(spec) == enumerated, spec
+            assert region_size(Params(g, n, -k)) == enumerated
+
+
+def test_region_size_pinned_values():
+    assert region_size(Params(6, 3, 1)) == 2650
+    assert region_size(Params(7, 3, 1)) == 12652
+    assert region_size(Params(11, 3, 1)) == 5086660
+    assert build_e1_region(Params(6, 3, 1)).total_size() == 2650
+
+
+def test_region_size_refuses_one_missing_generator(monkeypatch):
+    # the old bound, (2^(2g) + 2|n| 2^(2g-2)) g, let a short region through
+    spec = Params(3, 2, 1)
+    full = knot_model._circle_generators
+    monkeypatch.setattr(knot_model, "_circle_generators", lambda spec, labels: full(spec, labels)[1:])
+    with pytest.raises(GateFailure, match="region has 11 generators, but its count is 12"):
+        build_e1_region(spec)
 
 
 REGIONS = [
@@ -142,6 +171,83 @@ def test_region_homology_matches_dense_reference(spec):
     assert page1.homology() == dense_homology(page1)
     page2 = build_e2_symbolic(spec).d2_complex
     assert page2.homology() == dense_homology(page2)
+
+
+def dense_assemble_complex(gens, grading, image):
+    """The assembly as it was before it went sparse: one dense matrix per
+    degree, filled entry by entry, kept as the reference for the columns."""
+    by_degree = {}
+    for gen in sorted(gens):
+        by_degree.setdefault(grading(gen), []).append(gen)
+    index = {}
+    for deg, row in by_degree.items():
+        for i, gen in enumerate(row):
+            index[gen] = (deg, i)
+    mats = {}
+    for deg, sources in sorted(by_degree.items()):
+        targets = by_degree.get(deg - 1)
+        if not targets:
+            for gen in sources:
+                if list(image(gen)):
+                    raise NotAComplex(f"differential leaves the generator set at degree {deg}")
+            continue
+        mat = IntMatrix.zeros(len(targets), len(sources))
+        filled = False
+        for col, gen in enumerate(sources):
+            for target, coeff in image(gen):
+                tdeg, row = index[target]
+                if tdeg != deg - 1:
+                    raise NotAComplex(f"differential drops grading by {deg - tdeg}, not 1")
+                mat.data[row][col] += coeff
+                filled = True
+        if filled:
+            mats[deg] = mat
+    return FreeComplex.from_matrices({d: tuple(row) for d, row in by_degree.items()}, mats)
+
+
+def assert_matches_dense_assembly(monkeypatch, build, *args, **kwargs):
+    sparse = build(*args, **kwargs)
+    with monkeypatch.context() as patched:
+        patched.setattr(knot_model, "_assemble_complex", dense_assemble_complex)
+        dense = build(*args, **kwargs)
+    assert sparse.basis == dense.basis
+    assert sparse.differentials == dense.differentials
+    for d in sparse.degrees():
+        assert sparse.differential(d) == dense.differential(d)
+
+
+@pytest.mark.parametrize("spec", REGIONS, ids=region_id)
+def test_region_assembly_matches_dense_reference(monkeypatch, spec):
+    assert_matches_dense_assembly(monkeypatch, build_e1_region, spec)
+    assert_matches_dense_assembly(monkeypatch, lambda s: build_e2_symbolic(s).d2_complex, spec)
+
+
+@pytest.mark.parametrize("genus", range(2, 6))
+def test_x_complex_assembly_matches_dense_reference(monkeypatch, genus):
+    for d in range(-1, genus + 1):
+        for left in (False, True):
+            assert_matches_dense_assembly(monkeypatch, build_x_complex, genus, d, left=left)
+
+
+def test_assembly_sums_each_column_and_stores_no_cancelled_entry():
+    gens = ["a", "b", "x", "y"]
+    grading = {"a": 1, "b": 1, "x": 0, "y": 0}.__getitem__
+    rules = {"a": [("x", 1), ("x", -1)], "b": [("y", 1), ("x", 2), ("y", 1)]}
+    cx = knot_model._assemble_complex(gens, grading, lambda gen: rules.get(gen, []))
+    # a's two terms cancel, so column a holds nothing; b's two y terms add up
+    assert cx._columns == {1: {1: [(1, 2), (0, 2)]}}
+    assert cx.differential(1) == IntMatrix.from_rows([[0, 2], [0, 2]])
+    cancelled = knot_model._assemble_complex(gens, grading, lambda gen: rules["a"] if gen == "a" else [])
+    assert cancelled._columns == {} and not cancelled.differentials
+
+
+def test_assembly_refuses_bad_targets():
+    gens = ["a", "x", "z"]
+    grading = {"a": 2, "x": 1, "z": 0}.__getitem__
+    with pytest.raises(NotAComplex, match="leaves the generator set at degree 2"):
+        knot_model._assemble_complex(gens, grading, lambda gen: [("w", 1)] if gen == "a" else [])
+    with pytest.raises(NotAComplex, match="drops grading by 2, not 1"):
+        knot_model._assemble_complex(gens, grading, lambda gen: [("z", 1)] if gen == "a" else [])
 
 
 def test_region_rejects_bad_circle_labels():
@@ -218,7 +324,7 @@ def test_run_d1_gate_names_only_the_differing_degree():
 def test_run_d2_torsion_names_its_degree():
     spec = Params(3, 1, 1)
     e2 = build_e2_symbolic(spec)
-    twisted = FreeComplex({4: ["x"], 5: ["y"]}, {5: IntMatrix.from_rows([[2]])})
+    twisted = FreeComplex.from_matrices({4: ["x"], 5: ["y"]}, {5: IntMatrix.from_rows([[2]])})
     with pytest.raises(GateFailure) as failure:
         run_d2(spec, replace(e2, d2_complex=twisted))
     assert str(failure.value) == "page-two homology has torsion at g=3 n=1 k=1 in model degrees 4 (Z/2)"
