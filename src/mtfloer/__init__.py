@@ -46,7 +46,6 @@ from .homology import (
     FreeComplex,
     IntMatrix,
     check_smith_form,
-    euler_characteristic,
     smith_normal_form,
 )
 from .knot_model import (
@@ -106,7 +105,6 @@ __all__ = [
     "degree_shift",
     "degree_shift_argmax",
     "e_half",
-    "euler_characteristic",
     "hfk_M",
     "lambda_group",
     "odd_spheres_homology",

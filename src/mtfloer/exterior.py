@@ -7,6 +7,11 @@ with respect to this order.  Throughout the package the distinguished
 circle class gamma is dual to a1, so contraction means contraction with a1
 and the Poincare dual of gamma is (a sign times) b1.
 
+Contraction, wedge and their Koszul signs live in one monomial kernel,
+:func:`contract_monomial` and :func:`wedge_monomials`.  :class:`ExtVector`
+and the page differentials of ``knot_model`` all run on it, so the algebra
+laws checked on ``ExtVector`` check the signs the pipeline runs.
+
 The centered grading convention puts Lambda^i H^1 in degree i - g, so the
 grading range is symmetric about zero.
 
@@ -21,6 +26,7 @@ linear algebra, so every oracle run checks the count at chain level.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -38,13 +44,6 @@ def symbol_name(index: int) -> str:
     return f"{stem}{index // 2 + 1}"
 
 
-def symbol_index(name: str) -> int:
-    stem, pair = name[0], int(name[1:])
-    if stem not in "ab" or pair < 1:
-        raise ValueError(f"not a symplectic symbol name: {name!r}")
-    return 2 * (pair - 1) + (0 if stem == "a" else 1)
-
-
 def monomial_symbols(mono: Monomial) -> list[str]:
     """Serialized form of a monomial: the sorted list of symbol names."""
     return [symbol_name(i) for i in mono]
@@ -55,20 +54,34 @@ def monomials(symbols: Sequence[int], size: int) -> Iterable[Monomial]:
     return combinations(sorted(symbols), size)
 
 
-def _sort_with_sign(indices: Sequence[int]) -> tuple[Monomial, int] | None:
-    """Sort a symbol tuple, tracking the permutation sign; None if repeated."""
-    if len(set(indices)) != len(indices):
-        return None
-    sign = 1
-    items = list(indices)
-    # insertion sort; each adjacent swap flips the Koszul sign
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] > items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(items), sign
+def contract_monomial(mono: Monomial) -> Monomial | None:
+    """Contraction with the class dual to a1 (symbol index 0); None if a1 does not divide.
+
+    a1 sorts first, so removing it never picks up a sign.
+
+    >>> contract_monomial((0, 1)), contract_monomial((1, 2))
+    ((1,), None)
+    """
+    return mono[1:] if mono and mono[0] == 0 else None
+
+
+def wedge_monomials(m1: Monomial, m2: Monomial) -> tuple[Monomial, int] | None:
+    """Exterior product of two sorted monomials as (sorted monomial, Koszul sign).
+
+    Each symbol of ``m1`` moves right past the symbols of ``m2`` that sort
+    before it, so the sign is the parity of the symbols passed.  A repeated
+    symbol makes the product zero, returned as None.
+
+    >>> wedge_monomials((1,), (0, 2, 3))      # b1 passes a1
+    ((0, 1, 2, 3), -1)
+    """
+    passed = 0
+    for s in m1:
+        i = bisect_left(m2, s)
+        if i < len(m2) and m2[i] == s:
+            return None
+        passed += i
+    return tuple(sorted(m1 + m2)), -1 if passed % 2 else 1
 
 
 @dataclass(frozen=True)
@@ -86,7 +99,6 @@ class ExtVector:
         if self.genus < 1:
             raise BadParams("genus must be >= 1")
         top = 2 * self.genus
-        seen = set()
         prev = None
         for mono, coeff in self.terms:
             key = (len(mono), mono)
@@ -97,7 +109,6 @@ class ExtVector:
                 raise ValueError("zero coefficient stored")
             if any(not 0 <= s < top for s in mono) or list(mono) != sorted(set(mono)):
                 raise ValueError(f"bad monomial {mono} for genus {self.genus}")
-            seen.add(mono)
 
     # -- construction ---------------------------------------------------
 
@@ -112,16 +123,19 @@ class ExtVector:
 
     @classmethod
     def monomial(cls, genus: int, indices: Sequence[int], coeff: int = 1) -> "ExtVector":
-        """Wedge of the given symbols in the given order, canonicalized.
+        """Wedge of the given symbols in the given order, one kernel step per symbol.
 
         >>> ExtVector.monomial(2, [3, 0]).terms       # b2 ^ a1 = -(a1 ^ b2)
         (((0, 3), -1),)
         """
-        sorted_form = _sort_with_sign(indices)
-        if sorted_form is None or coeff == 0:
-            return cls.zero(genus)
-        mono, sign = sorted_form
-        return cls(genus, ((mono, sign * coeff),))
+        mono: Monomial = ()
+        for s in reversed(indices):
+            product = wedge_monomials((s,), mono)
+            if product is None:
+                return cls.zero(genus)
+            mono, sign = product
+            coeff *= sign
+        return cls(genus, ((mono, coeff),)) if coeff else cls.zero(genus)
 
     @classmethod
     def from_terms(cls, genus: int, raw: Iterable[tuple[Monomial, int]]) -> "ExtVector":
@@ -182,28 +196,24 @@ class ExtVector:
         (((0, 1, 2, 3), -1),)
         """
         self._check_genus(other)
-        raw = []
-        for m1, c1 in self.terms:
-            for m2, c2 in other.terms:
-                merged = _sort_with_sign(m1 + m2)
-                if merged is not None:
-                    mono, sign = merged
-                    raw.append((mono, sign * c1 * c2))
+        raw = [
+            (product[0], product[1] * c1 * c2)
+            for m1, c1 in self.terms
+            for m2, c2 in other.terms
+            if (product := wedge_monomials(m1, m2)) is not None
+        ]
         return ExtVector.from_terms(self.genus, raw)
 
     def contract(self) -> "ExtVector":
-        """Contraction with the class dual to a1 (symbol index 0).
-
-        Removes a leading a1 from each monomial; since a1 sorts first, the
-        Koszul sign of the removal is always +1.
+        """Contraction with the class dual to a1, term by term.
 
         >>> ExtVector.monomial(2, [0, 1]).contract().terms
         (((1,), 1),)
         """
         raw = [
-            (mono[1:], coeff)
+            (rest, coeff)
             for mono, coeff in self.terms
-            if mono and mono[0] == 0
+            if (rest := contract_monomial(mono)) is not None
         ]
         return ExtVector.from_terms(self.genus, raw)
 

@@ -498,11 +498,3 @@ class FreeComplex:
             result[d] = (rank, torsion_chain(x for x in incoming if x > 1))
         return GradedGroup.of(result)
 
-
-def euler_characteristic(x: FreeComplex | GradedGroup) -> int:
-    """Alternating rank sum of either a complex or a graded group.
-
-    Homology preserves this number, which the pipeline uses as a cheap
-    end-to-end consistency check.
-    """
-    return x.euler_characteristic()

@@ -32,9 +32,10 @@ from .exterior import (
     Monomial,
     XBasisElement,
     build_X,
+    contract_monomial,
     e_half,
-    monomial_symbols,
     monomials,
+    wedge_monomials,
     x_ranks,
 )
 from .graded import GradedGroup, circles_cohomology
@@ -61,13 +62,6 @@ class PageGenerator:
     p: int
     circle: int = 0
     eps: int = 0
-
-    def to_json_dict(self) -> dict:
-        out = {"tag": self.tag, "monomial": monomial_symbols(self.monomial), "p": self.p}
-        if self.tag == CIRCLES:
-            out["circle"] = self.circle
-            out["eps"] = self.eps
-        return out
 
 
 def active_half(n: int) -> str:
@@ -190,21 +184,21 @@ def _d1_image(
     """Page-one differential on ``monomial (x) U^u`` with tower truncation.
 
     The two terms are contraction with the class dual to a1 (same U-power)
-    and wedging with the Poincare dual b1 (one higher U-power).  Only
-    monomials in the active half move; the contraction term is dropped when
-    the truncated tower has no room at the higher codegree (u + codegree
-    exceeding d - 1), while the wedge term always fits.
+    and wedging with the Poincare dual b1 on the left (one higher U-power),
+    both with the signs of the ``exterior`` kernel.  Only monomials in the
+    active half move; the contraction term is dropped when the truncated
+    tower has no room at the higher codegree (u + codegree exceeding
+    d - 1), while the wedge term always fits.
     """
     if e_half(mono) != active_half:
         return []
     out: list[tuple[Monomial, int, int]] = []
-    codegree = 2 * genus - len(mono)
-    if mono and mono[0] == 0 and codegree + u <= d - 1:
-        # a1 sorts first, so removing it never picks up a sign
-        out.append((mono[1:], u, 1))
-    if 1 not in mono:
-        sign = -1 if (mono and mono[0] == 0) else 1
-        out.append((tuple(sorted(mono + (1,))), u + 1, pd_sign * sign))
+    if 2 * genus - len(mono) + u <= d - 1 and (rest := contract_monomial(mono)) is not None:
+        out.append((rest, u, 1))
+    product = wedge_monomials((1,), mono)
+    if product is not None:
+        wedged, sign = product
+        out.append((wedged, u + 1, pd_sign * sign))
     return out
 
 
@@ -563,9 +557,9 @@ def collapse_hfk(n: int) -> GradedGroup:
     def image(gen: PageGenerator):
         if gen.tag != SURFACE or e_half(gen.monomial) != half:
             return
-        mono = gen.monomial
-        if mono and mono[0] == 0:
-            yield PageGenerator(SURFACE, mono[1:], 0), 1
+        rest = contract_monomial(gen.monomial)
+        if rest is not None:
+            yield PageGenerator(SURFACE, rest, 0), 1
 
     return _assemble_complex(gens, grading, image).homology()
 

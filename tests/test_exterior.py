@@ -11,7 +11,6 @@ from mtfloer.exterior import (
     lambda_group,
     monomial_symbols,
     monomials,
-    symbol_index,
     symbol_name,
     sym_betti,
     x_ranks,
@@ -49,19 +48,6 @@ sized_vectors = st.integers(0, TOP).flatmap(
 
 def test_symbol_names():
     assert [symbol_name(i) for i in range(4)] == ["a1", "b1", "a2", "b2"]
-    assert symbol_index("a1") == 0 and symbol_index("b3") == 5
-
-
-@given(st.integers(0, 19))
-def test_symbol_roundtrip(i):
-    assert symbol_index(symbol_name(i)) == i
-
-
-def test_symbol_index_rejects_garbage():
-    with pytest.raises(ValueError):
-        symbol_index("c1")
-    with pytest.raises(ValueError):
-        symbol_index("a0")
 
 
 def test_monomials_enumeration():

@@ -13,7 +13,6 @@ from mtfloer.homology import (
     _check_blocks,
     _nonzero_columns,
     check_smith_form,
-    euler_characteristic,
     smith_normal_form,
 )
 
@@ -266,8 +265,8 @@ def test_boundary_squared_is_enforced():
 
 def test_euler_characteristic_helper():
     cx = FreeComplex({0: ["a", "b"], 1: ["e"]})
-    assert euler_characteristic(cx) == 1
-    assert euler_characteristic(GradedGroup.free({0: 2, 1: 1})) == 1
+    assert cx.euler_characteristic() == 1
+    assert GradedGroup.free({0: 2, 1: 1}).euler_characteristic() == 1
 
 
 # -- randomized complexes -----------------------------------------------------------

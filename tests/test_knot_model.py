@@ -1,10 +1,12 @@
 import re
 from dataclasses import replace
+from itertools import product
 from math import comb
 
 import pytest
 
 from mtfloer.closed_form import theorem_answer
+from mtfloer.exterior import ExtVector, e_half, monomials
 from mtfloer.errors import BadGenus, BadParams, GateFailure, NotAComplex, UnknownTable, ZeroTwist
 from mtfloer.graded import GradedGroup
 from mtfloer.homology import FreeComplex, IntMatrix
@@ -85,19 +87,6 @@ def test_generator_gradings():
     assert model_grading(spec, circle) == 1
     left = Params(3, -2, 1)
     assert model_grading(left, circle) == 0
-
-
-def test_generator_json():
-    surf = PageGenerator(SURFACE, (0, 3), 2)
-    assert surf.to_json_dict() == {"tag": "surface", "monomial": ["a1", "b2"], "p": 2}
-    circ = PageGenerator(CIRCLES, (2,), 1, circle=3, eps=1)
-    assert circ.to_json_dict() == {
-        "tag": "circles",
-        "monomial": ["a2"],
-        "p": 1,
-        "circle": 3,
-        "eps": 1,
-    }
 
 
 # -- page one -------------------------------------------------------------------
@@ -407,6 +396,51 @@ def test_x_complex_pd_sign_does_not_change_homology():
         build_x_complex(3, 2, pd_sign=-1).homology()
         == build_x_complex(3, 2).homology()
     )
+
+
+# -- the page-one differential against ExtVector ---------------------------------------
+
+
+def ext_d1_image(mono, u, genus, d, half, pd_sign):
+    """The page-one image of ``mono (x) U^u`` built from ExtVector.
+
+    The active-half and truncation rules are those of ``_d1_image``; the
+    contraction and the left wedge with b1 come from ExtVector, the
+    algebra whose laws A5 checks.
+    """
+    if e_half(mono) != half:
+        return []
+    x = ExtVector.monomial(genus, mono)
+    out = []
+    if 2 * genus - len(mono) + u <= d - 1:
+        out += [(m, u, c) for m, c in x.contract().terms]
+    out += [(m, u + 1, pd_sign * c) for m, c in ExtVector.monomial(genus, [1]).wedge(x).terms]
+    return out
+
+
+def d1_cases():
+    """Every monomial with g <= 4, 0 <= u <= d <= g - 1, both halves and both pd_signs."""
+    for genus in range(1, 5):
+        monos = [m for size in range(2 * genus + 1) for m in monomials(range(2 * genus), size)]
+        for mono, d, half, pd_sign in product(monos, range(genus), ("E-", "E+"), (1, -1)):
+            for u in range(d + 1):
+                yield mono, u, genus, d, half, pd_sign
+
+
+def d1_image_mismatches():
+    return [
+        case for case in d1_cases() if knot_model._d1_image(*case) != ext_d1_image(*case)
+    ]
+
+
+def test_d1_image_matches_ext_vector():
+    assert d1_image_mismatches() == []
+    # the comparison sees both terms and both signs of the wedge
+    assert knot_model._d1_image((0, 2, 3), 0, 2, 2, "E-", 1) == [
+        ((2, 3), 0, 1),
+        ((0, 1, 2, 3), 1, -1),
+    ]
+    assert knot_model._d1_image((2,), 0, 2, 1, "E+", -1) == [((1, 2), 1, -1)]
 
 
 # -- filtered tables --------------------------------------------------------------------
