@@ -28,10 +28,17 @@ from .closed_form import (
 from .errors import BadParams, GateFailure, UnknownTable
 from .exterior import x_ranks
 from .graded import GradedGroup
-from .knot_model import FilteredGroup, build_x_complex, oracle_hfplus, reference_tables
+from .knot_model import FilteredGroup, build_x_complex, oracle_hfplus, reference_tables, region_size
 from .params import Params
 
 SCHEMA = "1"
+
+# The largest oracle region, in generators, that compute and verify start.
+# A fresh `compute` process peaks at about 0.35 kB per generator (g = 10,
+# n = 3, k = 1: 1,164,038 generators, 409 MB, 11 s on 2 CPUs), so the
+# default keeps a run under 1 GB: it admits g = 10 at k = 1 and refuses
+# g = 11 (5,086,660 generators).
+MAX_GENERATORS = 2_000_000
 
 
 # -- output -------------------------------------------------------------------
@@ -115,6 +122,19 @@ def _comparison_rows(
     ]
 
 
+def _refuse_oversized(triples: Sequence[tuple[int, int, int]], limit: int) -> None:
+    """Refuse a run before it builds any generator if one of its oracle regions exceeds ``limit``."""
+    for g, n, k in triples:
+        spec = Params(g, n, k)
+        if spec.vanishes_by_adjunction:
+            continue
+        size = region_size(spec)
+        if size > limit:
+            raise BadParams(
+                f"the region at g={g} n={n} k={k} has {size} generators, more than --max-generators {limit}"
+            )
+
+
 # -- compute ----------------------------------------------------------------
 
 
@@ -123,6 +143,7 @@ def cmd_compute(args) -> Output:
     vanishes = Params(g, n, k).vanishes_by_adjunction
     oracle = closed = oracle_json = closed_json = None
     if args.method in ("oracle", "both"):
+        _refuse_oversized([(g, n, k)], args.max_generators)
         if vanishes:
             # the group is zero for |k| >= g; report it without running the
             # pipeline, so parameter rectangles never crash
@@ -245,12 +266,18 @@ def _verify_triple(task: tuple[int, int, int, bool, bool]) -> dict:
 
 
 def run_sweep(
-    g_max: int, n_values: list[int], corrupt_d2: bool = False, timing: bool = False
+    g_max: int,
+    n_values: list[int],
+    corrupt_d2: bool = False,
+    timing: bool = False,
+    max_generators: int | None = None,
 ) -> dict:
     """Oracle-vs-closed comparison over all admissible (g, n, k); order-stable.
 
-    If a worker process dies, the entries already returned are kept and
-    every unfinished triple is recorded as failed.
+    With ``max_generators``, the whole grid is checked against that region
+    size before any triple starts.  If a worker process dies, the entries
+    already returned are kept and every unfinished triple is recorded as
+    failed.
     """
     if g_max < 2:
         raise BadParams(f"g-max {g_max} < 2")
@@ -260,6 +287,8 @@ def run_sweep(
         for n in n_values
         for k in range(1, g)
     ]
+    if max_generators is not None:
+        _refuse_oversized([task[:3] for task in tasks], max_generators)
     workers = _worker_count()
     if workers == 1 or len(tasks) <= 1:
         entries = [_verify_triple(task) for task in tasks]
@@ -297,7 +326,9 @@ def _verify_rows(entries: list[dict]) -> list[list]:
 
 def cmd_verify(args) -> Output:
     n_values = _parse_n_range(args.n)
-    report = run_sweep(args.g_max, n_values, corrupt_d2=args.corrupt_d2, timing=args.timing)
+    report = run_sweep(
+        args.g_max, n_values, corrupt_d2=args.corrupt_d2, timing=args.timing, max_generators=args.max_generators
+    )
     entries = report["entries"]
     failure = None
     for entry in entries:
@@ -420,6 +451,16 @@ def _command(sub, name: str, formats: tuple[str, ...], help: str, ints: tuple[st
     return parser
 
 
+def _max_generators_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--max-generators",
+        type=int,
+        default=MAX_GENERATORS,
+        dest="max_generators",
+        help=f"refuse (exit 2) an oracle region larger than this, before building it (default {MAX_GENERATORS})",
+    )
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The whole parser, built on first use and shared by later calls."""
@@ -432,6 +473,7 @@ def _parser() -> argparse.ArgumentParser:
 
     compute = _command(sub, "compute", ("json", "table", "csv"), "one (g, n, k) group, by either or both methods", ("g", "n", "k"))
     compute.add_argument("--method", choices=("oracle", "closed", "both"), default="both")
+    _max_generators_option(compute)
 
     verify = _command(sub, "verify", ("json", "csv"), "sweep oracle vs closed form over a grid")
     verify.add_argument("--g-max", type=int, default=3, dest="g_max")
@@ -439,6 +481,7 @@ def _parser() -> argparse.ArgumentParser:
     verify.add_argument("--emit", help="write the report to this path")
     verify.add_argument("--timing", action="store_true", help="record real wall times (non-reproducible output)")
     verify.add_argument("--corrupt-d2", action="store_true", dest="corrupt_d2", help="test hook: drop every page-two arrow")
+    _max_generators_option(verify)
 
     tables = _command(sub, "tables", ("json", "table"), "dump a bundled reference table", ("n",))
     tables.add_argument("name", choices=("hfk_M1", "hfk_Mn", "hf_hat_Mn", "hfplus_Z", "hfplus_Mn"))

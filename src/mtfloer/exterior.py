@@ -44,11 +44,6 @@ def symbol_name(index: int) -> str:
     return f"{stem}{index // 2 + 1}"
 
 
-def monomial_symbols(mono: Monomial) -> list[str]:
-    """Serialized form of a monomial: the sorted list of symbol names."""
-    return [symbol_name(i) for i in mono]
-
-
 def monomials(symbols: Sequence[int], size: int) -> Iterable[Monomial]:
     """All strictly increasing size-``size`` tuples from ``symbols``, in lex order."""
     return combinations(sorted(symbols), size)
@@ -216,12 +211,6 @@ class ExtVector:
             if (rest := contract_monomial(mono)) is not None
         ]
         return ExtVector.from_terms(self.genus, raw)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "genus": self.genus,
-            "terms": {"^".join(monomial_symbols(m)) or "1": c for m, c in self.terms},
-        }
 
 
 def e_half(mono: Monomial) -> str:

@@ -5,16 +5,19 @@ Everything here runs over Python's arbitrary-precision integers.  A
 grouped by column: the d^2 = 0 check composes boundaries entry by entry,
 and homology splits each boundary into the connected blocks of its nonzero
 pattern (rows and columns joined when they share an entry).  Each block is
-a direct summand of the boundary, so its Smith normal form, computed as a
-small dense :class:`IntMatrix` by the classical pivoting algorithm with
-unimodular row and column transforms, gives that block's share of the
-invariant factors.  Homology groups come out as free ranks plus
+a direct summand of the boundary, so its invariant factors are that
+block's share of the boundary's.  A block with one row or one column has
+one factor, the gcd of its entries, and needs no matrix at all; any other
+block gets its Smith normal form, computed as a small dense
+:class:`IntMatrix` by the classical pivoting algorithm with unimodular row
+and column transforms.  Homology groups come out as free ranks plus
 invariant-factor torsion.  No whole boundary is ever held densely; a dense
 view is built only when a caller asks for one.
 
 Set :data:`VERIFY_SNF` (or the environment variable ``MTFLOER_SNF_VERIFY``)
 to make every Smith decomposition re-check its own postconditions by direct
-multiplication, and every block split check that its blocks cover each
+multiplication, every gcd of a one-row or one-column block agree with that
+block's Smith form, and every block split check that its blocks cover each
 nonzero entry exactly once; the test suite runs with this on.
 """
 
@@ -22,13 +25,15 @@ from __future__ import annotations
 
 import os
 from itertools import compress
+from math import gcd
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import NotAComplex
 from .graded import GradedGroup, torsion_chain
 
 # When true, every smith_normal_form call verifies U m V == D, unimodularity
-# of U and V, and the divisibility chain before returning.
+# of U and V, and the divisibility chain before returning, and every
+# one-row or one-column block's gcd is checked against its Smith form.
 VERIFY_SNF = bool(os.environ.get("MTFLOER_SNF_VERIFY"))
 
 
@@ -298,12 +303,11 @@ def _nonzero_columns(mat: IntMatrix) -> dict[int, Column]:
     return columns
 
 
-def _blocks(columns: Mapping[int, Column]) -> list[tuple[list[int], list[int], IntMatrix]]:
-    """Split a matrix into the connected blocks of its nonzero pattern.
+def _block_members(columns: Mapping[int, Column]) -> list[tuple[list[int], list[int]]]:
+    """The connected blocks of a matrix's nonzero pattern, as (rows, columns).
 
-    Rows and columns sharing a nonzero entry are joined by union-find; each
-    block is returned as (its rows, its columns, the submatrix on them), so
-    the matrix is the direct sum of the submatrices up to permuting rows and
+    Rows and columns sharing a nonzero entry are joined by union-find, so
+    the matrix is the direct sum of its blocks up to permuting rows and
     columns.  Rows and columns with no nonzero entry belong to no block.
     """
     # union-find nodes: row i is i, column j is ~j (negative)
@@ -327,17 +331,22 @@ def _blocks(columns: Mapping[int, Column]) -> list[tuple[list[int], list[int], I
         rows, cols = members.setdefault(find(~j), (set(), []))
         cols.append(j)
         rows.update(i for i, _ in columns[j])
-    blocks = []
-    for row_set, cols in members.values():
-        rows = sorted(row_set)
-        cols.sort()
-        where = {i: r for r, i in enumerate(rows)}
-        sub = IntMatrix(len(rows), len(cols))
-        for c, j in enumerate(cols):
-            for i, x in columns[j]:
-                sub.data[where[i]][c] = x
-        blocks.append((rows, cols, sub))
-    return blocks
+    return [(sorted(rows), sorted(cols)) for rows, cols in members.values()]
+
+
+def _block_matrix(columns: Mapping[int, Column], rows: list[int], cols: list[int]) -> IntMatrix:
+    """The submatrix on one block's rows and columns."""
+    where = {i: r for r, i in enumerate(rows)}
+    sub = IntMatrix(len(rows), len(cols))
+    for c, j in enumerate(cols):
+        for i, x in columns[j]:
+            sub.data[where[i]][c] = x
+    return sub
+
+
+def _blocks(columns: Mapping[int, Column]) -> list[tuple[list[int], list[int], IntMatrix]]:
+    """Each block of :func:`_block_members` with its submatrix: (rows, columns, submatrix)."""
+    return [(rows, cols, _block_matrix(columns, rows, cols)) for rows, cols in _block_members(columns)]
 
 
 def _check_blocks(columns: Mapping[int, Column], blocks) -> None:
@@ -369,17 +378,39 @@ def _check_blocks(columns: Mapping[int, Column], blocks) -> None:
         raise AssertionError("the blocks hold entries the matrix does not")
 
 
-def _invariant_factors(columns: Mapping[int, Column]) -> list[int]:
-    """Nonzero invariant factors of a matrix, one Smith form per block.
+def _thin_factor(entries: list[int]) -> int:
+    """The one invariant factor of a block with one row or one column.
 
-    The factors of the blocks together present the same cokernel as the
-    whole matrix, but they need not form one divisibility chain.
+    Such a block presents the cokernel of a single vector (or of a map out
+    of a single generator), whose one invariant factor is the gcd of its
+    entries.
     """
-    blocks = _blocks(columns)
+    return gcd(*entries)
+
+
+def _invariant_factors(columns: Mapping[int, Column]) -> list[int]:
+    """Nonzero invariant factors of a matrix, block by block.
+
+    A block with one row or one column has one factor, the gcd of its
+    entries; any other block gets a Smith form.  The factors of the blocks
+    together present the same cokernel as the whole matrix, but they need
+    not form one divisibility chain.
+    """
     if VERIFY_SNF:
+        blocks = _blocks(columns)
         _check_blocks(columns, blocks)
+    else:
+        blocks = [(rows, cols, None) for rows, cols in _block_members(columns)]
     factors = []
-    for _, _, sub in blocks:
+    for rows, cols, sub in blocks:
+        if len(rows) == 1 or len(cols) == 1:
+            factor = _thin_factor([x for j in cols for _, x in columns[j]])
+            if sub is not None and (found := [x for x in smith_normal_form(sub).d.diagonal() if x]) != [factor]:
+                raise AssertionError(f"thin block factor {factor}, but its Smith form gives {found}")
+            factors.append(factor)
+            continue
+        if sub is None:
+            sub = _block_matrix(columns, rows, cols)
         factors.extend(x for x in smith_normal_form(sub).d.diagonal() if x)
     return factors
 
@@ -484,7 +515,9 @@ class FreeComplex:
         """Integer homology from the invariant factors of each differential.
 
         Each differential is split into the connected blocks of its nonzero
-        pattern and one Smith decomposition runs per block.  In each degree,
+        pattern, and each block gives its invariant factors: the gcd of its
+        entries for a block with one row or one column, its Smith form
+        otherwise.  In each degree,
         the free rank is dim ker(boundary out) minus rank(boundary in), and
         the torsion is the incoming boundary's factors above 1 over all its
         blocks, merged back into one divisibility chain (a Z/2 block and a

@@ -19,13 +19,22 @@ the run on any discrepancy.
 Gradings: complexes over region generators carry the raw region ("model")
 grading; reported results are shifted by +2 into the symmetric-product
 ("X") convention, under which comparisons to the closed form are exact.
+
+Region generators are compact: plain tuples ``(tag, monomial, p, circle,
+eps)`` in the field order of :class:`PageGenerator`, enumerated already
+grouped by model degree.  The degree is worked out once per (label size,
+p, eps) by arithmetic, so no per-generator grading call, object or
+Python-level comparison runs on the hot path, and sorting and hashing run
+on native tuples.  :class:`PageGenerator` itself appears only at the API
+edge (``E2Page.active``); a named tuple equals the plain tuple with the
+same fields, so both name the same generator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import BadGenus, BadParams, GateFailure, NotAComplex, UnknownTable, ZeroTwist
 from .exterior import (
@@ -46,8 +55,7 @@ SURFACE = "surface"
 CIRCLES = "circles"
 
 
-@dataclass(frozen=True, order=True)
-class PageGenerator:
+class PageGenerator(NamedTuple):
     """One region generator: an exterior label times a U-power.
 
     SURFACE generators carry a genus-g monomial; CIRCLES generators carry a
@@ -122,57 +130,72 @@ class E2Page:
     """Page two of the region computation.
 
     ``fixed`` is the part no later differential touches (X-convention
-    grading).  ``active`` lists the circle-summand generators the page-two
-    differential can move, assembled into ``d2_complex`` over the model
-    grading.
+    grading).  ``d2_complex`` is the page-two differential over the model
+    grading; its basis is the circle-summand generators that differential
+    can move.
     """
 
     fixed: GradedGroup
-    active: tuple[PageGenerator, ...]
     d2_complex: FreeComplex
+
+    @property
+    def active(self) -> tuple[PageGenerator, ...]:
+        """The generators of ``d2_complex``, sorted, built on each read."""
+        gens = (gen for labels in self.d2_complex.basis.values() for gen in labels)
+        return tuple(sorted(PageGenerator._make(gen) for gen in gens))
 
 
 # -- generic complex assembly -------------------------------------------
 
 
-def _assemble_complex(
-    gens: Iterable,
-    grading: Callable,
-    image: Callable,
-) -> FreeComplex:
-    """Build a FreeComplex from generators, a grading, and a differential rule.
-
-    ``image(gen)`` yields (target_generator, coefficient) pairs; targets must
-    be generators of grading one less, or the assembly refuses.  Each
-    generator's image is summed into its own column, keyed by target row, so
-    only the nonzero part of each boundary is ever built.
-    """
+def _by_degree(gens: Iterable, grading: Callable) -> dict[int, list]:
+    """Generators grouped by ``grading(gen)``, for ``_assemble_complex``."""
     by_degree: dict[int, list] = {}
     for gen in gens:
         by_degree.setdefault(grading(gen), []).append(gen)
-    index: dict = {}
-    for deg, row in by_degree.items():
-        row.sort()
-        for i, gen in enumerate(row):
-            index[gen] = (deg, i)
+    return by_degree
+
+
+def _stray(target, deg: int, positions: dict[int, dict]) -> NotAComplex:
+    """The refusal for an image term that is not a generator of degree deg - 1."""
+    for tdeg, index in positions.items():
+        if target in index:
+            return NotAComplex(f"differential drops grading by {deg - tdeg}, not 1")
+    return NotAComplex(f"differential leaves the generator set at degree {deg}")
+
+
+def _assemble_complex(by_degree: dict[int, list], image: Callable) -> FreeComplex:
+    """Build a FreeComplex from generators grouped by degree and a differential rule.
+
+    Each degree's list is sorted in place and becomes that degree's basis.
+    ``image(gen)`` returns (target_generator, coefficient) pairs; targets
+    must be generators of degree one less, or the assembly refuses.  Each
+    generator's image is summed into its own column, keyed by target row,
+    so only the nonzero part of each boundary is ever built.
+    """
+    positions: dict[int, dict] = {}
+    for deg, gens in by_degree.items():
+        gens.sort()
+        positions[deg] = dict(zip(gens, range(len(gens))))
     boundaries: dict[int, dict[int, list[tuple[int, int]]]] = {}
     for deg, sources in by_degree.items():
+        below = positions.get(deg - 1, {})
         columns = {}
         for col, gen in enumerate(sources):
+            terms = image(gen)
+            if not terms:
+                continue
             column: dict[int, int] = {}
-            for target, coeff in image(gen):
-                found = index.get(target)
-                if found is None:
-                    raise NotAComplex(f"differential leaves the generator set at degree {deg}")
-                tdeg, row = found
-                if tdeg != deg - 1:
-                    raise NotAComplex(f"differential drops grading by {deg - tdeg}, not 1")
+            for target, coeff in terms:
+                row = below.get(target)
+                if row is None:
+                    raise _stray(target, deg, positions)
                 column[row] = column.get(row, 0) + coeff
-            if column:
-                columns[col] = list(column.items())
+            columns[col] = list(column.items())
         if columns:
             boundaries[deg] = columns
-    return FreeComplex({d: tuple(row) for d, row in by_degree.items()}, boundaries)
+    del positions  # the complex keeps no index: free it before the complex is built
+    return FreeComplex(by_degree, boundaries)
 
 
 # -- the page-one differential -------------------------------------------
@@ -215,10 +238,10 @@ def build_x_complex(genus: int, d: int, left: bool = False, pd_sign: int = 1) ->
     half = "E+" if left else "E-"
 
     def image(x: XBasisElement):
-        for mono, u, coeff in _d1_image(x.monomial, x.u, genus, d, half, pd_sign):
-            yield XBasisElement(genus, mono, u), coeff
+        terms = _d1_image(x.monomial, x.u, genus, d, half, pd_sign)
+        return [(XBasisElement(genus, mono, u), coeff) for mono, u, coeff in terms]
 
-    return _assemble_complex(module.basis, lambda x: x.grading, image)
+    return _assemble_complex(_by_degree(module.basis, lambda x: x.grading), image)
 
 
 # -- region pipeline -------------------------------------------------------
@@ -232,26 +255,29 @@ def _circle_labels(spec: Params, labels: Sequence[int] | None) -> tuple[int, ...
     return tuple(labels)
 
 
-def _surface_generators(spec: Params) -> list[PageGenerator]:
-    gens = []
+def _surface_generators(spec: Params) -> dict[int, list[tuple]]:
+    """The surface generators, grouped by model degree F - 2p."""
+    by_degree: dict[int, list[tuple]] = {}
     for size in range(spec.g + spec.abs_k + 1, 2 * spec.g + 1):
         F = size - spec.g
-        for mono in monomials(range(2 * spec.g), size):
-            for p in range(1, F - spec.abs_k + 1):
-                gens.append(PageGenerator(SURFACE, mono, p))
-    return gens
+        monos = list(monomials(range(2 * spec.g), size))
+        for p in range(1, F - spec.abs_k + 1):
+            by_degree.setdefault(F - 2 * p, []).extend((SURFACE, mono, p, 0, 0) for mono in monos)
+    return by_degree
 
 
-def _circle_generators(spec: Params, labels: Sequence[int]) -> list[PageGenerator]:
-    gens = []
+def _circle_generators(spec: Params, labels: Sequence[int]) -> dict[int, list[tuple]]:
+    """The circle generators on ``labels``, grouped by model degree F + eps + eps_n - 2p."""
+    by_degree: dict[int, list[tuple]] = {}
     for size in range(spec.g + spec.abs_k, 2 * spec.g - 1):
         F = size - (spec.g - 1)
-        for mono in monomials(range(2, 2 * spec.g), size):
-            for c in labels:
-                for bit in (0, 1):
-                    for p in range(1, F - spec.abs_k + 1):
-                        gens.append(PageGenerator(CIRCLES, mono, p, c, bit))
-    return gens
+        monos = list(monomials(range(2, 2 * spec.g), size))
+        for c in labels:
+            for bit in (0, 1):
+                for p in range(1, F - spec.abs_k + 1):
+                    deg = F + bit + spec.eps_n - 2 * p
+                    by_degree.setdefault(deg, []).extend((CIRCLES, mono, p, c, bit) for mono in monos)
+    return by_degree
 
 
 def region_size(spec: Params) -> int:
@@ -283,36 +309,39 @@ def build_e1_region(
     """
     labels = _circle_labels(spec, circle_labels)
     surface = _surface_generators(spec)
-    circles = _circle_generators(spec, labels)
 
     # the surface summand must be the truncated tower in disguise:
     # (monomial, p) <-> (monomial, u = p - 1), grading shifted by exactly -2
-    module = build_X(spec.g, spec.d)
-    found = {(gen.monomial, gen.p - 1) for gen in surface}
-    expected = {(x.monomial, x.u) for x in module.basis}
+    found = {(mono, p - 1, deg) for deg, gens in surface.items() for _, mono, p, _, _ in gens}
+    expected = {(x.monomial, x.u, x.grading - 2) for x in build_X(spec.g, spec.d).basis}
     if found != expected:
         raise GateFailure(f"region/tower basis mismatch at {spec}")
-    for gen in surface:
-        x = XBasisElement(spec.g, gen.monomial, gen.p - 1)
-        if model_grading(spec, gen) != x.grading - 2:
-            raise GateFailure(f"region/tower grading mismatch at {spec}: {gen}")
 
-    total, expected_size = len(surface) + len(circles), region_size(spec)
+    by_degree = _circle_generators(spec, labels)
+    for deg, gens in surface.items():
+        by_degree.setdefault(deg, []).extend(gens)
+    total, expected_size = sum(map(len, by_degree.values())), region_size(spec)
     if total != expected_size:
         raise GateFailure(f"region has {total} generators, but its count is {expected_size} at {spec}")
 
-    half = active_half(spec.n)
+    g, d, half = spec.g, spec.d, active_half(spec.n)
 
-    def image(gen: PageGenerator):
-        if gen.tag != SURFACE:
-            return
-        terms = _d1_image(gen.monomial, gen.p - 1, spec.g, spec.d, half, pd_sign)
-        for mono, u, coeff in terms:
-            yield PageGenerator(SURFACE, mono, u + 1), coeff
+    def image(gen: tuple):
+        tag, mono, p, _, _ = gen
+        if tag != SURFACE:
+            return ()
+        terms = _d1_image(mono, p - 1, g, d, half, pd_sign)
+        return [((SURFACE, target, u + 1, 0, 0), coeff) for target, u, coeff in terms]
 
-    return _assemble_complex(
-        surface + circles, lambda gen: model_grading(spec, gen), image
-    )
+    return _assemble_complex(by_degree, image)
+
+
+def _d2_image(spec: Params, gen: tuple) -> list[tuple[tuple, int]]:
+    """The page-two arrow out of one circle generator, if its target is in the region."""
+    tag, mono, p, c, bit = gen
+    if bit == 0 and p + 1 <= len(mono) - (spec.g - 1) - spec.abs_k:
+        return [((tag, mono, p + 1, c, 1), 1)]
+    return []
 
 
 def build_e2_symbolic(
@@ -333,21 +362,9 @@ def build_e2_symbolic(
     g, d = spec.g, spec.d
     fixed = x_ranks(g - 1, d - 1).tensor(circles_cohomology(2, spec.eps_n))
     fixed += GradedGroup.free({g - d: comb(2 * g - 2, d)})
-
-    # sorted once here; the assembly's own sort then finds each degree in order
-    active = sorted(_circle_generators(spec, labels[1:]))
-
-    def arrows(gen: PageGenerator):
-        if corrupt_d2 or gen.eps != 0:
-            return
-        capacity = len(gen.monomial) - (g - 1) - spec.abs_k
-        if gen.p + 1 <= capacity:
-            yield replace(gen, eps=1, p=gen.p + 1), 1
-
-    d2_complex = _assemble_complex(
-        active, lambda gen: model_grading(spec, gen), arrows
-    )
-    return E2Page(fixed, tuple(active), d2_complex)
+    image = (lambda gen: ()) if corrupt_d2 else (lambda gen: _d2_image(spec, gen))
+    d2_complex = _assemble_complex(_circle_generators(spec, labels[1:]), image)
+    return E2Page(fixed, d2_complex)
 
 
 def _torsion_text(torsion: tuple[int, ...]) -> str:
@@ -374,11 +391,8 @@ def run_d1(spec: Params, page1: FreeComplex, e2: E2Page | None = None) -> Homolo
     if e2 is None:
         e2 = build_e2_symbolic(spec)
     computed = page1.homology()
-    active_ranks: dict[int, int] = {}
-    for gen in e2.active:
-        deg = model_grading(spec, gen)
-        active_ranks[deg] = active_ranks.get(deg, 0) + 1
-    expected = e2.fixed.shift(-2) + GradedGroup.free(active_ranks)
+    active = e2.d2_complex
+    expected = e2.fixed.shift(-2) + GradedGroup.free({deg: active.size(deg) for deg in active.degrees()})
     if computed != expected:
         raise GateFailure(
             f"page-one gate failed at g={spec.g} n={spec.n} k={spec.k}: "
@@ -556,12 +570,11 @@ def collapse_hfk(n: int) -> GradedGroup:
 
     def image(gen: PageGenerator):
         if gen.tag != SURFACE or e_half(gen.monomial) != half:
-            return
+            return ()
         rest = contract_monomial(gen.monomial)
-        if rest is not None:
-            yield PageGenerator(SURFACE, rest, 0), 1
+        return () if rest is None else [(PageGenerator(SURFACE, rest, 0), 1)]
 
-    return _assemble_complex(gens, grading, image).homology()
+    return _assemble_complex(_by_degree(gens, grading), image).homology()
 
 
 def hf_hat_M(n: int) -> GradedGroup:

@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from mtfloer import cli
+from mtfloer import cli, knot_model
 from mtfloer.errors import BadParams, NotAComplex
+from mtfloer.knot_model import region_size
+from mtfloer.params import Params
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "sweep_g4_n3.json"
 
@@ -124,7 +126,45 @@ def test_compute_bad_params_exit_two(capsys):
     assert code == 2
 
 
+def _no_enumeration(spec):
+    raise AssertionError(f"region enumerated at {spec}")
+
+
+def test_compute_refuses_an_oversized_region_before_enumerating(capsys, monkeypatch):
+    monkeypatch.setattr(knot_model, "_surface_generators", _no_enumeration)
+    code, out, err = run_main(capsys, "compute", "--g", "11", "--n", "3", "--k", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: the region at g=11 n=3 k=1 has 5086660 generators, more than --max-generators 2000000\n"
+    code, out, err = run_main(capsys, "compute", "--g", "3", "--n", "2", "--k", "1", "--method", "oracle", "--max-generators", "11")
+    assert (code, out) == (2, "")
+    assert err == "error: the region at g=3 n=2 k=1 has 12 generators, more than --max-generators 11\n"
+    # the closed form and a vanishing level build no region, so the limit does not apply
+    assert run_main(capsys, "compute", "--g", "11", "--n", "3", "--k", "1", "--method", "closed")[0] == 0
+    assert run_main(capsys, "compute", "--g", "3", "--n", "2", "--k", "3", "--max-generators", "0")[0] == 0
+
+
+def test_default_generator_limit_admits_g10_and_refuses_g11():
+    assert region_size(Params(10, 3, 1)) == 1164038 <= cli.MAX_GENERATORS < region_size(Params(11, 3, 1))
+
+
+def test_compute_at_the_limit_runs(capsys):
+    code, out, err = run_main(capsys, "compute", "--g", "3", "--n", "2", "--k", "1", "--max-generators", "12")
+    assert (code, err) == (0, "")
+
+
 # -- verify --------------------------------------------------------------------------
+
+
+def test_verify_refuses_an_oversized_grid_before_any_triple(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("MTFLOER_THREADS", "1")
+    monkeypatch.setattr(knot_model, "_surface_generators", _no_enumeration)
+    monkeypatch.setattr(cli, "_verify_triple", lambda task: pytest.fail(f"triple {task[:3]} started"))
+    target = tmp_path / "r.json"
+    # only g = 4, n = +-3, k = 1 of the grid has more than 90 generators
+    code, out, err = run_main(capsys, "verify", "--g-max", "4", "--n", "-3..3", "--max-generators", "90", "--emit", str(target))
+    assert (code, out) == (2, "")
+    assert err == "error: the region at g=4 n=-3 k=1 has 95 generators, more than --max-generators 90\n"
+    assert not target.exists()
 
 
 def test_verify_default_grid(capsys):

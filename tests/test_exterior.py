@@ -9,7 +9,6 @@ from mtfloer.exterior import (
     build_X,
     e_half,
     lambda_group,
-    monomial_symbols,
     monomials,
     symbol_name,
     sym_betti,
@@ -56,10 +55,6 @@ def test_monomials_enumeration():
     assert list(monomials(range(3), 4)) == []
 
 
-def test_monomial_symbols():
-    assert monomial_symbols((0, 3)) == ["a1", "b2"]
-
-
 # -- vector construction -----------------------------------------------------------
 
 
@@ -98,11 +93,6 @@ def test_degree_accessors():
     assert not mixed.is_homogeneous()
     with pytest.raises(ValueError):
         mixed.exterior_degree()
-
-
-def test_json_form():
-    v = 2 * ExtVector.monomial(2, [0, 3]) + ExtVector.unit(2)
-    assert v.to_json_dict() == {"genus": 2, "terms": {"1": 1, "a1^b2": 2}}
 
 
 # -- vector space laws ---------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mtfloer.homology
 from mtfloer.errors import NotAComplex
 from mtfloer.graded import GradedGroup
 from mtfloer.homology import (
@@ -11,6 +12,7 @@ from mtfloer.homology import (
     IntMatrix,
     _blocks,
     _check_blocks,
+    _invariant_factors,
     _nonzero_columns,
     check_smith_form,
     smith_normal_form,
@@ -383,6 +385,48 @@ def test_split_torsion_merges_into_one_chain():
     cx = FreeComplex.from_matrices({0: ["x", "y"], 1: ["a", "b"]}, {1: d1})
     assert cx.homology().torsion(0) == (6,)
     assert cx.homology() == dense_homology(cx) == GradedGroup.of({0: (0, [6])})
+
+
+# -- the thin-block path, unchecked --------------------------------------------------
+
+
+def thin_block_mismatch(mat: IntMatrix) -> bool:
+    """Whether the block factors or the homology of the one-boundary complex
+    on ``mat`` (one row or one column) differ from the dense Smith form."""
+    cx = FreeComplex.from_matrices({0: range(mat.rows), 1: range(mat.cols)}, {1: mat})
+    dense = sorted(x for x in smith_normal_form(mat, verify=False).d.diagonal() if x)
+    return sorted(_invariant_factors(cx._columns.get(1, {}))) != dense or cx.homology() != dense_homology(cx)
+
+
+def thin_matrices():
+    """Random 1 x m and m x 1 matrices with zeros, negative entries and a common factor."""
+    entries = st.lists(st.integers(-12, 12), min_size=1, max_size=6)
+    thin = st.tuples(entries, st.integers(1, 6), st.booleans())
+
+    def build(drawn):
+        values, scale, column = drawn
+        values = [scale * x for x in values]
+        return IntMatrix.from_rows([[x] for x in values] if column else [values])
+
+    return thin.map(build)
+
+
+@given(thin_matrices())
+def test_thin_blocks_match_dense_without_the_smith_check(mat):
+    # the suite runs with VERIFY_SNF on; this is the path a normal run takes
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(mtfloer.homology, "VERIFY_SNF", False)
+        assert not thin_block_mismatch(mat)
+
+
+def test_thin_block_torsion_merges_into_one_chain(monkeypatch):
+    monkeypatch.setattr(mtfloer.homology, "VERIFY_SNF", False)
+    # a Z/2 block (1 x 1) and a Z/3 block (2 x 1)
+    d1 = IntMatrix.from_rows([[2, 0], [0, 3], [0, -6]])
+    cx = FreeComplex.from_matrices({0: ["x", "y", "z"], 1: ["a", "b"]}, {1: d1})
+    assert sorted(_invariant_factors(cx._columns[1])) == [2, 3]
+    assert cx.homology() == GradedGroup.of({0: (1, [6])})
+    assert cx.homology() == dense_homology(cx)
 
 
 @given(st.integers(0, 2**32 - 1))

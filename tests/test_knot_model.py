@@ -107,7 +107,7 @@ def test_region_size_at_g3():
 
 def test_region_size_bound_is_enforced(monkeypatch):
     # the region at g=2, |n|=1, k=1 is one surface generator and no circles
-    padding = [PageGenerator(CIRCLES, (), 1)] * 49
+    padding = {0: [(CIRCLES, (), 1, 0, 0)] * 49}
     monkeypatch.setattr(knot_model, "_circle_generators", lambda spec, labels: padding)
     with pytest.raises(GateFailure, match="region has 50 generators, but its count is 1"):
         build_e1_region(Params(2, 1, 1))
@@ -120,9 +120,23 @@ def test_region_size_counts_the_enumeration(g):
             spec = Params(g, n, k)
             surface = knot_model._surface_generators(spec)
             circles = knot_model._circle_generators(spec, range(1, spec.abs_n + 1))
-            enumerated = len(surface) + len(circles)
+            enumerated = sum(len(gens) for part in (surface, circles) for gens in part.values())
             assert region_size(spec) == enumerated, spec
             assert region_size(Params(g, n, -k)) == enumerated
+
+
+@pytest.mark.parametrize("spec", [Params(g, n, k) for g in range(2, 6) for n in (2, -3) for k in range(1, g)], ids=str)
+def test_enumeration_degrees_are_the_model_grading(spec):
+    labels = range(1, spec.abs_n + 1)
+    for part in (knot_model._surface_generators(spec), knot_model._circle_generators(spec, labels)):
+        for deg, gens in part.items():
+            assert {model_grading(spec, PageGenerator(*gen)) for gen in gens} == {deg}
+
+
+def test_page_generator_is_its_compact_tuple():
+    gen = PageGenerator(CIRCLES, (2, 3), 1, circle=2, eps=1)
+    assert gen == (CIRCLES, (2, 3), 1, 2, 1) and hash(gen) == hash((CIRCLES, (2, 3), 1, 2, 1))
+    assert build_e2_symbolic(Params(4, 2, 1)).active[0] == PageGenerator(CIRCLES, (2, 3, 4, 5, 6), 1, 2, 0)
 
 
 def test_region_size_pinned_values():
@@ -136,7 +150,13 @@ def test_region_size_refuses_one_missing_generator(monkeypatch):
     # the old bound, (2^(2g) + 2|n| 2^(2g-2)) g, let a short region through
     spec = Params(3, 2, 1)
     full = knot_model._circle_generators
-    monkeypatch.setattr(knot_model, "_circle_generators", lambda spec, labels: full(spec, labels)[1:])
+
+    def one_short(spec, labels):
+        by_degree = full(spec, labels)
+        by_degree[min(by_degree)].pop()
+        return by_degree
+
+    monkeypatch.setattr(knot_model, "_circle_generators", one_short)
     with pytest.raises(GateFailure, match="region has 11 generators, but its count is 12"):
         build_e1_region(spec)
 
@@ -162,12 +182,12 @@ def test_region_homology_matches_dense_reference(spec):
     assert page2.homology() == dense_homology(page2)
 
 
-def dense_assemble_complex(gens, grading, image):
+def dense_assemble_complex(by_degree, image):
     """The assembly as it was before it went sparse: one dense matrix per
-    degree, filled entry by entry, kept as the reference for the columns."""
-    by_degree = {}
-    for gen in sorted(gens):
-        by_degree.setdefault(grading(gen), []).append(gen)
+    degree, filled entry by entry, kept as the reference for the columns.
+    It takes the same generators grouped by degree and the same image rule
+    as ``_assemble_complex``."""
+    by_degree = {deg: sorted(gens) for deg, gens in by_degree.items()}
     index = {}
     for deg, row in by_degree.items():
         for i, gen in enumerate(row):
@@ -222,21 +242,22 @@ def test_assembly_sums_each_column_and_stores_no_cancelled_entry():
     gens = ["a", "b", "x", "y"]
     grading = {"a": 1, "b": 1, "x": 0, "y": 0}.__getitem__
     rules = {"a": [("x", 1), ("x", -1)], "b": [("y", 1), ("x", 2), ("y", 1)]}
-    cx = knot_model._assemble_complex(gens, grading, lambda gen: rules.get(gen, []))
+    by_degree = lambda: knot_model._by_degree(gens, grading)
+    cx = knot_model._assemble_complex(by_degree(), lambda gen: rules.get(gen, []))
     # a's two terms cancel, so column a holds nothing; b's two y terms add up
     assert cx._columns == {1: {1: [(1, 2), (0, 2)]}}
     assert cx.differential(1) == IntMatrix.from_rows([[0, 2], [0, 2]])
-    cancelled = knot_model._assemble_complex(gens, grading, lambda gen: rules["a"] if gen == "a" else [])
+    cancelled = knot_model._assemble_complex(by_degree(), lambda gen: rules["a"] if gen == "a" else [])
     assert cancelled._columns == {} and not cancelled.differentials
 
 
 def test_assembly_refuses_bad_targets():
     gens = ["a", "x", "z"]
-    grading = {"a": 2, "x": 1, "z": 0}.__getitem__
+    by_degree = lambda: knot_model._by_degree(gens, {"a": 2, "x": 1, "z": 0}.__getitem__)
     with pytest.raises(NotAComplex, match="leaves the generator set at degree 2"):
-        knot_model._assemble_complex(gens, grading, lambda gen: [("w", 1)] if gen == "a" else [])
+        knot_model._assemble_complex(by_degree(), lambda gen: [("w", 1)] if gen == "a" else [])
     with pytest.raises(NotAComplex, match="drops grading by 2, not 1"):
-        knot_model._assemble_complex(gens, grading, lambda gen: [("z", 1)] if gen == "a" else [])
+        knot_model._assemble_complex(by_degree(), lambda gen: [("z", 1)] if gen == "a" else [])
 
 
 def test_region_rejects_bad_circle_labels():
