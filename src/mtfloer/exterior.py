@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
@@ -36,12 +36,6 @@ from .errors import BadParams, GenusMismatch
 from .graded import GradedGroup
 
 Monomial = tuple[int, ...]
-
-
-def symbol_name(index: int) -> str:
-    """Map a symbol index to its display name: 0 -> 'a1', 1 -> 'b1', 2 -> 'a2', ..."""
-    stem = "a" if index % 2 == 0 else "b"
-    return f"{stem}{index // 2 + 1}"
 
 
 def monomials(symbols: Sequence[int], size: int) -> Iterable[Monomial]:
@@ -233,13 +227,13 @@ def lambda_group(genus: int) -> GradedGroup:
     return GradedGroup.free({i - genus: comb(2 * genus, i) for i in range(2 * genus + 1)})
 
 
-@dataclass(frozen=True, order=True)
-class XBasisElement:
+class XBasisElement(NamedTuple):
     """Basis element ``monomial (x) U^u`` of a truncated tower module.
 
     The monomial has exterior codegree i = 2g - len(monomial) and the
     U-exponent obeys 0 <= u <= d - i, so the grading g - i - 2u ranges over
-    [g-2d .. g], symmetrically about g - d.
+    [g-2d .. g], symmetrically about g - d.  A named tuple, so elements
+    order, compare and hash as the plain tuple (genus, monomial, u).
     """
 
     genus: int
@@ -252,7 +246,8 @@ class XBasisElement:
 
     @property
     def grading(self) -> int:
-        return self.genus - self.codegree - 2 * self.u
+        """g - codegree - 2u, written out so it reads no other property."""
+        return len(self.monomial) - self.genus - 2 * self.u
 
 
 class XModule(NamedTuple):
@@ -277,12 +272,14 @@ def build_X(genus: int, d: int) -> XModule:
     the zero module.
     """
     _check_x_params(genus, d)
-    basis: list[XBasisElement] = []
-    for i in range(0, min(d, 2 * genus) + 1):
-        for mono in monomials(range(2 * genus), 2 * genus - i):
-            for u in range(d - i + 1):
-                basis.append(XBasisElement(genus, mono, u))
-    return XModule(tuple(basis))
+    triples = (
+        (genus, mono, u)
+        for i in range(0, min(d, 2 * genus) + 1)
+        for mono in monomials(range(2 * genus), 2 * genus - i)
+        for u in range(d - i + 1)
+    )
+    # tuple.__new__ is what XBasisElement._make runs, without its Python frame
+    return XModule(tuple(map(tuple.__new__, repeat(XBasisElement), triples)))
 
 
 def sym_betti(genus: int, d: int, j: int) -> int:

@@ -4,9 +4,10 @@ Everything here runs over Python's arbitrary-precision integers.  A
 :class:`FreeComplex` stores each boundary only as its nonzero entries,
 grouped by column: the d^2 = 0 check composes boundaries entry by entry,
 and homology splits each boundary into the connected blocks of its nonzero
-pattern (rows and columns joined when they share an entry).  Each block is
-a direct summand of the boundary, so its invariant factors are that
-block's share of the boundary's.  A block with one row or one column has
+pattern: union-find joins the rows that share a column, and each column
+goes to the block of its rows.  Each block is a direct summand of the
+boundary, so its invariant factors are that block's share of the
+boundary's.  A block with one row or one column has
 one factor, the gcd of its entries, and needs no matrix at all; any other
 block gets its Smith normal form, computed as a small dense
 :class:`IntMatrix` by the classical pivoting algorithm with unimodular row
@@ -306,31 +307,36 @@ def _nonzero_columns(mat: IntMatrix) -> dict[int, Column]:
 def _block_members(columns: Mapping[int, Column]) -> list[tuple[list[int], list[int]]]:
     """The connected blocks of a matrix's nonzero pattern, as (rows, columns).
 
-    Rows and columns sharing a nonzero entry are joined by union-find, so
-    the matrix is the direct sum of its blocks up to permuting rows and
-    columns.  Rows and columns with no nonzero entry belong to no block.
+    Rows sharing a column are joined by union-find, and each column goes to
+    the block of its first row, so the matrix is the direct sum of its
+    blocks up to permuting rows and columns.  Blocks come in the order of
+    the first column of each; rows and columns with no nonzero entry belong
+    to no block.  Every column must hold a nonzero entry.
     """
-    # union-find nodes: row i is i, column j is ~j (negative)
     parent: dict[int, int] = {}
 
-    def find(node: int) -> int:
-        parent.setdefault(node, node)
-        while parent[node] != node:
-            parent[node] = parent[parent[node]]
-            node = parent[node]
-        return node
+    def find(row: int) -> int:
+        parent.setdefault(row, row)
+        while parent[row] != row:
+            parent[row] = parent[parent[row]]
+            row = parent[row]
+        return row
 
-    for j, column in columns.items():
-        col_root = find(~j)
-        for i, _ in column:
-            row_root = find(i)
-            if row_root != col_root:
-                parent[row_root] = col_root
+    for column in columns.values():
+        if len(column) > 1:
+            root = find(column[0][0])
+            for i, _ in column[1:]:
+                other = find(i)
+                if other != root:
+                    parent[other] = root
     members: dict[int, tuple[set[int], list[int]]] = {}
-    for j in columns:
-        rows, cols = members.setdefault(find(~j), (set(), []))
+    for j, column in columns.items():
+        root = find(column[0][0])
+        if root not in members:
+            members[root] = (set(), [])
+        rows, cols = members[root]
         cols.append(j)
-        rows.update(i for i, _ in columns[j])
+        rows.update(i for i, _ in column)
     return [(sorted(rows), sorted(cols)) for rows, cols in members.values()]
 
 
@@ -415,6 +421,14 @@ def _invariant_factors(columns: Mapping[int, Column]) -> list[int]:
     return factors
 
 
+def _summed(column: Iterable[tuple[int, int]]) -> Column:
+    """A column's entries with each row's values added up, rows in first-seen order."""
+    entries: dict[int, int] = {}
+    for i, x in column:
+        entries[i] = entries.get(i, 0) + x
+    return list(entries.items())
+
+
 class FreeComplex:
     """A finite chain complex of free abelian groups with labeled bases.
 
@@ -423,9 +437,11 @@ class FreeComplex:
     given by its nonzero columns: ``{col: [(row, value), ...]}``, where
     ``col`` indexes ``basis[d]`` and ``row`` indexes ``basis[d-1]``.  Entries
     listed twice are added up and zero entries are dropped; missing columns
-    and degrees are zero.  The constructor refuses an index outside the
-    bases and checks that consecutive boundaries compose to zero: a silently
-    invalid complex is the worst failure mode this package could have.
+    and degrees are zero.  A column list with distinct rows and no zero is
+    kept as given, not copied, so the caller hands it over.  The constructor
+    refuses an index outside the bases and checks that consecutive
+    boundaries compose to zero: a silently invalid complex is the worst
+    failure mode this package could have.
     """
 
     def __init__(
@@ -444,16 +460,26 @@ class FreeComplex:
                     raise NotAComplex(
                         f"differential at degree {d} has column {j}, but degree {d} has {sources} generators"
                     )
-                entries: dict[int, int] = {}
-                for i, x in column:
-                    if not 0 <= i < targets:
-                        raise NotAComplex(
-                            f"differential at degree {d} has row {i}, but degree {d - 1} has {targets} generators"
-                        )
-                    entries[i] = entries.get(i, 0) + x
-                nonzero = [(i, x) for i, x in entries.items() if x]
-                if nonzero:
-                    kept[j] = nonzero
+                if not isinstance(column, list):
+                    column = list(column)
+                if not column:
+                    continue
+                if len(column) == 1:
+                    low = high = column[0][0]
+                else:
+                    rows = {i for i, _ in column}
+                    low, high = min(rows), max(rows)
+                    if len(rows) < len(column):
+                        column = _summed(column)
+                if low < 0 or high >= targets:
+                    raise NotAComplex(
+                        f"differential at degree {d} has row {low if low < 0 else high}, "
+                        f"but degree {d - 1} has {targets} generators"
+                    )
+                if not all(x for _, x in column):
+                    column = [(i, x) for i, x in column if x]
+                if column:
+                    kept[j] = column
             if kept:
                 self._columns[d] = kept
         for d, boundary in self._columns.items():

@@ -32,6 +32,7 @@ same fields, so both name the same generator.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 from math import comb
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -82,10 +83,6 @@ def centered_degree(spec: Params, gen: PageGenerator) -> int:
     if gen.tag == SURFACE:
         return len(gen.monomial) - spec.g
     return len(gen.monomial) - (spec.g - 1)
-
-
-def filtration(spec: Params, gen: PageGenerator) -> int:
-    return centered_degree(spec, gen) - gen.p
 
 
 def model_grading(spec: Params, gen: PageGenerator) -> int:
@@ -168,10 +165,10 @@ def _assemble_complex(by_degree: dict[int, list], image: Callable) -> FreeComple
     """Build a FreeComplex from generators grouped by degree and a differential rule.
 
     Each degree's list is sorted in place and becomes that degree's basis.
-    ``image(gen)`` returns (target_generator, coefficient) pairs; targets
-    must be generators of degree one less, or the assembly refuses.  Each
-    generator's image is summed into its own column, keyed by target row,
-    so only the nonzero part of each boundary is ever built.
+    ``image(gen)`` returns a sequence of (target_generator, coefficient)
+    pairs; targets must be generators of degree one less, or the assembly
+    refuses.  Each generator's image is summed into its own column, keyed
+    by target row, so only the nonzero part of each boundary is ever built.
     """
     positions: dict[int, dict] = {}
     for deg, gens in by_degree.items():
@@ -184,6 +181,14 @@ def _assemble_complex(by_degree: dict[int, list], image: Callable) -> FreeComple
         for col, gen in enumerate(sources):
             terms = image(gen)
             if not terms:
+                continue
+            if len(terms) == 1:
+                # one term needs no summing
+                (target, coeff), = terms
+                row = below.get(target)
+                if row is None:
+                    raise _stray(target, deg, positions)
+                columns[col] = [(row, coeff)]
                 continue
             column: dict[int, int] = {}
             for target, coeff in terms:
@@ -269,14 +274,18 @@ def _surface_generators(spec: Params) -> dict[int, list[tuple]]:
 def _circle_generators(spec: Params, labels: Sequence[int]) -> dict[int, list[tuple]]:
     """The circle generators on ``labels``, grouped by model degree F + eps + eps_n - 2p."""
     by_degree: dict[int, list[tuple]] = {}
+    labels = sorted(labels)
     for size in range(spec.g + spec.abs_k, 2 * spec.g - 1):
         F = size - (spec.g - 1)
         monos = list(monomials(range(2, 2 * spec.g), size))
-        for c in labels:
-            for bit in (0, 1):
-                for p in range(1, F - spec.abs_k + 1):
-                    deg = F + bit + spec.eps_n - 2 * p
-                    by_degree.setdefault(deg, []).extend((CIRCLES, mono, p, c, bit) for mono in monos)
+        for bit in (0, 1):
+            for p in range(1, F - spec.abs_k + 1):
+                # one (p, eps) per label size lands in this degree, so with the
+                # label innermost the size adds one sorted run to the list
+                deg = F + bit + spec.eps_n - 2 * p
+                by_degree.setdefault(deg, []).extend(
+                    (CIRCLES, mono, p, c, bit) for mono in monos for c in labels
+                )
     return by_degree
 
 
@@ -296,6 +305,20 @@ def region_size(spec: Params) -> int:
     return surface + 2 * spec.abs_n * circles
 
 
+def _check_tower(spec: Params, surface: dict[int, list[tuple]]) -> None:
+    """Refuse a surface summand that is not the truncated tower X(g, d) in disguise.
+
+    The surface generator (monomial, p) in model degree deg must be the
+    tower element (monomial, u = p - 1) of grading deg + 2, and the two
+    sets must agree in full.  Both key sets are freed on return, before
+    the region is assembled.
+    """
+    found = {(mono, p - 1, deg) for deg, gens in surface.items() for _, mono, p, _, _ in gens}
+    expected = {(x.monomial, x.u, x.grading - 2) for x in build_X(spec.g, spec.d).basis}
+    if found != expected:
+        raise GateFailure(f"region/tower basis mismatch at {spec}")
+
+
 def build_e1_region(
     spec: Params,
     pd_sign: int = 1,
@@ -309,17 +332,11 @@ def build_e1_region(
     """
     labels = _circle_labels(spec, circle_labels)
     surface = _surface_generators(spec)
-
-    # the surface summand must be the truncated tower in disguise:
-    # (monomial, p) <-> (monomial, u = p - 1), grading shifted by exactly -2
-    found = {(mono, p - 1, deg) for deg, gens in surface.items() for _, mono, p, _, _ in gens}
-    expected = {(x.monomial, x.u, x.grading - 2) for x in build_X(spec.g, spec.d).basis}
-    if found != expected:
-        raise GateFailure(f"region/tower basis mismatch at {spec}")
-
+    _check_tower(spec, surface)
     by_degree = _circle_generators(spec, labels)
     for deg, gens in surface.items():
         by_degree.setdefault(deg, []).extend(gens)
+    del surface  # copied into by_degree: free it before the assembly
     total, expected_size = sum(map(len, by_degree.values())), region_size(spec)
     if total != expected_size:
         raise GateFailure(f"region has {total} generators, but its count is {expected_size} at {spec}")
@@ -434,14 +451,32 @@ def oracle_hfplus(
     spec = Params(g, n, k)
     if spec.vanishes_by_adjunction:
         raise BadParams(f"spin-c level |k|={spec.abs_k} exceeds g-1={g - 1}")
+    # The pages are tuples, lists and dicts of ints and form no reference
+    # cycles, so the cyclic collector has nothing to find in them; paused,
+    # it stops rescanning their containers as they are built.  They die
+    # with _run_pages's frame, before the collector is back.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_pages(spec, pd_sign, circle_labels, corrupt_d2)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run_pages(
+    spec: Params, pd_sign: int, circle_labels: Sequence[int] | None, corrupt_d2: bool
+) -> HomologyResult:
+    """Build and reduce both pages, and check what comes out."""
     page1 = build_e1_region(spec, pd_sign, circle_labels)
     e2 = build_e2_symbolic(spec, circle_labels, corrupt_d2)
     run_d1(spec, page1, e2)
     result = run_d2(spec, e2)
+    where = f"at g={spec.g} n={spec.n} k={spec.k}"
     if not result.group.is_free():
-        raise GateFailure(f"oracle output has torsion at g={g} n={n} k={k}")
+        raise GateFailure(f"oracle output has torsion {where}")
     if page1.euler_characteristic() != result.group.euler_characteristic():
-        raise GateFailure(f"Euler characteristic drifted through the pipeline at g={g} n={n} k={k}")
+        raise GateFailure(f"Euler characteristic drifted through the pipeline {where}")
     return result
 
 

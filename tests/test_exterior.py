@@ -10,7 +10,6 @@ from mtfloer.exterior import (
     e_half,
     lambda_group,
     monomials,
-    symbol_name,
     sym_betti,
     x_ranks,
 )
@@ -43,10 +42,6 @@ sized_vectors = st.integers(0, TOP).flatmap(
 
 
 # -- symbols --------------------------------------------------------------------
-
-
-def test_symbol_names():
-    assert [symbol_name(i) for i in range(4)] == ["a1", "b1", "a2", "b2"]
 
 
 def test_monomials_enumeration():
@@ -232,14 +227,19 @@ def basis_ranks(genus, d):
 
 def test_build_x_basis_consistent_with_group():
     for x in build_X(3, 2).basis:
+        assert type(x) is XBasisElement
         assert x.codegree == 2 * 3 - len(x.monomial)
         assert 0 <= x.u <= 2 - x.codegree
+        assert x.grading == 3 - x.codegree - 2 * x.u
 
 
 def test_basis_element_grading():
     x = XBasisElement(2, (0, 1, 2), 1)
     assert x.codegree == 1
     assert x.grading == 2 - 1 - 2
+    # a named tuple: it is the plain tuple of its fields
+    assert x == (2, (0, 1, 2), 1) and hash(x) == hash((2, (0, 1, 2), 1))
+    assert XBasisElement(2, (0, 1), 0) < x < XBasisElement(2, (0, 1, 2), 2)
 
 
 @pytest.mark.parametrize("genus", [1, 2, 3, 4, 5, 6])

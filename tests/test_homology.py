@@ -10,6 +10,7 @@ from mtfloer.graded import GradedGroup
 from mtfloer.homology import (
     FreeComplex,
     IntMatrix,
+    _block_members,
     _blocks,
     _check_blocks,
     _invariant_factors,
@@ -248,6 +249,20 @@ def test_columns_drop_zeros_and_add_repeated_rows():
     assert cancelled.homology() == GradedGroup.free({0: 1, 1: 1})
 
 
+def test_columns_with_distinct_rows_are_kept_as_given():
+    one, two = [(1, 5)], [(0, 1), (1, -1)]
+    cx = FreeComplex({0: ["x", "y"], 1: ["a", "b", "c"]}, {1: {0: one, 2: two}})
+    # no copy: the lists handed over are the complex's columns
+    assert cx._columns[1][0] is one and cx._columns[1][2] is two
+    # zeros are still dropped, and any iterable of entries is taken
+    cx = FreeComplex({0: ["x", "y"], 1: ["a"]}, {1: {0: iter([(0, 0), (1, 4)])}})
+    assert cx._columns == {1: {0: [(1, 4)]}}
+    with pytest.raises(NotAComplex, match="has row 2, but degree 0 has 2 generators"):
+        FreeComplex({0: ["x", "y"], 1: ["a"]}, {1: {0: [(0, 1), (2, 1)]}})
+    with pytest.raises(NotAComplex, match="has row -1, but degree 0 has 2 generators"):
+        FreeComplex({0: ["x", "y"], 1: ["a"]}, {1: {0: [(-1, 1), (1, 1), (1, 1)]}})
+
+
 def test_from_matrices_equals_the_columns():
     d1 = IntMatrix.from_rows([[1, 0, -2], [0, 0, 4]])
     cells = {0: ["x", "y"], 1: ["a", "b", "c"]}
@@ -355,6 +370,39 @@ def dense_homology(cx: FreeComplex) -> GradedGroup:
     return GradedGroup.of(result)
 
 
+def union_find_blocks(columns):
+    """The block split as it was first written, kept as the reference for
+    ``_block_members``: rows and columns are both union-find nodes, joined
+    at every nonzero entry, and blocks come in the order of their first
+    column."""
+    parent = {}
+
+    def find(node):
+        parent.setdefault(node, node)
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
+
+    for j, column in columns.items():
+        col_root = find(~j)  # column j is the node ~j, row i is i
+        for i, _ in column:
+            row_root = find(i)
+            if row_root != col_root:
+                parent[row_root] = col_root
+    members = {}
+    for j in columns:
+        rows, cols = members.setdefault(find(~j), (set(), []))
+        cols.append(j)
+        rows.update(i for i, _ in columns[j])
+    return [(sorted(rows), sorted(cols)) for rows, cols in members.values()]
+
+
+def assert_blocks_match_the_reference(cx: FreeComplex) -> None:
+    for columns in cx._columns.values():
+        assert _block_members(columns) == union_find_blocks(columns)
+
+
 def permuted_block_diagonal(rng: random.Random, blocks) -> IntMatrix:
     """The direct sum of ``blocks``, with its rows and columns shuffled."""
     rows = list(range(sum(b.rows for b in blocks)))
@@ -434,6 +482,7 @@ def test_block_split_matches_dense_on_random_complexes(seed):
     rng = random.Random(seed)
     cx = random_two_step_complex(rng)
     assert cx.homology() == dense_homology(cx)
+    assert_blocks_match_the_reference(cx)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -447,6 +496,8 @@ def test_block_split_matches_dense_on_permuted_block_diagonals(seed):
     assert cx.homology() == dense_homology(cx)
     lone = FreeComplex.from_matrices({0: range(d1.rows), 1: range(d1.cols)}, {1: d1})
     assert lone.homology() == dense_homology(lone)
+    assert_blocks_match_the_reference(cx)
+    assert_blocks_match_the_reference(lone)
 
 
 def test_boundary_squared_may_cancel_across_paths():

@@ -1,3 +1,4 @@
+import gc
 import re
 from dataclasses import replace
 from itertools import product
@@ -14,6 +15,7 @@ from mtfloer import knot_model
 from mtfloer.knot_model import (
     CIRCLES,
     SURFACE,
+    E2Page,
     FilteredGroup,
     PageGenerator,
     active_half,
@@ -23,7 +25,6 @@ from mtfloer.knot_model import (
     build_x_complex,
     centered_degree,
     collapse_hfk,
-    filtration,
     hf_hat_M,
     hfk_M,
     hfplus_M,
@@ -37,7 +38,7 @@ from mtfloer.knot_model import (
     run_d2,
 )
 from mtfloer.params import Params
-from test_homology import dense_homology
+from test_homology import assert_blocks_match_the_reference, dense_homology
 
 G = GradedGroup.free
 
@@ -79,11 +80,9 @@ def test_generator_gradings():
     spec = Params(3, 2, 1)
     top = PageGenerator(SURFACE, tuple(range(6)), 2)
     assert centered_degree(spec, top) == 3
-    assert filtration(spec, top) == 1
     assert model_grading(spec, top) == -1
     circle = PageGenerator(CIRCLES, (2, 3, 4, 5), 1, circle=2, eps=1)
     assert centered_degree(spec, circle) == 2
-    assert filtration(spec, circle) == 1
     assert model_grading(spec, circle) == 1
     left = Params(3, -2, 1)
     assert model_grading(left, circle) == 0
@@ -133,6 +132,20 @@ def test_enumeration_degrees_are_the_model_grading(spec):
             assert {model_grading(spec, PageGenerator(*gen)) for gen in gens} == {deg}
 
 
+def descents(gens):
+    return sum(1 for a, b in zip(gens, gens[1:]) if b < a)
+
+
+@pytest.mark.parametrize("labels", [(1, 2, 3), (3, 1, 2)], ids=["sorted labels", "shuffled labels"])
+def test_circle_generators_come_in_one_sorted_run_per_label_size(labels):
+    spec = Params(6, 3, 1)
+    sizes = len(range(spec.g + spec.abs_k, 2 * spec.g - 1))
+    for deg, gens in knot_model._circle_generators(spec, labels).items():
+        assert descents(gens) < sizes, deg
+        # each run is one size's monomials, each followed by every label
+        assert [c for _, _, _, c, _ in gens[:3]] == [1, 2, 3]
+
+
 def test_page_generator_is_its_compact_tuple():
     gen = PageGenerator(CIRCLES, (2, 3), 1, circle=2, eps=1)
     assert gen == (CIRCLES, (2, 3), 1, 2, 1) and hash(gen) == hash((CIRCLES, (2, 3), 1, 2, 1))
@@ -180,6 +193,8 @@ def test_region_homology_matches_dense_reference(spec):
     assert page1.homology() == dense_homology(page1)
     page2 = build_e2_symbolic(spec).d2_complex
     assert page2.homology() == dense_homology(page2)
+    assert_blocks_match_the_reference(page1)
+    assert_blocks_match_the_reference(page2)
 
 
 def dense_assemble_complex(by_degree, image):
@@ -238,6 +253,14 @@ def test_x_complex_assembly_matches_dense_reference(monkeypatch, genus):
             assert_matches_dense_assembly(monkeypatch, build_x_complex, genus, d, left=left)
 
 
+def test_assembly_keeps_one_term_columns_and_drops_a_zero_one():
+    gens = ["a", "b", "x", "y"]
+    by_degree = knot_model._by_degree(gens, {"a": 1, "b": 1, "x": 0, "y": 0}.__getitem__)
+    rules = {"a": [("y", -3)], "b": [("x", 0)]}
+    cx = knot_model._assemble_complex(by_degree, lambda gen: rules.get(gen, []))
+    assert cx._columns == {1: {0: [(1, -3)]}}
+
+
 def test_assembly_sums_each_column_and_stores_no_cancelled_entry():
     gens = ["a", "b", "x", "y"]
     grading = {"a": 1, "b": 1, "x": 0, "y": 0}.__getitem__
@@ -258,6 +281,11 @@ def test_assembly_refuses_bad_targets():
         knot_model._assemble_complex(by_degree(), lambda gen: [("w", 1)] if gen == "a" else [])
     with pytest.raises(NotAComplex, match="drops grading by 2, not 1"):
         knot_model._assemble_complex(by_degree(), lambda gen: [("z", 1)] if gen == "a" else [])
+    # a one-term image takes its own path through the assembly: refuse behind a good term too
+    with pytest.raises(NotAComplex, match="leaves the generator set at degree 2"):
+        knot_model._assemble_complex(by_degree(), lambda gen: [("x", 1), ("w", 1)] if gen == "a" else [])
+    with pytest.raises(NotAComplex, match="drops grading by 2, not 1"):
+        knot_model._assemble_complex(by_degree(), lambda gen: [("x", 1), ("z", 1)] if gen == "a" else [])
 
 
 def test_region_rejects_bad_circle_labels():
@@ -393,6 +421,51 @@ def test_corrupt_hook_is_detectable():
     assert honest == closed == G({4: 3, 3: 20, 2: 35, 1: 3})
     assert broken == G({4: 3, 3: 21, 2: 36, 1: 3})
     assert broken != closed
+
+
+# -- the paused cyclic collector --------------------------------------------------------
+
+
+@pytest.fixture
+def collector():
+    """Run a test with the collector on, and leave it as it was found."""
+    was = gc.isenabled()
+    gc.enable()
+    yield
+    (gc.enable if was else gc.disable)()
+
+
+def test_oracle_pauses_the_collector_and_restores_it(monkeypatch, collector):
+    seen = []
+    real = knot_model.build_e1_region
+
+    def watched(*args):
+        seen.append(gc.isenabled())
+        return real(*args)
+
+    monkeypatch.setattr(knot_model, "build_e1_region", watched)
+    assert oracle_hfplus(4, 3, 1).group == theorem_answer(4, 3, 1)
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_oracle_restores_the_collector_after_a_failed_gate(monkeypatch, collector):
+    real = knot_model.build_e2_symbolic
+
+    def one_rank_too_many(*args):
+        e2 = real(*args)
+        return E2Page(e2.fixed + G({0: 1}), e2.d2_complex)
+
+    monkeypatch.setattr(knot_model, "build_e2_symbolic", one_rank_too_many)
+    with pytest.raises(GateFailure, match="page-one gate failed"):
+        oracle_hfplus(4, 3, 1)
+    assert gc.isenabled()
+
+
+def test_oracle_leaves_a_paused_collector_paused(collector):
+    gc.disable()
+    assert oracle_hfplus(4, 3, 1).group == theorem_answer(4, 3, 1)
+    assert not gc.isenabled()
 
 
 # -- the tower complex ----------------------------------------------------------------

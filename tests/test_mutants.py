@@ -168,6 +168,20 @@ def test_page_two_capacity_off_by_one_fails_only_the_final_comparison(monkeypatc
     assert (4, 2, 1) in [triple for triple, _ in failures]
 
 
+def swapped_half(n):
+    """The active half of the other twist direction."""
+    return "E+" if n > 0 else "E-"
+
+
+def test_active_half_swapped_fails_the_page_one_gate(monkeypatch):
+    assert sweep_failures(monkeypatch) == []
+    # build_e1_region reads the half through the module; the sweep runs no other caller
+    monkeypatch.setattr(knot_model, "active_half", swapped_half)
+    failures = sweep_failures(monkeypatch)
+    assert failures
+    assert all(gate.startswith("failed: page-one gate failed") for _, gate in failures)
+
+
 def first_entry(entries):
     """The thin-block factor with the gcd replaced by the first entry's size."""
     return abs(entries[0])
