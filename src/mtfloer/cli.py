@@ -34,8 +34,8 @@ from .params import Params
 SCHEMA = "1"
 
 # The largest oracle region, in generators, that compute and verify start.
-# A fresh `compute` process peaks at about 0.35 kB per generator (g = 10,
-# n = 3, k = 1: 1,164,038 generators, 409 MB, 11 s on 2 CPUs), so the
+# A fresh `compute` process peaks at about 0.31 kB per generator (g = 10,
+# n = 3, k = 1: 1,164,038 generators, 348 MB, 6.6 s on 2 CPUs), so the
 # default keeps a run under 1 GB: it admits g = 10 at k = 1 and refuses
 # g = 11 (5,086,660 generators).
 MAX_GENERATORS = 2_000_000
@@ -48,20 +48,88 @@ class Output(NamedTuple):
     """What a command computed, in every form ``main`` can print it.
 
     ``payload`` is printed as JSON, the rows that ``rows()`` returns as CSV
-    (built only when CSV is asked for) and ``lines`` as the table;
-    ``failure`` goes to stderr and makes the exit code 3.  ``verify`` has no
-    table format: its ``lines`` hold the summary that ``--emit`` prints in
-    place of the report.
+    and the lines that ``lines()`` returns as the table; each of the two is
+    built only when its format is asked for.  ``failure`` goes to stderr
+    and makes the exit code 3.  ``verify`` has no table format: its
+    ``lines()`` hold the summary that ``--emit`` prints in place of the
+    report.
     """
 
     payload: object = None
-    lines: Sequence[str] = ()
+    lines: Callable[[], Sequence[str]] = tuple
     rows: Callable[[], Sequence[list]] = tuple
     failure: str | None = None
 
 
+_quote = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline.
+
+    With ``indent`` set, ``json.dumps`` runs the pure-Python generator
+    encoder; this writer appends to one list and joins once.  It takes
+    dicts with str keys, lists, tuples, str, int, float, bool and None, by
+    exact type; any other value raises TypeError, as does a non-str key.
+    """
+    parts: list[str] = []
+    try:
+        _write(obj, parts, "\n")
+    except RecursionError:
+        raise ValueError("circular or too deeply nested value") from None
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(obj, parts: list[str], newline: str) -> None:
+    """Append the JSON text of ``obj``; ``newline`` is the line break plus the current indent."""
+    kind = type(obj)
+    if kind is str:
+        parts.append(_quote(obj))
+    elif kind is int:
+        parts.append(int.__repr__(obj))
+    elif kind is dict:
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        opener = "{" + inner
+        for key in sorted(obj):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts += (opener, _quote(key), ": ")
+            _write(obj[key], parts, inner)
+            opener = "," + inner
+        parts.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        opener = "[" + inner
+        for item in obj:
+            parts.append(opener)
+            _write(item, parts, inner)
+            opener = "," + inner
+        parts.append(newline + "]")
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif kind is float:
+        if obj != obj:
+            parts.append("NaN")
+        elif obj == _INF:
+            parts.append("Infinity")
+        elif obj == -_INF:
+            parts.append("-Infinity")
+        else:
+            parts.append(float.__repr__(obj))
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _csv_text(rows: Sequence[list]) -> str:
@@ -77,7 +145,7 @@ def _render(out: Output, fmt: str) -> str:
         return _dumps(out.payload)
     if fmt == "csv":
         return _csv_text(out.rows())
-    return "".join(line + "\n" for line in out.lines)
+    return "".join(line + "\n" for line in out.lines())
 
 
 def _group_lines(group: GradedGroup, indent: str = "") -> list[str]:
@@ -170,16 +238,17 @@ def cmd_compute(args) -> Output:
             "shift": closed.compare_up_to_shift(oracle).shift,
         }
 
-    header = f"(g={g}, n={n}, k={k})"
-    if vanishes:
-        lines = [f"{header} vanishes by adjunction: zero group"]
-    else:
-        lines = []
+    def lines() -> list[str]:
+        header = f"(g={g}, n={n}, k={k})"
+        if vanishes:
+            return [f"{header} vanishes by adjunction: zero group"]
+        out = []
         for title, group in (("oracle", oracle), ("closed form", closed)):
             if group is not None:
-                lines += [f"{header} {title}:", *_group_lines(group, "  ")]
+                out += [f"{header} {title}:", *_group_lines(group, "  ")]
         if match is not None:
-            lines.append(f"match: {str(match).lower()}")
+            out.append(f"match: {str(match).lower()}")
+        return out
 
     failure = f"compute: oracle/closed mismatch at g={g} n={n} k={k}" if match is False else None
     return Output(payload, lines, lambda: _comparison_rows((g, n, k), oracle, closed, match), failure)
@@ -190,19 +259,22 @@ def cmd_compute(args) -> Output:
 
 def _parse_n_range(text: str) -> list[int]:
     """Parse '-2..2' (inclusive, 0 skipped) or a single integer."""
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if lo > hi:
-            raise BadParams(f"empty n range {text!r}")
-        values = [n for n in range(lo, hi + 1) if n != 0]
-        if not values:
-            raise BadParams(f"n range {text!r} holds no nonzero twist power")
-        return values
-    n = int(text)
-    if n == 0:
-        raise BadParams("twist power n must be nonzero")
-    return [n]
+    lo_text, dots, hi_text = text.partition("..")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if dots else lo
+    except ValueError:
+        raise BadParams(f"--n {text!r} is neither an integer nor a range lo..hi") from None
+    if not dots:
+        if lo == 0:
+            raise BadParams("twist power n must be nonzero")
+        return [lo]
+    if lo > hi:
+        raise BadParams(f"empty n range {text!r}")
+    values = [n for n in range(lo, hi + 1) if n != 0]
+    if not values:
+        raise BadParams(f"n range {text!r} holds no nonzero twist power")
+    return values
 
 
 def _worker_count() -> int:
@@ -326,6 +398,10 @@ def _verify_rows(entries: list[dict]) -> list[list]:
 
 def cmd_verify(args) -> Output:
     n_values = _parse_n_range(args.n)
+    if args.emit:
+        folder = os.path.dirname(args.emit) or "."
+        if not os.path.isdir(folder):
+            raise BadParams(f"cannot write the report to {args.emit}: no directory {folder}")
     report = run_sweep(
         args.g_max, n_values, corrupt_d2=args.corrupt_d2, timing=args.timing, max_generators=args.max_generators
     )
@@ -343,7 +419,7 @@ def cmd_verify(args) -> Output:
         handle.write(_render(out, args.format))
     good = sum(1 for entry in entries if entry["match"])
     summary = f"verify: {good}/{len(entries)} triples match; report written to {args.emit}"
-    return Output(lines=[summary], failure=failure)
+    return Output(lines=lambda: [summary], failure=failure)
 
 
 # -- tables / xgd / corollary / degshift ---------------------------------------
@@ -355,13 +431,17 @@ def cmd_tables(args) -> Output:
     if args.name in ("hfplus_Z", "hfplus_Mn"):
         payload["top"] = args.top
     payload.update(table.to_json_dict())
-    lines = [f"table {args.name} at n={args.n}"]
-    if isinstance(table, FilteredGroup):
-        for j, group in reversed(table.levels):
-            lines.append(f"filtration j={j}:")
-            lines.extend(_group_lines(group, "  "))
-    else:
-        lines.extend(_group_lines(table, "  "))
+
+    def lines() -> list[str]:
+        out = [f"table {args.name} at n={args.n}"]
+        if isinstance(table, FilteredGroup):
+            for j, group in reversed(table.levels):
+                out.append(f"filtration j={j}:")
+                out.extend(_group_lines(group, "  "))
+        else:
+            out.extend(_group_lines(table, "  "))
+        return out
+
     return Output(payload, lines)
 
 
@@ -379,17 +459,23 @@ def cmd_xgd(args) -> Output:
     else:
         group = x_ranks(args.g, args.d)
     payload.update(group.to_json_dict())
-    lines = [f"{title} at g={args.g}, d={args.d}" + (" (left)" if args.left else "")]
-    lines.extend(_group_lines(group, "  "))
-    if args.homology:
-        lines.append(f"matches formula: {str(payload['matches_formula']).lower()}")
+
+    def lines() -> list[str]:
+        out = [f"{title} at g={args.g}, d={args.d}" + (" (left)" if args.left else "")]
+        out.extend(_group_lines(group, "  "))
+        if args.homology:
+            out.append(f"matches formula: {str(payload['matches_formula']).lower()}")
+        return out
+
     return Output(payload, lines, failure=failure)
 
 
 def cmd_corollary(args) -> Output:
     g, n = args.g, args.n
-    theorem = theorem_answer(g, n, g - 2)
+    # the corollary's genus check speaks for the level; theorem_answer would
+    # refuse g = 2 for its k = 0 instead
     corollary = corollary_answer(g, n)
+    theorem = theorem_answer(g, n, g - 2)
     if n > 0:
         reference = surface_rel_cohomology(g, n).shift(g - 2)
         kind = "relative"
@@ -412,10 +498,15 @@ def cmd_corollary(args) -> Output:
         "match": match,
         "shift": shift,
     }
-    lines = [f"(g={g}, n={n}, k={g - 2}) closed form:"]
-    lines.extend(_group_lines(theorem, "  "))
-    lines.append(f"reference ({kind} cohomology) shift: {shift}")
-    lines.append(f"match: {str(match).lower()}")
+
+    def lines() -> list[str]:
+        return [
+            f"(g={g}, n={n}, k={g - 2}) closed form:",
+            *_group_lines(theorem, "  "),
+            f"reference ({kind} cohomology) shift: {shift}",
+            f"match: {str(match).lower()}",
+        ]
+
     failure = None if match else f"corollary: mismatch at g={g} n={n}"
     return Output(payload, lines, failure=failure)
 
@@ -430,7 +521,7 @@ def cmd_degshift(args) -> Output:
         "value": fraction_json(value),
         "argmax": argmax,
     }
-    return Output(payload, [f"deg(n={args.n}, k={args.k}, x={args.x}) = {value}; argmax = {argmax}"])
+    return Output(payload, lambda: [f"deg(n={args.n}, k={args.k}, x={args.x}) = {value}; argmax = {argmax}"])
 
 
 # -- parser ---------------------------------------------------------------------

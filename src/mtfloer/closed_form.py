@@ -11,12 +11,13 @@ enumerates a basis, so the cost is polynomial in the genus.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from math import comb
 
 from .errors import BadParams
 from .exterior import x_ranks
-from .graded import GradedGroup, circles_cohomology, odd_spheres_homology
+from .graded import GradedGroup, circles_cohomology
 from .params import Params
 
 
@@ -28,19 +29,28 @@ def theorem_answer(g: int, n: int, k: int) -> GradedGroup:
     class, and one odd-sphere family per U-depth p = 1..d with |n|-1
     components each.  Inputs with |k| >= g return the zero group (adjunction
     vanishing).
+
+    The summands are added as one ``{degree: rank}`` table and validated
+    once: the tower's rank r at degree j gives 2r at j+eps and at j+eps+1,
+    and the family at depth p sits at degrees g-d-p+1+eps and 2p-1 above.
     """
     params = Params(g, n, k)
     if params.vanishes_by_adjunction:
         return GradedGroup.zero()
     d, eps_n = params.d, params.eps_n
 
-    total = x_ranks(g - 1, d - 1).tensor(circles_cohomology(2, eps_n))
-    total += GradedGroup.free({g - d: comb(2 * g - 2, d)})
+    ranks: dict[int, int] = defaultdict(int)
+    for j, r, _ in x_ranks(g - 1, d - 1).entries:
+        ranks[j + eps_n] += 2 * r
+        ranks[j + eps_n + 1] += 2 * r
+    ranks[g - d] += comb(2 * g - 2, d)
+    spheres = params.abs_n - 1
     for p in range(1, d + 1):
-        label_rank = comb(2 * g - 2, d - p)
-        family = GradedGroup.free({g - d - p + 1 + eps_n: label_rank})
-        total += family.tensor(odd_spheres_homology(params.abs_n - 1, p))
-    return total
+        family_rank = comb(2 * g - 2, d - p) * spheres
+        low = g - d - p + 1 + eps_n
+        ranks[low] += family_rank
+        ranks[low + 2 * p - 1] += family_rank
+    return GradedGroup.free(ranks)
 
 
 def corollary_answer(g: int, n: int) -> GradedGroup:

@@ -33,7 +33,9 @@ same fields, so both name the same generator.
 from __future__ import annotations
 
 import gc
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -161,7 +163,9 @@ def _stray(target, deg: int, positions: dict[int, dict]) -> NotAComplex:
     return NotAComplex(f"differential leaves the generator set at degree {deg}")
 
 
-def _assemble_complex(by_degree: dict[int, list], image: Callable) -> FreeComplex:
+def _assemble_complex(
+    by_degree: dict[int, list], image: Callable, first_mover: tuple | None = None
+) -> FreeComplex:
     """Build a FreeComplex from generators grouped by degree and a differential rule.
 
     Each degree's list is sorted in place and becomes that degree's basis.
@@ -169,6 +173,8 @@ def _assemble_complex(by_degree: dict[int, list], image: Callable) -> FreeComple
     pairs; targets must be generators of degree one less, or the assembly
     refuses.  Each generator's image is summed into its own column, keyed
     by target row, so only the nonzero part of each boundary is ever built.
+    With ``first_mover``, the generators that sort before it are cycles:
+    ``image`` is asked only from there on in each sorted list.
     """
     positions: dict[int, dict] = {}
     for deg, gens in by_degree.items():
@@ -178,7 +184,8 @@ def _assemble_complex(by_degree: dict[int, list], image: Callable) -> FreeComple
     for deg, sources in by_degree.items():
         below = positions.get(deg - 1, {})
         columns = {}
-        for col, gen in enumerate(sources):
+        start = 0 if first_mover is None else bisect_left(sources, first_mover)
+        for col, gen in enumerate(islice(sources, start, None), start):
             terms = image(gen)
             if not terms:
                 continue
@@ -328,7 +335,9 @@ def build_e1_region(
 
     SURFACE generators in the active half carry the page-one differential
     (with image terms leaving the region dropped); all CIRCLES generators
-    are cycles.
+    are cycles.  The tag "circles" sorts before "surface", so each degree's
+    surface generators are one run at the end of its sorted list, and only
+    that run is asked for an image.
     """
     labels = _circle_labels(spec, circle_labels)
     surface = _surface_generators(spec)
@@ -344,13 +353,11 @@ def build_e1_region(
     g, d, half = spec.g, spec.d, active_half(spec.n)
 
     def image(gen: tuple):
-        tag, mono, p, _, _ = gen
-        if tag != SURFACE:
-            return ()
+        _, mono, p, _, _ = gen
         terms = _d1_image(mono, p - 1, g, d, half, pd_sign)
         return [((SURFACE, target, u + 1, 0, 0), coeff) for target, u, coeff in terms]
 
-    return _assemble_complex(by_degree, image)
+    return _assemble_complex(by_degree, image, first_mover=(SURFACE,))
 
 
 def _d2_image(spec: Params, gen: tuple) -> list[tuple[tuple, int]]:

@@ -5,6 +5,8 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mtfloer import cli, knot_model
 from mtfloer.errors import BadParams, NotAComplex
@@ -34,6 +36,9 @@ def test_parse_n_range():
         cli._parse_n_range("0")
     with pytest.raises(BadParams):
         cli._parse_n_range("0..0")
+    for text in ("3..", "..2", "abc", "1..x"):
+        with pytest.raises(BadParams, match="neither an integer nor a range"):
+            cli._parse_n_range(text)
 
 
 def test_worker_count(monkeypatch):
@@ -343,6 +348,25 @@ def test_verify_bad_range_exit_two(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("text", ["3..", "abc"])
+def test_verify_unparsable_n_exit_two(capsys, text):
+    code, out, err = run_main(capsys, "verify", "--n", text, "--g-max", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: --n {text!r} is neither an integer nor a range lo..hi\n"
+
+
+def test_verify_emit_into_a_missing_directory_exit_two(capsys, monkeypatch, tmp_path):
+    def unwanted(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", unwanted)
+    target = tmp_path / "missing" / "report.json"
+    code, out, err = run_main(capsys, "verify", "--g-max", "2", "--n", "1", "--emit", str(target))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write the report to {target}")
+    assert not target.parent.exists()
+
+
 def test_verify_range_without_nonzero_n_exit_two(capsys):
     code, out, err = run_main(capsys, "verify", "--n", "0..0", "--g-max", "3")
     assert code == 2
@@ -480,6 +504,7 @@ def test_corollary_text(capsys):
 def test_corollary_needs_genus_three(capsys):
     code, out, err = run_main(capsys, "corollary", "--g", "2", "--n", "1")
     assert code == 2
+    assert err == "error: the k=g-2 level needs genus >= 3, got 2\n"
 
 
 # -- degshift -------------------------------------------------------------------------------
@@ -693,10 +718,84 @@ def test_exact_json_output(capsys, argv, expected):
     assert (code, out, err) == (0, _json_text(expected), "")
 
 
+# every command's JSON payload, and the float wall times of a timed sweep
+DUMPS_ARGV = [argv for argv, _ in EXACT_JSON] + [
+    ["compute", "--g", "4", "--n", "-3", "--k", "1"],
+    ["verify", "--g-max", "3", "--n", "-2..2", "--timing"],
+    *(["tables", name, "--n", "2"] for name in ("hfk_Mn", "hf_hat_Mn", "hfplus_Z", "hfplus_Mn")),
+    ["xgd", "--g", "3", "--d", "1"],
+    ["corollary", "--g", "4", "--n", "-2"],
+]
+
+
+def test_writer_matches_json_dumps_on_every_command(capsys, monkeypatch):
+    real = cli._dumps
+    checked = []
+
+    def compared(obj):
+        text = real(obj)
+        checked.append(text == _json_text(obj))
+        return text
+
+    monkeypatch.setenv("MTFLOER_THREADS", "1")
+    monkeypatch.setattr(cli, "_dumps", compared)
+    for argv in DUMPS_ARGV:
+        code, _, err = run_main(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, ""), argv
+    assert checked == [True] * len(DUMPS_ARGV)
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(2**200), 2**200)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text()
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+@given(JSON_VALUES)
+def test_writer_matches_json_dumps(value):
+    assert cli._dumps(value) == _json_text(value)
+
+
+def test_writer_matches_json_dumps_on_edge_values():
+    value = {
+        "floats": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 5e-324],
+        "text": ["", "\x00\x1f\\\"", "é漢\U0001f600", "\u2028"],
+        "empty": [{}, [], ()],
+        "": None,
+    }
+    assert cli._dumps(value) == _json_text(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1: 2}, {(1,): 2}, {"a": 1, 2: 3}, {"a": object()}, [b"x"], {1, 2}, [1.5j]],
+    ids=["int key", "tuple key", "mixed keys", "object", "bytes", "set", "complex"],
+)
+def test_writer_refuses_what_it_cannot_write(value):
+    with pytest.raises(TypeError):
+        cli._dumps(value)
+
+
+def test_writer_refuses_a_circular_value():
+    loop = []
+    loop.append({"loop": loop})
+    with pytest.raises(ValueError, match="circular"):
+        cli._dumps(loop)
+
+
 def test_parser_is_built_once_and_commands_are_looked_up_per_call(capsys, monkeypatch):
     run_main(capsys, "degshift", "--n", "2", "--k", "1")
     assert cli._parser() is cli._parser()
-    monkeypatch.setattr(cli, "cmd_degshift", lambda args: cli.Output(lines=[f"patched n={args.n}"]))
+    monkeypatch.setattr(cli, "cmd_degshift", lambda args: cli.Output(lines=lambda: [f"patched n={args.n}"]))
     assert run_main(capsys, "degshift", "--n", "2", "--k", "1") == (0, "patched n=2\n", "")
 
 

@@ -16,7 +16,8 @@ from mtfloer.closed_form import (
     x_homology_formula,
 )
 from mtfloer.errors import BadGenus, BadParams, ZeroTwist
-from mtfloer.graded import GradedGroup
+from mtfloer.exterior import x_ranks
+from mtfloer.graded import GradedGroup, circles_cohomology, odd_spheres_homology
 from mtfloer.params import Params
 
 G = GradedGroup.free
@@ -89,6 +90,30 @@ def test_rank_grows_linearly_in_the_twist():
     for n in range(1, 6):
         assert theorem_answer(3, n, 1).total_rank() == base + 2 * (n - 1)
         assert theorem_answer(3, -n, 1).total_rank() == base + 2 * (n - 1)
+
+
+def reference_theorem_answer(g, n, k):
+    """The closed form as group algebra: each summand a GradedGroup, tensored and added."""
+    params = Params(g, n, k)
+    if params.vanishes_by_adjunction:
+        return GradedGroup.zero()
+    d, eps_n = params.d, params.eps_n
+    total = x_ranks(g - 1, d - 1).tensor(circles_cohomology(2, eps_n))
+    total += GradedGroup.free({g - d: comb(2 * g - 2, d)})
+    for p in range(1, d + 1):
+        label_rank = comb(2 * g - 2, d - p)
+        family = GradedGroup.free({g - d - p + 1 + eps_n: label_rank})
+        total += family.tensor(odd_spheres_homology(params.abs_n - 1, p))
+    return total
+
+
+@pytest.mark.parametrize("g", range(2, 16))
+def test_rank_table_matches_the_group_algebra(g):
+    # every k past the adjunction bound on both sides is included
+    for n in [*range(-7, 0), *range(1, 8)]:
+        for k in range(-g - 1, g + 2):
+            if k:
+                assert theorem_answer(g, n, k) == reference_theorem_answer(g, n, k), (g, n, k)
 
 
 # -- the k = g-2 consequence ---------------------------------------------------------

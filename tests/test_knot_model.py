@@ -40,6 +40,8 @@ from mtfloer.knot_model import (
 from mtfloer.params import Params
 from test_homology import assert_blocks_match_the_reference, dense_homology
 
+REAL_ASSEMBLE = knot_model._assemble_complex
+
 G = GradedGroup.free
 
 
@@ -197,11 +199,12 @@ def test_region_homology_matches_dense_reference(spec):
     assert_blocks_match_the_reference(page2)
 
 
-def dense_assemble_complex(by_degree, image):
+def dense_assemble_complex(by_degree, image, first_mover=None):
     """The assembly as it was before it went sparse: one dense matrix per
     degree, filled entry by entry, kept as the reference for the columns.
     It takes the same generators grouped by degree and the same image rule
-    as ``_assemble_complex``."""
+    as ``_assemble_complex``; a generator that sorts before ``first_mover``
+    is a cycle, tested one by one."""
     by_degree = {deg: sorted(gens) for deg, gens in by_degree.items()}
     index = {}
     for deg, row in by_degree.items():
@@ -212,12 +215,14 @@ def dense_assemble_complex(by_degree, image):
         targets = by_degree.get(deg - 1)
         if not targets:
             for gen in sources:
-                if list(image(gen)):
+                if (first_mover is None or gen >= first_mover) and list(image(gen)):
                     raise NotAComplex(f"differential leaves the generator set at degree {deg}")
             continue
         mat = IntMatrix.zeros(len(targets), len(sources))
         filled = False
         for col, gen in enumerate(sources):
+            if first_mover is not None and gen < first_mover:
+                continue
             for target, coeff in image(gen):
                 tdeg, row = index[target]
                 if tdeg != deg - 1:
@@ -244,6 +249,23 @@ def assert_matches_dense_assembly(monkeypatch, build, *args, **kwargs):
 def test_region_assembly_matches_dense_reference(monkeypatch, spec):
     assert_matches_dense_assembly(monkeypatch, build_e1_region, spec)
     assert_matches_dense_assembly(monkeypatch, lambda s: build_e2_symbolic(s).d2_complex, spec)
+
+
+@pytest.mark.parametrize("spec", REGIONS, ids=region_id)
+def test_page_one_image_is_asked_only_of_surface_generators(monkeypatch, spec):
+    asked = []
+
+    def recording(by_degree, image, first_mover=None):
+        def recorded(gen):
+            asked.append(gen)
+            return image(gen)
+
+        return REAL_ASSEMBLE(by_degree, recorded, first_mover)
+
+    monkeypatch.setattr(knot_model, "_assemble_complex", recording)
+    page1 = build_e1_region(spec)
+    surface = [gen for gens in page1.basis.values() for gen in gens if gen[0] == SURFACE]
+    assert sorted(asked) == sorted(surface)
 
 
 @pytest.mark.parametrize("genus", range(2, 6))

@@ -6,12 +6,13 @@ here runs in process; each test also runs its check on the unmutated code,
 so a check that fails everywhere cannot pass for one that bites.
 """
 
+import inspect
 import random
 import sys
 
 import pytest
 
-from mtfloer import exterior, homology, knot_model
+from mtfloer import closed_form, exterior, homology, knot_model
 from mtfloer.cli import run_sweep
 from mtfloer.closed_form import theorem_answer
 from mtfloer.exterior import ExtVector
@@ -200,3 +201,37 @@ def test_thin_factor_without_the_gcd_fails_both_checks(monkeypatch):
     monkeypatch.setattr(homology, "VERIFY_SNF", True)
     with pytest.raises(AssertionError, match="thin block factor 2, but its Smith form gives"):
         cx.homology()
+
+
+# -- source mutants of the closed form -----------------------------------------
+
+REAL_THEOREM = closed_form.theorem_answer
+
+
+def plant_in_theorem_answer(monkeypatch, original, mutated):
+    """Bind a copy of ``theorem_answer`` whose source has ``original`` replaced by ``mutated``."""
+    source = inspect.getsource(REAL_THEOREM)
+    assert source.count(original) == 1, original
+    namespace = dict(vars(closed_form))
+    exec(compile(source.replace(original, mutated), closed_form.__file__, "exec"), namespace)
+    assert bind_everywhere(monkeypatch, REAL_THEOREM, namespace["theorem_answer"])
+
+
+def test_closed_form_without_eps_fails_only_the_final_comparison(monkeypatch):
+    assert sweep_failures(monkeypatch) == []
+    plant_in_theorem_answer(monkeypatch, "d, eps_n = params.d, params.eps_n", "d, eps_n = params.d, 0")
+    failures = sweep_failures(monkeypatch)
+    assert failures
+    assert all(gate == "passed" for _, gate in failures)
+    # eps is 0 for right twists, so only left twists can show it
+    assert all(n < 0 for (_, n, _), _ in failures)
+
+
+def test_closed_form_label_rank_off_by_one_fails_only_the_final_comparison(monkeypatch):
+    assert sweep_failures(monkeypatch) == []
+    plant_in_theorem_answer(monkeypatch, "comb(2 * g - 2, d - p)", "comb(2 * g - 2, d - p + 1)")
+    failures = sweep_failures(monkeypatch)
+    assert failures
+    assert all(gate == "passed" for _, gate in failures)
+    # the label rank multiplies |n| - 1 sphere families, which |n| = 1 lacks
+    assert all(abs(n) >= 2 for (_, n, _), _ in failures)
