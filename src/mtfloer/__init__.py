@@ -31,7 +31,6 @@ from .exterior import (
     XBasisElement,
     build_X,
     e_half,
-    lambda_group,
     sym_betti,
     x_ranks,
 )
@@ -39,7 +38,6 @@ from .graded import (
     GradedGroup,
     ShiftReport,
     circles_cohomology,
-    odd_spheres_homology,
     torsion_chain,
 )
 from .homology import (
@@ -54,10 +52,8 @@ from .knot_model import (
     E2Page,
     FilteredGroup,
     HomologyResult,
-    PageGenerator,
     build_e1_region,
     build_e2_symbolic,
-    build_hfk,
     build_x_complex,
     collapse_hfk,
     hfk_M,
@@ -85,7 +81,6 @@ __all__ = [
     "IntMatrix",
     "MtfloerError",
     "NotAComplex",
-    "PageGenerator",
     "Params",
     "SURFACE",
     "ShiftReport",
@@ -95,7 +90,6 @@ __all__ = [
     "ZeroTwist",
     "build_e1_region",
     "build_e2_symbolic",
-    "build_hfk",
     "build_X",
     "build_x_complex",
     "check_smith_form",
@@ -106,8 +100,6 @@ __all__ = [
     "degree_shift_argmax",
     "e_half",
     "hfk_M",
-    "lambda_group",
-    "odd_spheres_homology",
     "oracle_hfplus",
     "reference_tables",
     "run_d1",

@@ -34,8 +34,8 @@ from .params import Params
 SCHEMA = "1"
 
 # The largest oracle region, in generators, that compute and verify start.
-# A fresh `compute` process peaks at about 0.31 kB per generator (g = 10,
-# n = 3, k = 1: 1,164,038 generators, 348 MB, 6.6 s on 2 CPUs), so the
+# A fresh `compute` process peaks at about 0.28 kB per generator (g = 10,
+# n = 3, k = 1: 1,164,038 generators, 309 MB, 4.4-5.1 s on 2 CPUs), so the
 # default keeps a run under 1 GB: it admits g = 10 at k = 1 and refuses
 # g = 11 (5,086,660 generators).
 MAX_GENERATORS = 2_000_000
@@ -402,6 +402,8 @@ def cmd_verify(args) -> Output:
         folder = os.path.dirname(args.emit) or "."
         if not os.path.isdir(folder):
             raise BadParams(f"cannot write the report to {args.emit}: no directory {folder}")
+        if os.path.isdir(args.emit):
+            raise BadParams(f"cannot write the report to {args.emit}: it is a directory")
     report = run_sweep(
         args.g_max, n_values, corrupt_d2=args.corrupt_d2, timing=args.timing, max_generators=args.max_generators
     )

@@ -216,17 +216,6 @@ def e_half(mono: Monomial) -> str:
     return "E-" if (0 in mono) + (1 in mono) == 1 else "E+"
 
 
-def lambda_group(genus: int) -> GradedGroup:
-    """Whole exterior algebra as a graded group, centered so Lambda^i sits in degree i - g.
-
-    >>> lambda_group(1) == GradedGroup.free({-1: 1, 0: 2, 1: 1})
-    True
-    """
-    if genus < 1:
-        raise BadParams("genus must be >= 1")
-    return GradedGroup.free({i - genus: comb(2 * genus, i) for i in range(2 * genus + 1)})
-
-
 class XBasisElement(NamedTuple):
     """Basis element ``monomial (x) U^u`` of a truncated tower module.
 

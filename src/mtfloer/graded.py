@@ -258,17 +258,3 @@ def circles_cohomology(count: int, shift: int = 0) -> GradedGroup:
     if count == 0:
         return GradedGroup.zero()
     return GradedGroup.free({shift: count, shift + 1: count})
-
-
-def odd_spheres_homology(count: int, p: int) -> GradedGroup:
-    """Homology of a disjoint union of ``count`` spheres S^(2p-1).
-
-    Rank ``count`` in degrees 0 and 2p-1; ``count = 0`` gives zero.
-    """
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    if p < 1:
-        raise ValueError("sphere dimension parameter p must be >= 1")
-    if count == 0:
-        return GradedGroup.zero()
-    return GradedGroup.free({0: count, 2 * p - 1: count})

@@ -1,19 +1,20 @@
 """Exact homology of finite free integer chain complexes.
 
 Everything here runs over Python's arbitrary-precision integers.  A
-:class:`FreeComplex` stores each boundary only as its nonzero entries,
-grouped by column: the d^2 = 0 check composes boundaries entry by entry,
-and homology splits each boundary into the connected blocks of its nonzero
-pattern: union-find joins the rows that share a column, and each column
-goes to the block of its rows.  Each block is a direct summand of the
-boundary, so its invariant factors are that block's share of the
-boundary's.  A block with one row or one column has
-one factor, the gcd of its entries, and needs no matrix at all; any other
-block gets its Smith normal form, computed as a small dense
-:class:`IntMatrix` by the classical pivoting algorithm with unimodular row
-and column transforms.  Homology groups come out as free ranks plus
-invariant-factor torsion.  No whole boundary is ever held densely; a dense
-view is built only when a caller asks for one.
+:class:`FreeComplex` is the number of generators in each degree plus each
+boundary's nonzero entries, grouped by column; homology needs no generator
+labels, so it keeps none.  The d^2 = 0 check composes boundaries entry by
+entry, and homology splits each boundary into the connected blocks of its
+nonzero pattern: union-find joins the rows that share a column, and each
+column goes to the block of its rows.  Each block is a direct summand of
+the boundary, so its invariant factors are that block's share of the
+boundary's.  A block with one row or one column has one factor, the gcd of
+its entries, and needs no matrix at all; any other block gets its Smith
+normal form, computed as a small dense :class:`IntMatrix` by the classical
+pivoting algorithm with unimodular row and column transforms.  Homology
+groups come out as free ranks plus invariant-factor torsion.  No whole
+boundary is ever held densely; a dense view is built only when a caller
+asks for one.
 
 Set :data:`VERIFY_SNF` (or the environment variable ``MTFLOER_SNF_VERIFY``)
 to make every Smith decomposition re-check its own postconditions by direct
@@ -107,9 +108,6 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return all(all(x == 0 for x in row) for row in self.data)
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, [list(col) for col in zip(*self.data)] if self.rows else [[ ] for _ in range(self.cols)])
 
     def diagonal(self) -> list[int]:
         return [self.data[i][i] for i in range(min(self.rows, self.cols))]
@@ -430,26 +428,27 @@ def _summed(column: Iterable[tuple[int, int]]) -> Column:
 
 
 class FreeComplex:
-    """A finite chain complex of free abelian groups with labeled bases.
+    """A finite chain complex of free abelian groups, given by sizes and boundaries.
 
-    ``basis`` maps a degree to the tuple of generator labels in that degree.
-    ``columns`` maps degree d to the boundary from degree d to degree d-1,
-    given by its nonzero columns: ``{col: [(row, value), ...]}``, where
-    ``col`` indexes ``basis[d]`` and ``row`` indexes ``basis[d-1]``.  Entries
-    listed twice are added up and zero entries are dropped; missing columns
-    and degrees are zero.  A column list with distinct rows and no zero is
-    kept as given, not copied, so the caller hands it over.  The constructor
-    refuses an index outside the bases and checks that consecutive
-    boundaries compose to zero: a silently invalid complex is the worst
-    failure mode this package could have.
+    ``sizes`` maps a degree to the number of generators in that degree;
+    generators are known only by their index ``0 .. size - 1``.  ``columns``
+    maps degree d to the boundary from degree d to degree d-1, given by its
+    nonzero columns: ``{col: [(row, value), ...]}``, where ``col`` indexes
+    degree d and ``row`` indexes degree d-1.  Entries listed twice are added
+    up and zero entries are dropped; missing columns and degrees are zero.
+    A column list with distinct rows and no zero is kept as given, not
+    copied, so the caller hands it over.  The constructor refuses an index
+    outside the sizes and checks that consecutive boundaries compose to
+    zero: a silently invalid complex is the worst failure mode this package
+    could have.
     """
 
     def __init__(
         self,
-        basis: Mapping[int, Sequence],
+        sizes: Mapping[int, int],
         columns: Mapping[int, Mapping[int, Iterable[tuple[int, int]]]] | None = None,
     ):
-        self.basis = {d: tuple(labels) for d, labels in basis.items() if len(labels)}
+        self.sizes = {d: count for d, count in sizes.items() if count}
         # the nonzero entries of each boundary, by column
         self._columns: dict[int, dict[int, Column]] = {}
         for d, given in (columns or {}).items():
@@ -495,29 +494,29 @@ class FreeComplex:
                     raise NotAComplex(f"boundary squared is nonzero from degree {d}")
 
     @classmethod
-    def from_matrices(cls, basis: Mapping[int, Sequence], mats: Mapping[int, IntMatrix]) -> "FreeComplex":
+    def from_matrices(cls, sizes: Mapping[int, int], mats: Mapping[int, IntMatrix]) -> "FreeComplex":
         """The complex whose boundary at degree d is the dense matrix ``mats[d]``.
 
-        Each matrix must have shape (len(basis[d-1]), len(basis[d])); its
+        Each matrix must have shape (sizes[d-1], sizes[d]); its
         nonzero entries are handed to the constructor, which does the rest
         of the checking.
         """
         for d, mat in mats.items():
-            expected = (len(basis.get(d - 1, ())), len(basis.get(d, ())))
+            expected = (sizes.get(d - 1, 0), sizes.get(d, 0))
             if mat.shape != expected:
                 raise NotAComplex(
                     f"differential at degree {d} has shape {mat.shape}, expected {expected}"
                 )
-        return cls(basis, {d: _nonzero_columns(mat) for d, mat in mats.items()})
+        return cls(sizes, {d: _nonzero_columns(mat) for d, mat in mats.items()})
 
     def degrees(self) -> list[int]:
-        return sorted(self.basis)
+        return sorted(self.sizes)
 
     def size(self, degree: int) -> int:
-        return len(self.basis.get(degree, ()))
+        return self.sizes.get(degree, 0)
 
     def total_size(self) -> int:
-        return sum(len(labels) for labels in self.basis.values())
+        return sum(self.sizes.values())
 
     def differential(self, degree: int) -> IntMatrix:
         """A dense copy of the boundary out of ``degree``, built on each call."""
@@ -533,9 +532,7 @@ class FreeComplex:
         return {d: self.differential(d) for d in self._columns}
 
     def euler_characteristic(self) -> int:
-        return sum(
-            len(labels) if d % 2 == 0 else -len(labels) for d, labels in self.basis.items()
-        )
+        return sum(count if d % 2 == 0 else -count for d, count in self.sizes.items())
 
     def homology(self) -> GradedGroup:
         """Integer homology from the invariant factors of each differential.

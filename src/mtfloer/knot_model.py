@@ -21,13 +21,15 @@ grading; reported results are shifted by +2 into the symmetric-product
 ("X") convention, under which comparisons to the closed form are exact.
 
 Region generators are compact: plain tuples ``(tag, monomial, p, circle,
-eps)`` in the field order of :class:`PageGenerator`, enumerated already
-grouped by model degree.  The degree is worked out once per (label size,
-p, eps) by arithmetic, so no per-generator grading call, object or
-Python-level comparison runs on the hot path, and sorting and hashing run
-on native tuples.  :class:`PageGenerator` itself appears only at the API
-edge (``E2Page.active``); a named tuple equals the plain tuple with the
-same fields, so both name the same generator.
+eps)``, enumerated already grouped by model degree.  SURFACE generators
+carry a genus-g monomial; CIRCLES generators carry a genus-(g-1) monomial
+(symbol indices 2..2g-1), a circle index and a cohomological bit eps.  The
+U-power p >= 1 puts a generator in column i = -p.  The degree is worked out
+once per (label size, p, eps) by arithmetic, so no per-generator grading
+call, object or Python-level comparison runs on the hot path, and sorting
+and hashing run on native tuples.  The tuples live only while a page is
+assembled: a complex keeps the number of generators in each degree and its
+boundary columns, nothing else.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import islice
 from math import comb
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BadGenus, BadParams, GateFailure, NotAComplex, UnknownTable, ZeroTwist
 from .exterior import (
@@ -58,41 +60,9 @@ SURFACE = "surface"
 CIRCLES = "circles"
 
 
-class PageGenerator(NamedTuple):
-    """One region generator: an exterior label times a U-power.
-
-    SURFACE generators carry a genus-g monomial; CIRCLES generators carry a
-    genus-(g-1) monomial (symbol indices 2..2g-1), a circle index and a
-    cohomological bit eps.  The U-power p >= 1 puts the generator in column
-    i = -p; its filtration is j = F - p where F is the centered exterior
-    degree of the label (the circles factor itself sits in filtration 0).
-    """
-
-    tag: str
-    monomial: Monomial
-    p: int
-    circle: int = 0
-    eps: int = 0
-
-
 def active_half(n: int) -> str:
     """Half of the exterior splitting the page-one differential acts on."""
     return "E-" if n > 0 else "E+"
-
-
-def centered_degree(spec: Params, gen: PageGenerator) -> int:
-    """Centered exterior degree F of the generator's label."""
-    if gen.tag == SURFACE:
-        return len(gen.monomial) - spec.g
-    return len(gen.monomial) - (spec.g - 1)
-
-
-def model_grading(spec: Params, gen: PageGenerator) -> int:
-    """Region grading: label grading (with eps and the left-twist shift) minus 2p."""
-    base = centered_degree(spec, gen)
-    if gen.tag == CIRCLES:
-        base += gen.eps + spec.eps_n
-    return base - 2 * gen.p
 
 
 @dataclass(frozen=True)
@@ -130,18 +100,12 @@ class E2Page:
 
     ``fixed`` is the part no later differential touches (X-convention
     grading).  ``d2_complex`` is the page-two differential over the model
-    grading; its basis is the circle-summand generators that differential
-    can move.
+    grading; its generators are the circle-summand generators that
+    differential can move.
     """
 
     fixed: GradedGroup
     d2_complex: FreeComplex
-
-    @property
-    def active(self) -> tuple[PageGenerator, ...]:
-        """The generators of ``d2_complex``, sorted, built on each read."""
-        gens = (gen for labels in self.d2_complex.basis.values() for gen in labels)
-        return tuple(sorted(PageGenerator._make(gen) for gen in gens))
 
 
 # -- generic complex assembly -------------------------------------------
@@ -168,13 +132,16 @@ def _assemble_complex(
 ) -> FreeComplex:
     """Build a FreeComplex from generators grouped by degree and a differential rule.
 
-    Each degree's list is sorted in place and becomes that degree's basis.
-    ``image(gen)`` returns a sequence of (target_generator, coefficient)
-    pairs; targets must be generators of degree one less, or the assembly
-    refuses.  Each generator's image is summed into its own column, keyed
-    by target row, so only the nonzero part of each boundary is ever built.
-    With ``first_mover``, the generators that sort before it are cycles:
-    ``image`` is asked only from there on in each sorted list.
+    Each degree's list is sorted in place, and a generator's position in it
+    is its index in the complex.  ``image(gen)`` returns a sequence of
+    (target_generator, coefficient) pairs; targets must be generators of
+    degree one less, or the assembly refuses.  Each generator's image is
+    summed into its own column, keyed by target row, so only the nonzero
+    part of each boundary is ever built.  With ``first_mover``, the
+    generators that sort before it are cycles: ``image`` is asked only from
+    there on in each sorted list.  The complex keeps each degree's count,
+    not its generators, so ``by_degree`` is emptied once the columns are
+    built.
     """
     positions: dict[int, dict] = {}
     for deg, gens in by_degree.items():
@@ -206,8 +173,11 @@ def _assemble_complex(
             columns[col] = list(column.items())
         if columns:
             boundaries[deg] = columns
-    del positions  # the complex keeps no index: free it before the complex is built
-    return FreeComplex(by_degree, boundaries)
+    sizes = {deg: len(gens) for deg, gens in by_degree.items()}
+    # the complex keeps no generator: free the index and the lists before it is built
+    del positions
+    by_degree.clear()
+    return FreeComplex(sizes, boundaries)
 
 
 # -- the page-one differential -------------------------------------------
@@ -415,8 +385,7 @@ def run_d1(spec: Params, page1: FreeComplex, e2: E2Page | None = None) -> Homolo
     if e2 is None:
         e2 = build_e2_symbolic(spec)
     computed = page1.homology()
-    active = e2.d2_complex
-    expected = e2.fixed.shift(-2) + GradedGroup.free({deg: active.size(deg) for deg in active.degrees()})
+    expected = e2.fixed.shift(-2) + GradedGroup.free(e2.d2_complex.sizes)
     if computed != expected:
         raise GateFailure(
             f"page-one gate failed at g={spec.g} n={spec.n} k={spec.k}: "
@@ -527,15 +496,6 @@ class FilteredGroup:
     def total_rank(self) -> int:
         return self.flatten().total_rank()
 
-    def tensor(self, other: "FilteredGroup") -> "FilteredGroup":
-        """Bigraded tensor product: filtrations add, gradings convolve."""
-        acc: dict[int, GradedGroup] = {}
-        for j1, g1 in self.levels:
-            for j2, g2 in other.levels:
-                j = j1 + j2
-                acc[j] = acc.get(j, GradedGroup.zero()) + g1.tensor(g2)
-        return FilteredGroup.of(acc)
-
     def to_json_dict(self) -> dict:
         return {
             "filtration": [
@@ -560,29 +520,6 @@ def hfk_M(n: int) -> FilteredGroup:
     return FilteredGroup.of(levels)
 
 
-def lambda_filtered(genus: int) -> FilteredGroup:
-    """Exterior algebra of a genus-h surface with filtration = centered degree."""
-    if genus < 0:
-        raise BadGenus("genus must be nonnegative")
-    return FilteredGroup.of(
-        {
-            e - genus: GradedGroup.free({e - genus: comb(2 * genus, e)})
-            for e in range(2 * genus + 1)
-        }
-    )
-
-
-def build_hfk(g: int, n: int) -> FilteredGroup:
-    """Knot Floer table of the full connected-sum knot at genus g, signed twist.
-
-    The small-summand table tensored with the exterior algebra of a
-    genus-(g-1) surface.
-    """
-    if g < 2:
-        raise BadGenus(f"genus {g} < 2")
-    return hfk_M(n).tensor(lambda_filtered(g - 1))
-
-
 def collapse_hfk(n: int) -> GradedGroup:
     """Hat-flavor group of the small summand from its knot Floer table.
 
@@ -594,27 +531,19 @@ def collapse_hfk(n: int) -> GradedGroup:
     eps_n = eps(n)
     half = active_half(n)
 
-    gens: list[PageGenerator] = [
-        PageGenerator(SURFACE, mono, 0)
-        for size in range(3)
-        for mono in monomials(range(2), size)
-    ]
-    gens += [
-        PageGenerator(CIRCLES, (), 0, c, bit)
-        for c in range(1, abs(n) + 1)
-        for bit in (0, 1)
-    ]
+    gens = [(SURFACE, mono, 0, 0, 0) for size in range(3) for mono in monomials(range(2), size)]
+    gens += [(CIRCLES, (), 0, c, bit) for c in range(1, abs(n) + 1) for bit in (0, 1)]
 
-    def grading(gen: PageGenerator) -> int:
-        if gen.tag == SURFACE:
-            return len(gen.monomial) - 1
-        return gen.eps + eps_n
+    def grading(gen: tuple) -> int:
+        tag, mono, _, _, bit = gen
+        return len(mono) - 1 if tag == SURFACE else bit + eps_n
 
-    def image(gen: PageGenerator):
-        if gen.tag != SURFACE or e_half(gen.monomial) != half:
+    def image(gen: tuple):
+        tag, mono, _, _, _ = gen
+        if tag != SURFACE or e_half(mono) != half:
             return ()
-        rest = contract_monomial(gen.monomial)
-        return () if rest is None else [(PageGenerator(SURFACE, rest, 0), 1)]
+        rest = contract_monomial(mono)
+        return () if rest is None else [((SURFACE, rest, 0, 0, 0), 1)]
 
     return _assemble_complex(_by_degree(gens, grading), image).homology()
 

@@ -149,7 +149,7 @@ def test_a5_linear_algebra_properties():
 
         with pytest.raises(NotAComplex):
             FreeComplex.from_matrices(
-                {0: ["x"], 1: ["y"], 2: ["z"]},
+                {0: 1, 1: 1, 2: 1},
                 {1: IntMatrix.from_rows([[1]]), 2: IntMatrix.from_rows([[1]])},
             )
 

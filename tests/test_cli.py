@@ -367,6 +367,17 @@ def test_verify_emit_into_a_missing_directory_exit_two(capsys, monkeypatch, tmp_
     assert not target.parent.exists()
 
 
+def test_verify_emit_to_an_existing_directory_exit_two(capsys, monkeypatch, tmp_path):
+    def unwanted(*args, **kwargs):
+        raise AssertionError("the sweep ran")
+
+    monkeypatch.setattr(cli, "run_sweep", unwanted)
+    code, out, err = run_main(capsys, "verify", "--g-max", "2", "--n", "1", "--emit", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write the report to {tmp_path}: it is a directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_range_without_nonzero_n_exit_two(capsys):
     code, out, err = run_main(capsys, "verify", "--n", "0..0", "--g-max", "3")
     assert code == 2

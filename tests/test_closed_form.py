@@ -17,7 +17,7 @@ from mtfloer.closed_form import (
 )
 from mtfloer.errors import BadGenus, BadParams, ZeroTwist
 from mtfloer.exterior import x_ranks
-from mtfloer.graded import GradedGroup, circles_cohomology, odd_spheres_homology
+from mtfloer.graded import GradedGroup, circles_cohomology
 from mtfloer.params import Params
 
 G = GradedGroup.free
@@ -90,6 +90,28 @@ def test_rank_grows_linearly_in_the_twist():
     for n in range(1, 6):
         assert theorem_answer(3, n, 1).total_rank() == base + 2 * (n - 1)
         assert theorem_answer(3, -n, 1).total_rank() == base + 2 * (n - 1)
+
+
+def odd_spheres_homology(count, p):
+    """Homology of a disjoint union of ``count`` spheres S^(2p-1).
+
+    Rank ``count`` in degrees 0 and 2p-1; ``count = 0`` gives zero.
+    """
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    if p < 1:
+        raise ValueError("sphere dimension parameter p must be >= 1")
+    if count == 0:
+        return GradedGroup.zero()
+    return GradedGroup.free({0: count, 2 * p - 1: count})
+
+
+def test_odd_spheres_homology():
+    assert odd_spheres_homology(3, 1) == G({0: 3, 1: 3})
+    assert odd_spheres_homology(2, 2) == G({0: 2, 3: 2})
+    assert odd_spheres_homology(0, 5).is_zero()
+    with pytest.raises(ValueError):
+        odd_spheres_homology(1, 0)
 
 
 def reference_theorem_answer(g, n, k):

@@ -8,7 +8,6 @@ from mtfloer.exterior import (
     XBasisElement,
     build_X,
     e_half,
-    lambda_group,
     monomials,
     sym_betti,
     x_ranks,
@@ -192,14 +191,6 @@ def test_e_half_splits_evenly(genus):
 
 
 # -- graded shapes ------------------------------------------------------------------------------
-
-
-def test_lambda_group():
-    assert lambda_group(1) == GradedGroup.free({-1: 1, 0: 2, 1: 1})
-    assert lambda_group(2).total_rank() == 16
-    assert lambda_group(2).rank(0) == 6
-    with pytest.raises(BadParams):
-        lambda_group(0)
 
 
 def test_build_x_small_cases():

@@ -9,7 +9,6 @@ from mtfloer.graded import (
     GradedGroup,
     ShiftReport,
     circles_cohomology,
-    odd_spheres_homology,
     torsion_chain,
 )
 
@@ -180,14 +179,6 @@ def test_circles_cohomology():
     assert circles_cohomology(0).is_zero()
     with pytest.raises(ValueError):
         circles_cohomology(-1)
-
-
-def test_odd_spheres_homology():
-    assert odd_spheres_homology(3, 1) == G({0: 3, 1: 3})
-    assert odd_spheres_homology(2, 2) == G({0: 2, 3: 2})
-    assert odd_spheres_homology(0, 5).is_zero()
-    with pytest.raises(ValueError):
-        odd_spheres_homology(1, 0)
 
 
 # -- serialization ----------------------------------------------------------------------

@@ -191,7 +191,7 @@ def first_entry(entries):
 def test_thin_factor_without_the_gcd_fails_both_checks(monkeypatch):
     # one column, entries 2 and 3: the one invariant factor is 1, not 2
     mat = IntMatrix.from_rows([[2], [3]])
-    cx = FreeComplex.from_matrices({0: ["x", "y"], 1: ["a"]}, {1: mat})
+    cx = FreeComplex.from_matrices({0: 2, 1: 1}, {1: mat})
     assert homology.VERIFY_SNF and cx.homology() == GradedGroup.free({0: 1})
     monkeypatch.setattr(homology, "VERIFY_SNF", False)
     assert not thin_block_mismatch(mat)
@@ -203,23 +203,49 @@ def test_thin_factor_without_the_gcd_fails_both_checks(monkeypatch):
         cx.homology()
 
 
-# -- source mutants of the closed form -----------------------------------------
+# -- source mutants -----------------------------------------------------------
 
 REAL_THEOREM = closed_form.theorem_answer
 
 
-def plant_in_theorem_answer(monkeypatch, original, mutated):
-    """Bind a copy of ``theorem_answer`` whose source has ``original`` replaced by ``mutated``."""
-    source = inspect.getsource(REAL_THEOREM)
+def plant_source(monkeypatch, function, original, mutated):
+    """Bind a copy of ``function`` whose source has ``original`` replaced by ``mutated``.
+
+    The copy is compiled in a copy of its module's namespace and replaces
+    every binding of ``function`` in the package.
+    """
+    source = inspect.getsource(function)
     assert source.count(original) == 1, original
-    namespace = dict(vars(closed_form))
-    exec(compile(source.replace(original, mutated), closed_form.__file__, "exec"), namespace)
-    assert bind_everywhere(monkeypatch, REAL_THEOREM, namespace["theorem_answer"])
+    module = inspect.getmodule(function)
+    namespace = dict(vars(module))
+    exec(compile(source.replace(original, mutated), module.__file__, "exec"), namespace)
+    assert bind_everywhere(monkeypatch, function, namespace[function.__name__])
+
+
+def test_contraction_kept_past_the_truncation_fails_the_complex_check(monkeypatch):
+    assert sweep_failures(monkeypatch) == []
+    plant_source(monkeypatch, knot_model._d1_image, "+ u <= d - 1", "+ u <= d")
+    failures = sweep_failures(monkeypatch)
+    assert failures
+    # the contraction term lands on a generator outside the region
+    assert all(gate.startswith("error: NotAComplex: differential leaves the generator set") for _, gate in failures)
+
+
+def test_fixed_part_without_eps_fails_the_page_one_gate(monkeypatch):
+    assert sweep_failures(monkeypatch) == []
+    plant_source(
+        monkeypatch, knot_model.build_e2_symbolic, "circles_cohomology(2, spec.eps_n)", "circles_cohomology(2, 0)"
+    )
+    failures = sweep_failures(monkeypatch)
+    assert failures
+    assert all(gate.startswith("failed: page-one gate failed") for _, gate in failures)
+    # eps is 0 for right twists, so only left twists can show it
+    assert all(n < 0 for (_, n, _), _ in failures)
 
 
 def test_closed_form_without_eps_fails_only_the_final_comparison(monkeypatch):
     assert sweep_failures(monkeypatch) == []
-    plant_in_theorem_answer(monkeypatch, "d, eps_n = params.d, params.eps_n", "d, eps_n = params.d, 0")
+    plant_source(monkeypatch, REAL_THEOREM, "d, eps_n = params.d, params.eps_n", "d, eps_n = params.d, 0")
     failures = sweep_failures(monkeypatch)
     assert failures
     assert all(gate == "passed" for _, gate in failures)
@@ -229,7 +255,7 @@ def test_closed_form_without_eps_fails_only_the_final_comparison(monkeypatch):
 
 def test_closed_form_label_rank_off_by_one_fails_only_the_final_comparison(monkeypatch):
     assert sweep_failures(monkeypatch) == []
-    plant_in_theorem_answer(monkeypatch, "comb(2 * g - 2, d - p)", "comb(2 * g - 2, d - p + 1)")
+    plant_source(monkeypatch, REAL_THEOREM, "comb(2 * g - 2, d - p)", "comb(2 * g - 2, d - p + 1)")
     failures = sweep_failures(monkeypatch)
     assert failures
     assert all(gate == "passed" for _, gate in failures)
