@@ -2,6 +2,7 @@ import gc
 import re
 from dataclasses import replace
 from itertools import product
+from math import comb
 from typing import NamedTuple
 
 import pytest
@@ -632,6 +633,21 @@ def test_filtered_group_json():
     }
 
 
+def filtered_tensor(a, b):
+    """Bigraded tensor product of two filtered tables: filtrations add, gradings convolve."""
+    acc = {}
+    for j1, g1 in a.levels:
+        for j2, g2 in b.levels:
+            acc[j1 + j2] = acc.get(j1 + j2, GradedGroup.zero()) + g1.tensor(g2)
+    return FilteredGroup.of(acc)
+
+
+def test_filtered_tensor_adds_filtrations():
+    a = FilteredGroup.of({0: G({0: 1}), 1: G({1: 1})})
+    b = FilteredGroup.of({2: G({0: 2})})
+    assert filtered_tensor(a, b) == FilteredGroup.of({2: G({0: 2}), 3: G({1: 2})})
+
+
 def test_hfk_table_small_twist():
     table = hfk_M(1)
     assert table.filtrations() == (-1, 0, 1)
@@ -652,6 +668,90 @@ def test_hfk_table_left_twist():
     table = hfk_M(-1)
     assert table.level(0) == G({-1: 1, 0: 3})
     assert table.level(1) == G({1: 1})
+
+
+def lambda_filtered(genus):
+    """Exterior algebra of a genus-h surface with filtration = centered degree."""
+    if genus < 0:
+        raise BadGenus("genus must be nonnegative")
+    return FilteredGroup.of(
+        {e - genus: G({e - genus: comb(2 * genus, e)}) for e in range(2 * genus + 1)}
+    )
+
+
+def build_hfk(g, n):
+    """Knot Floer table of the full connected-sum knot at genus g, signed twist:
+    the small summand's table ``hfk_M(n)`` tensored with the exterior algebra
+    of a genus-(g-1) surface."""
+    return filtered_tensor(hfk_M(n), lambda_filtered(g - 1))
+
+
+def test_lambda_filtered_trivial_genus():
+    assert lambda_filtered(0) == FilteredGroup.of({0: G({0: 1})})
+    with pytest.raises(BadGenus):
+        lambda_filtered(-1)
+
+
+def summand_hfk(g, n):
+    """The full knot Floer table assembled summand by summand: the genus-g
+    exterior algebra plus |n| circle pairs on the genus-(g-1) one."""
+    shift = 0 if n > 0 else -1
+    acc = {}
+    for e in range(2 * g + 1):
+        j = e - g
+        acc[j] = acc.get(j, GradedGroup.zero()) + G({j: comb(2 * g, e)})
+    for e in range(2 * g - 1):
+        j = e - (g - 1)
+        rank = abs(n) * comb(2 * g - 2, e)
+        acc[j] = acc.get(j, GradedGroup.zero()) + G({j + shift: rank, j + shift + 1: rank})
+    return FilteredGroup.of(acc)
+
+
+def test_hfk_kunneth_factorization():
+    for g in (2, 3, 4):
+        for n in (1, -2, 3):
+            assert build_hfk(g, n) == summand_hfk(g, n), (g, n)
+
+
+def table_json(levels):
+    """The JSON form of a torsion-free table given as {j: {degree: rank}}."""
+    return {
+        "filtration": [
+            {
+                "j": j,
+                "degrees": [
+                    {"degree": d, "rank": r, "torsion": []} for d, r in sorted(ranks.items())
+                ],
+            }
+            for j, ranks in sorted(levels.items())
+        ]
+    }
+
+
+def test_build_hfk_pinned_values():
+    assert build_hfk(2, 1).to_json_dict() == table_json(
+        {-2: {-2: 1}, -1: {-1: 5, 0: 1}, 0: {0: 8, 1: 2}, 1: {1: 5, 2: 1}, 2: {2: 1}}
+    )
+    assert build_hfk(2, -1).to_json_dict() == table_json(
+        {-2: {-2: 1}, -1: {-2: 1, -1: 5}, 0: {-1: 2, 0: 8}, 1: {0: 1, 1: 5}, 2: {2: 1}}
+    )
+    assert build_hfk(3, -2).to_json_dict() == table_json(
+        {
+            -3: {-3: 1},
+            -2: {-3: 2, -2: 8},
+            -1: {-2: 8, -1: 23},
+            0: {-1: 12, 0: 32},
+            1: {0: 8, 1: 23},
+            2: {1: 2, 2: 8},
+            3: {3: 1},
+        }
+    )
+
+
+def test_full_hfk_total_rank():
+    assert build_hfk(2, 1).total_rank() == 24
+    assert build_hfk(2, -1).total_rank() == 24
+    assert build_hfk(3, 2).total_rank() == (4 + 2 * 2) * 2**4
 
 
 def test_zero_twist_rejected_everywhere():
