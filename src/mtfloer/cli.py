@@ -33,10 +33,11 @@ from .params import Params
 
 SCHEMA = "1"
 
-# The largest oracle region, in generators, that compute and verify start.
-# A fresh `compute` process peaks at about 0.28 kB per generator (g = 10,
-# n = 3, k = 1: 1,164,038 generators, 309 MB, 4.4-5.1 s on 2 CPUs), so the
-# default keeps a run under 1 GB: it admits g = 10 at k = 1 and refuses
+# The largest oracle region, in generators, that compute and verify start,
+# and the largest X(g, d) that `xgd --homology` builds.  A fresh `compute`
+# process peaks at 0.256 kB per generator (g = 10, n = 3, k = 1: 1,164,038
+# generators, 284 MB, 5.4-5.6 s on 2 CPUs; `scripts/genus_frontier.py`), so
+# the default keeps a run under 1 GB: it admits g = 10 at k = 1 and refuses
 # g = 11 (5,086,660 generators).
 MAX_GENERATORS = 2_000_000
 
@@ -158,20 +159,15 @@ def _group_lines(group: GradedGroup, indent: str = "") -> list[str]:
     return lines
 
 
-def _closed_json(
-    g: int, n: int, k: int, group: GradedGroup, vanishes: bool, pipeline: str = "closed"
+def _group_record(
+    g: int, n: int, k: int, group: GradedGroup, pipeline: str, gate: str = "n/a", page: str | None = None,
+    vanishes: bool = False,
 ) -> dict:
+    """One group as ``compute`` reports it; only the oracle's record names a page."""
     out = group.to_json_dict()
-    out.update(
-        {
-            "pipeline": pipeline,
-            "gate": "n/a",
-            "g": g,
-            "n": n,
-            "k": k,
-            "grading_convention": "X",
-        }
-    )
+    out.update({"pipeline": pipeline, "gate": gate, "g": g, "n": n, "k": k, "grading_convention": "X"})
+    if page is not None:
+        out["page"] = page
     if vanishes:
         out["vanishes_by_adjunction"] = True
     return out
@@ -216,13 +212,14 @@ def cmd_compute(args) -> Output:
             # the group is zero for |k| >= g; report it without running the
             # pipeline, so parameter rectangles never crash
             oracle = GradedGroup.zero()
-            oracle_json = _closed_json(g, n, k, oracle, True, "adjunction")
+            oracle_json = _group_record(g, n, k, oracle, "adjunction", vanishes=True)
         else:
             result = oracle_hfplus(g, n, k)
-            oracle, oracle_json = result.group, result.to_json_dict()
+            oracle = result.group
+            oracle_json = _group_record(g, n, k, oracle, result.pipeline, result.gate, result.page)
     if args.method in ("closed", "both"):
         closed = theorem_answer(g, n, k)
-        closed_json = _closed_json(g, n, k, closed, vanishes)
+        closed_json = _group_record(g, n, k, closed, "closed", vanishes=vanishes)
 
     match = None
     payload = oracle_json or closed_json
@@ -452,9 +449,15 @@ def cmd_xgd(args) -> Output:
     title = "X module"
     failure = None
     if args.homology:
+        # the closed form for the same page refuses a (g, d) outside its
+        # domain; it and the size check run before any basis is built
+        formula = x_homology_formula(args.g, args.d, left=args.left)
+        size = x_ranks(args.g, args.d).total_rank()
+        if size > MAX_GENERATORS:
+            raise BadParams(f"X(g={args.g}, d={args.d}) has {size} elements, more than {MAX_GENERATORS}")
         group = build_x_complex(args.g, args.d, left=args.left).homology()
-        # the closed form for the same page; mismatch here is a library bug
-        payload["matches_formula"] = group == x_homology_formula(args.g, args.d, left=args.left)
+        # a mismatch here is a library bug
+        payload["matches_formula"] = group == formula
         title = "homology of (X, d1)"
         if not payload["matches_formula"]:
             failure = f"xgd: homology/formula mismatch at g={args.g} d={args.d}"

@@ -30,14 +30,16 @@ call, object or Python-level comparison runs on the hot path, and sorting
 and hashing run on native tuples.  The tuples live only while a page is
 assembled: a complex keeps the number of generators in each degree and its
 boundary columns, nothing else.
+
+Page one is a direct sum: the surface complex, assembled from its
+generators, plus the circle generators, which no arrow leaves or hits.  The
+circles enter page one as counted cycles only, one count per degree.
 """
 
 from __future__ import annotations
 
 import gc
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
 from math import comb
 from typing import Callable, Iterable, Sequence
 
@@ -78,21 +80,6 @@ class HomologyResult:
     k: int
     grading_convention: str = "X"
 
-    def to_json_dict(self) -> dict:
-        out = self.group.to_json_dict()
-        out.update(
-            {
-                "pipeline": self.pipeline,
-                "page": self.page,
-                "gate": self.gate,
-                "g": self.g,
-                "n": self.n,
-                "k": self.k,
-                "grading_convention": self.grading_convention,
-            }
-        )
-        return out
-
 
 @dataclass(frozen=True)
 class E2Page:
@@ -127,21 +114,17 @@ def _stray(target, deg: int, positions: dict[int, dict]) -> NotAComplex:
     return NotAComplex(f"differential leaves the generator set at degree {deg}")
 
 
-def _assemble_complex(
-    by_degree: dict[int, list], image: Callable, first_mover: tuple | None = None
-) -> FreeComplex:
-    """Build a FreeComplex from generators grouped by degree and a differential rule.
+def _assemble_complex(by_degree: dict[int, list], image: Callable) -> tuple[dict[int, int], dict[int, dict]]:
+    """A complex's sizes and boundary columns, from generators grouped by degree and a differential rule.
 
     Each degree's list is sorted in place, and a generator's position in it
     is its index in the complex.  ``image(gen)`` returns a sequence of
     (target_generator, coefficient) pairs; targets must be generators of
     degree one less, or the assembly refuses.  Each generator's image is
     summed into its own column, keyed by target row, so only the nonzero
-    part of each boundary is ever built.  With ``first_mover``, the
-    generators that sort before it are cycles: ``image`` is asked only from
-    there on in each sorted list.  The complex keeps each degree's count,
-    not its generators, so ``by_degree`` is emptied once the columns are
-    built.
+    part of each boundary is ever built.  The result is what ``FreeComplex``
+    takes: a complex keeps each degree's count, not its generators, so
+    ``by_degree`` is emptied once the columns are built.
     """
     positions: dict[int, dict] = {}
     for deg, gens in by_degree.items():
@@ -151,8 +134,7 @@ def _assemble_complex(
     for deg, sources in by_degree.items():
         below = positions.get(deg - 1, {})
         columns = {}
-        start = 0 if first_mover is None else bisect_left(sources, first_mover)
-        for col, gen in enumerate(islice(sources, start, None), start):
+        for col, gen in enumerate(sources):
             terms = image(gen)
             if not terms:
                 continue
@@ -177,7 +159,7 @@ def _assemble_complex(
     # the complex keeps no generator: free the index and the lists before it is built
     del positions
     by_degree.clear()
-    return FreeComplex(sizes, boundaries)
+    return sizes, boundaries
 
 
 # -- the page-one differential -------------------------------------------
@@ -223,7 +205,7 @@ def build_x_complex(genus: int, d: int, left: bool = False, pd_sign: int = 1) ->
         terms = _d1_image(x.monomial, x.u, genus, d, half, pd_sign)
         return [(XBasisElement(genus, mono, u), coeff) for mono, u, coeff in terms]
 
-    return _assemble_complex(_by_degree(module.basis, lambda x: x.grading), image)
+    return FreeComplex(*_assemble_complex(_by_degree(module.basis, lambda x: x.grading), image))
 
 
 # -- region pipeline -------------------------------------------------------
@@ -296,27 +278,22 @@ def _check_tower(spec: Params, surface: dict[int, list[tuple]]) -> None:
         raise GateFailure(f"region/tower basis mismatch at {spec}")
 
 
-def build_e1_region(
-    spec: Params,
-    pd_sign: int = 1,
-    circle_labels: Sequence[int] | None = None,
-) -> FreeComplex:
+def build_e1_region(spec: Params, pd_sign: int = 1) -> FreeComplex:
     """Page one of the region {i < 0, j >= k}, over the model grading.
 
-    SURFACE generators in the active half carry the page-one differential
-    (with image terms leaving the region dropped); all CIRCLES generators
-    are cycles.  The tag "circles" sorts before "surface", so each degree's
-    surface generators are one run at the end of its sorted list, and only
-    that run is asked for an image.
+    Page one is the surface complex plus counted circle cycles.  SURFACE
+    generators in the active half carry the page-one differential (with
+    image terms leaving the region dropped), and only they are assembled.
+    CIRCLES generators are cycles that no arrow hits: each degree's circles
+    are counted and added to its size, after its surface generators, where
+    no row or column refers to them.
     """
-    labels = _circle_labels(spec, circle_labels)
+    # counted first, so the circle tuples are gone before the surface is enumerated
+    circles = {deg: len(gens) for deg, gens in _circle_generators(spec, range(1, spec.abs_n + 1)).items()}
     surface = _surface_generators(spec)
     _check_tower(spec, surface)
-    by_degree = _circle_generators(spec, labels)
-    for deg, gens in surface.items():
-        by_degree.setdefault(deg, []).extend(gens)
-    del surface  # copied into by_degree: free it before the assembly
-    total, expected_size = sum(map(len, by_degree.values())), region_size(spec)
+    total = sum(circles.values()) + sum(map(len, surface.values()))
+    expected_size = region_size(spec)
     if total != expected_size:
         raise GateFailure(f"region has {total} generators, but its count is {expected_size} at {spec}")
 
@@ -327,7 +304,10 @@ def build_e1_region(
         terms = _d1_image(mono, p - 1, g, d, half, pd_sign)
         return [((SURFACE, target, u + 1, 0, 0), coeff) for target, u, coeff in terms]
 
-    return _assemble_complex(by_degree, image, first_mover=(SURFACE,))
+    sizes, columns = _assemble_complex(surface, image)
+    for deg, count in circles.items():
+        sizes[deg] = sizes.get(deg, 0) + count
+    return FreeComplex(sizes, columns)
 
 
 def _d2_image(spec: Params, gen: tuple) -> list[tuple[tuple, int]]:
@@ -357,7 +337,7 @@ def build_e2_symbolic(
     fixed = x_ranks(g - 1, d - 1).tensor(circles_cohomology(2, spec.eps_n))
     fixed += GradedGroup.free({g - d: comb(2 * g - 2, d)})
     image = (lambda gen: ()) if corrupt_d2 else (lambda gen: _d2_image(spec, gen))
-    d2_complex = _assemble_complex(_circle_generators(spec, labels[1:]), image)
+    d2_complex = FreeComplex(*_assemble_complex(_circle_generators(spec, labels[1:]), image))
     return E2Page(fixed, d2_complex)
 
 
@@ -427,6 +407,8 @@ def oracle_hfplus(
     spec = Params(g, n, k)
     if spec.vanishes_by_adjunction:
         raise BadParams(f"spin-c level |k|={spec.abs_k} exceeds g-1={g - 1}")
+    # the labels reach page two only; refuse bad ones before either page is built
+    labels = _circle_labels(spec, circle_labels)
     # The pages are tuples, lists and dicts of ints and form no reference
     # cycles, so the cyclic collector has nothing to find in them; paused,
     # it stops rescanning their containers as they are built.  They die
@@ -434,18 +416,18 @@ def oracle_hfplus(
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _run_pages(spec, pd_sign, circle_labels, corrupt_d2)
+        return _run_pages(spec, pd_sign, labels, corrupt_d2)
     finally:
         if collecting:
             gc.enable()
 
 
 def _run_pages(
-    spec: Params, pd_sign: int, circle_labels: Sequence[int] | None, corrupt_d2: bool
+    spec: Params, pd_sign: int, labels: tuple[int, ...], corrupt_d2: bool
 ) -> HomologyResult:
     """Build and reduce both pages, and check what comes out."""
-    page1 = build_e1_region(spec, pd_sign, circle_labels)
-    e2 = build_e2_symbolic(spec, circle_labels, corrupt_d2)
+    page1 = build_e1_region(spec, pd_sign)
+    e2 = build_e2_symbolic(spec, labels, corrupt_d2)
     run_d1(spec, page1, e2)
     result = run_d2(spec, e2)
     where = f"at g={spec.g} n={spec.n} k={spec.k}"
@@ -545,7 +527,7 @@ def collapse_hfk(n: int) -> GradedGroup:
         rest = contract_monomial(mono)
         return () if rest is None else [((SURFACE, rest, 0, 0, 0), 1)]
 
-    return _assemble_complex(_by_degree(gens, grading), image).homology()
+    return FreeComplex(*_assemble_complex(_by_degree(gens, grading), image)).homology()
 
 
 def hf_hat_M(n: int) -> GradedGroup:

@@ -480,6 +480,30 @@ def test_xgd_bad_genus(capsys):
     assert code == 2
 
 
+def _no_x_basis(genus, d, **kwargs):
+    raise AssertionError(f"X({genus}, {d}) built")
+
+
+def test_xgd_homology_refuses_before_building_the_module(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_x_complex", _no_x_basis)
+    # outside the formula's domain
+    code, out, err = run_main(capsys, "xgd", "--g", "7", "--d", "30", "--homology")
+    assert (code, out, err) == (2, "", "error: need 0 <= d <= g-1, got d=30\n")
+    # inside it, but larger than a compute would start
+    code, out, err = run_main(capsys, "xgd", "--g", "11", "--d", "10", "--homology")
+    assert (code, out, err) == (2, "", "error: X(g=11, d=10) has 3879876 elements, more than 2000000\n")
+
+
+def test_xgd_homology_at_the_size_limit_runs(capsys, monkeypatch):
+    # X(2, 1) has 6 elements
+    monkeypatch.setattr(cli, "MAX_GENERATORS", 6)
+    assert run_main(capsys, "xgd", "--g", "2", "--d", "1", "--homology")[0] == 0
+    monkeypatch.setattr(cli, "MAX_GENERATORS", 5)
+    monkeypatch.setattr(cli, "build_x_complex", _no_x_basis)
+    code, out, err = run_main(capsys, "xgd", "--g", "2", "--d", "1", "--homology")
+    assert (code, out, err) == (2, "", "error: X(g=2, d=1) has 6 elements, more than 5\n")
+
+
 # -- corollary -----------------------------------------------------------------------------
 
 

@@ -11,7 +11,7 @@ from mtfloer.closed_form import theorem_answer
 from mtfloer.exterior import ExtVector, e_half, monomials
 from mtfloer.errors import BadGenus, BadParams, GateFailure, NotAComplex, UnknownTable, ZeroTwist
 from mtfloer.graded import GradedGroup
-from mtfloer.homology import FreeComplex, IntMatrix
+from mtfloer.homology import FreeComplex, IntMatrix, _nonzero_columns
 from mtfloer import knot_model
 from mtfloer.knot_model import (
     CIRCLES,
@@ -234,12 +234,11 @@ def test_region_homology_matches_dense_reference(spec):
     assert_blocks_match_the_reference(page2)
 
 
-def dense_assemble_complex(by_degree, image, first_mover=None):
+def dense_assemble_complex(by_degree, image):
     """The assembly as it was before it went sparse: one dense matrix per
     degree, filled entry by entry, kept as the reference for the columns.
     It takes the same generators grouped by degree and the same image rule
-    as ``_assemble_complex``; a generator that sorts before ``first_mover``
-    is a cycle, tested one by one."""
+    as ``_assemble_complex``, and returns the same sizes and columns."""
     by_degree = {deg: sorted(gens) for deg, gens in by_degree.items()}
     index = {}
     for deg, row in by_degree.items():
@@ -250,14 +249,12 @@ def dense_assemble_complex(by_degree, image, first_mover=None):
         targets = by_degree.get(deg - 1)
         if not targets:
             for gen in sources:
-                if (first_mover is None or gen >= first_mover) and list(image(gen)):
+                if list(image(gen)):
                     raise NotAComplex(f"differential leaves the generator set at degree {deg}")
             continue
         mat = IntMatrix.zeros(len(targets), len(sources))
         filled = False
         for col, gen in enumerate(sources):
-            if first_mover is not None and gen < first_mover:
-                continue
             for target, coeff in image(gen):
                 tdeg, row = index[target]
                 if tdeg != deg - 1:
@@ -266,7 +263,7 @@ def dense_assemble_complex(by_degree, image, first_mover=None):
                 filled = True
         if filled:
             mats[deg] = mat
-    return FreeComplex.from_matrices({d: len(row) for d, row in by_degree.items()}, mats)
+    return {d: len(row) for d, row in by_degree.items()}, {d: _nonzero_columns(mat) for d, mat in mats.items()}
 
 
 def assert_matches_dense_assembly(monkeypatch, build, *args, **kwargs):
@@ -288,19 +285,34 @@ def test_region_assembly_matches_dense_reference(monkeypatch, spec):
 
 @pytest.mark.parametrize("spec", REGIONS, ids=region_id)
 def test_page_one_image_is_asked_only_of_surface_generators(monkeypatch, spec):
-    asked = []
+    handed, asked = [], []
 
-    def recording(by_degree, image, first_mover=None):
+    def recording(by_degree, image):
+        handed.extend(gen for gens in by_degree.values() for gen in gens)
+
         def recorded(gen):
             asked.append(gen)
             return image(gen)
 
-        return REAL_ASSEMBLE(by_degree, recorded, first_mover)
+        return REAL_ASSEMBLE(by_degree, recorded)
 
     monkeypatch.setattr(knot_model, "_assemble_complex", recording)
     build_e1_region(spec)
-    surface = [gen for gens in knot_model._surface_generators(spec).values() for gen in gens]
-    assert sorted(asked) == sorted(surface)
+    surface = sorted(gen for gens in knot_model._surface_generators(spec).values() for gen in gens)
+    # the assembly is handed exactly the surface generators, and no circle
+    assert sorted(handed) == surface
+    assert not any(gen[0] == CIRCLES for gen in handed)
+    assert sorted(asked) == surface
+
+
+@pytest.mark.parametrize("spec", REGIONS, ids=region_id)
+def test_page_one_sizes_are_the_surface_plus_the_circle_counts(spec):
+    counts = {}
+    labels = range(1, spec.abs_n + 1)
+    for part in (knot_model._surface_generators(spec), knot_model._circle_generators(spec, labels)):
+        for deg, gens in part.items():
+            counts[deg] = counts.get(deg, 0) + len(gens)
+    assert build_e1_region(spec).sizes == {deg: count for deg, count in counts.items() if count}
 
 
 @pytest.mark.parametrize("genus", range(2, 6))
@@ -314,10 +326,10 @@ def test_assembly_keeps_one_term_columns_and_drops_a_zero_one():
     gens = ["a", "b", "x", "y"]
     by_degree = knot_model._by_degree(gens, {"a": 1, "b": 1, "x": 0, "y": 0}.__getitem__)
     rules = {"a": [("y", -3)], "b": [("x", 0)]}
-    cx = knot_model._assemble_complex(by_degree, lambda gen: rules.get(gen, []))
-    assert cx._columns == {1: {0: [(1, -3)]}}
-    # the complex keeps counts, and the generator lists are let go
-    assert cx.sizes == {0: 2, 1: 2} and by_degree == {}
+    sizes, columns = knot_model._assemble_complex(by_degree, lambda gen: rules.get(gen, []))
+    assert FreeComplex(sizes, columns)._columns == {1: {0: [(1, -3)]}}
+    # the complex gets counts, and the generator lists are let go
+    assert sizes == {0: 2, 1: 2} and by_degree == {}
 
 
 def test_assembly_sums_each_column_and_stores_no_cancelled_entry():
@@ -325,11 +337,11 @@ def test_assembly_sums_each_column_and_stores_no_cancelled_entry():
     grading = {"a": 1, "b": 1, "x": 0, "y": 0}.__getitem__
     rules = {"a": [("x", 1), ("x", -1)], "b": [("y", 1), ("x", 2), ("y", 1)]}
     by_degree = lambda: knot_model._by_degree(gens, grading)
-    cx = knot_model._assemble_complex(by_degree(), lambda gen: rules.get(gen, []))
+    cx = FreeComplex(*knot_model._assemble_complex(by_degree(), lambda gen: rules.get(gen, [])))
     # a's two terms cancel, so column a holds nothing; b's two y terms add up
     assert cx._columns == {1: {1: [(1, 2), (0, 2)]}}
     assert cx.differential(1) == IntMatrix.from_rows([[0, 2], [0, 2]])
-    cancelled = knot_model._assemble_complex(by_degree(), lambda gen: rules["a"] if gen == "a" else [])
+    cancelled = FreeComplex(*knot_model._assemble_complex(by_degree(), lambda gen: rules["a"] if gen == "a" else []))
     assert cancelled._columns == {} and not cancelled.differentials
 
 
@@ -347,12 +359,18 @@ def test_assembly_refuses_bad_targets():
         knot_model._assemble_complex(by_degree(), lambda gen: [("x", 1), ("z", 1)] if gen == "a" else [])
 
 
-def test_region_rejects_bad_circle_labels():
+def test_region_rejects_bad_circle_labels(monkeypatch):
     spec = Params(3, 2, 1)
-    with pytest.raises(BadParams):
-        build_e1_region(spec, circle_labels=[1, 1])
-    with pytest.raises(BadParams):
-        build_e1_region(spec, circle_labels=[1])
+    for labels in ([1, 1], [1]):
+        with pytest.raises(BadParams, match="need 2 distinct circle labels"):
+            build_e2_symbolic(spec, circle_labels=labels)
+    # the oracle refuses them before either page is built
+    unbuilt = lambda *args: pytest.fail("a page was built")
+    monkeypatch.setattr(knot_model, "build_e1_region", unbuilt)
+    monkeypatch.setattr(knot_model, "build_e2_symbolic", unbuilt)
+    for labels in ([1, 1], [1]):
+        with pytest.raises(BadParams, match="need 2 distinct circle labels"):
+            oracle_hfplus(3, 2, 1, circle_labels=labels)
 
 
 # -- page two -------------------------------------------------------------------
@@ -469,16 +487,6 @@ def test_oracle_invariant_under_conventions():
     base = oracle_hfplus(3, 2, 1).group
     assert oracle_hfplus(3, 2, 1, pd_sign=-1).group == base
     assert oracle_hfplus(3, 2, 1, circle_labels=[7, 3]).group == base
-
-
-def test_oracle_result_json():
-    out = oracle_hfplus(2, 1, 1).to_json_dict()
-    assert out["degrees"] == [{"degree": 2, "rank": 1, "torsion": []}]
-    assert out["pipeline"] == "oracle"
-    assert out["page"] == "final"
-    assert out["gate"] == "passed"
-    assert (out["g"], out["n"], out["k"]) == (2, 1, 1)
-    assert out["grading_convention"] == "X"
 
 
 def test_corrupt_hook_is_detectable():
