@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Time the oracle at k = 1 genus by genus, each run in a fresh process.
 
-Usage: python3 scripts/genus_frontier.py G_LO G_HI [--json]
+Usage: python3 scripts/genus_frontier.py G_LO G_HI [--json] [--max-generators N]
 
 For each genus G from G_LO to G_HI this runs
 
-    python -m mtfloer compute --g G --n 3 --k 1 --format json
+    python -m mtfloer compute --g G --n 3 --k 1 --format json [--max-generators N]
 
 against this checkout's src/ and prints its wall seconds, its peak RSS, its
 region size (``knot_model.region_size``), the peak RSS per region generator
@@ -13,7 +13,8 @@ in kB (1 kB = 1000 bytes) and whether the oracle matched the closed form.
 Each compute runs under its own measuring process, so the peak read there
 with resource.getrusage(RUSAGE_CHILDREN) belongs to that one run alone.  A run
 that exits nonzero (a refused size, a failed gate) prints its exit code and
-makes the script exit 1.  Standard library only.
+makes the script exit 1.  ``--max-generators`` is handed to each compute,
+so a region past the default limit can be measured.  Standard library only.
 """
 
 from __future__ import annotations
@@ -30,11 +31,13 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def measure(g: int) -> dict:
+def measure(g: int, max_generators: int | None) -> dict:
     """Run one compute as this process's only child and measure it."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     argv = ["compute", "--g", str(g), "--n", "3", "--k", "1", "--format", "json"]
+    if max_generators is not None:
+        argv += ["--max-generators", str(max_generators)]
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-m", "mtfloer", *argv], env=env, capture_output=True, text=True)
     wall = time.perf_counter() - start
@@ -64,10 +67,11 @@ def main(argv=None) -> int:
     parser.add_argument("g_lo", type=int)
     parser.add_argument("g_hi", type=int)
     parser.add_argument("--json", action="store_true", help="one JSON object per genus")
+    parser.add_argument("--max-generators", type=int, help="passed to each compute (default: its own limit)")
     parser.add_argument("--one", action="store_true", help=argparse.SUPPRESS)  # the measuring process
     args = parser.parse_args(argv)
     if args.one:
-        print(json.dumps(measure(args.g_lo)))
+        print(json.dumps(measure(args.g_lo, args.max_generators)))
         return 0
 
     if not args.json:
@@ -75,6 +79,8 @@ def main(argv=None) -> int:
     ok = True
     for g in range(args.g_lo, args.g_hi + 1):
         child = [sys.executable, str(Path(__file__).resolve()), str(g), str(g), "--one"]
+        if args.max_generators is not None:
+            child += ["--max-generators", str(args.max_generators)]
         row = json.loads(subprocess.run(child, capture_output=True, text=True, check=True).stdout)
         size = row["region_size"] = region_size(g)
         # a refused run never built its region, so its peak says nothing per generator

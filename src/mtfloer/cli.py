@@ -35,11 +35,11 @@ SCHEMA = "1"
 
 # The largest oracle region, in generators, that compute and verify start,
 # and the largest X(g, d) that `xgd --homology` builds.  A fresh `compute`
-# process peaks at 0.256 kB per generator (g = 10, n = 3, k = 1: 1,164,038
-# generators, 284 MB, 5.4-5.6 s on 2 CPUs; `scripts/genus_frontier.py`), so
-# the default keeps a run under 1 GB: it admits g = 10 at k = 1 and refuses
-# g = 11 (5,086,660 generators).
-MAX_GENERATORS = 2_000_000
+# process peaks at 0.087 kB per generator at g = 11, n = 3, k = 1 (5,086,660
+# generators, 424 MB, 7.7 s on 2 CPUs) and 0.084 kB at g = 12
+# (`scripts/genus_frontier.py`), so the default keeps a run under 1 GB: it
+# admits g = 11 at k = 1 and refuses g = 12 (22,001,046 generators, 1.76 GB).
+MAX_GENERATORS = 6_000_000
 
 
 # -- output -------------------------------------------------------------------

@@ -6,7 +6,7 @@ connected sum of a small Seifert-fibered piece with 2g-2 copies of
 S^1 x S^2.  Its plus-flavor Floer group in the k-th nontorsion spin-c
 structure is the homology of the region {i < 0, j >= k} of the associated
 knot complex.  This module realizes that region explicitly: generators are
-enumerated, the page-one differential (contraction plus wedge, supported on
+indexed by run and rank, the page-one differential (contraction plus wedge, supported on
 one half of the splitting along the genus-1 block) is applied with region
 truncation, the page-two differential moves the surviving circle summands,
 and nothing differs after that.
@@ -20,38 +20,49 @@ Gradings: complexes over region generators carry the raw region ("model")
 grading; reported results are shifted by +2 into the symmetric-product
 ("X") convention, under which comparisons to the closed form are exact.
 
-Region generators are compact: plain tuples ``(tag, monomial, p, circle,
-eps)``, enumerated already grouped by model degree.  SURFACE generators
-carry a genus-g monomial; CIRCLES generators carry a genus-(g-1) monomial
-(symbol indices 2..2g-1), a circle index and a cohomological bit eps.  The
-U-power p >= 1 puts a generator in column i = -p.  The degree is worked out
-once per (label size, p, eps) by arithmetic, so no per-generator grading
-call, object or Python-level comparison runs on the hot path, and sorting
-and hashing run on native tuples.  The tuples live only while a page is
-assembled: a complex keeps the number of generators in each degree and its
-boundary columns, nothing else.
+Region generators are never built one by one: they are indexed by
+arithmetic.  Each degree is a fixed sequence of runs.  A SURFACE run
+``(SURFACE, size, p, 0, 0)`` is every genus-g monomial of one size at one
+U-power p >= 1 (column i = -p); a CIRCLES run ``(CIRCLES, size, p, circle,
+eps)`` is every genus-(g-1) monomial (symbol indices 2..2g-1) of one size at
+one U-power, circle index and cohomological bit eps.  A degree's runs sit
+back to back, so a run's offset is a prefix sum of binomials.  Inside a
+surface run the monomials fall into four blocks by their {a1, b1} part, in
+the order none, a1, b1, both, and inside a block a monomial's index is the
+colex rank of the rest over symbols 2..2g-1 (the combinatorial number
+system, Knuth TAOCP 4A 7.2.1.3); a circle monomial's index in its run is its
+own colex rank.  That is colex order with a1 and b1 as the most significant
+symbols.  Contraction drops a1 and wedging adds b1, so the rest never
+changes: every block of a boundary is a signed, shifted identity, and its
+columns are range arithmetic.  ``_d1_image`` and ``_d2_image`` stay the
+only definitions of the two differentials; each is asked once per run and
+block, of its first monomial.  A complex keeps the number of generators in
+each degree and its boundary columns, nothing else.
 
-Page one is a direct sum: the surface complex, assembled from its
-generators, plus the circle generators, which no arrow leaves or hits.  The
-circles enter page one as counted cycles only, one count per degree.
+Page one is a direct sum: the surface complex plus the circle generators,
+which no arrow leaves or hits.  The circles enter page one as counted
+cycles only, one count per degree, after the surface runs.
 """
 
 from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
+from itertools import starmap, zip_longest
 from math import comb
-from typing import Callable, Iterable, Sequence
+from operator import ne
+from typing import Iterator, Sequence
 
 from .errors import BadGenus, BadParams, GateFailure, NotAComplex, UnknownTable, ZeroTwist
 from .exterior import (
     Monomial,
     XBasisElement,
-    build_X,
+    check_x_params,
     contract_monomial,
     e_half,
     monomials,
     wedge_monomials,
+    x_basis,
     x_ranks,
 )
 from .graded import GradedGroup, circles_cohomology
@@ -95,71 +106,114 @@ class E2Page:
     d2_complex: FreeComplex
 
 
-# -- generic complex assembly -------------------------------------------
+# -- runs and ranks --------------------------------------------------------
+
+# The {a1, b1} part of a surface monomial, in the order its blocks take in a run.
+BLOCKS: tuple[Monomial, ...] = ((), (0,), (1,), (0, 1))
 
 
-def _by_degree(gens: Iterable, grading: Callable) -> dict[int, list]:
-    """Generators grouped by ``grading(gen)``, for ``_assemble_complex``."""
-    by_degree: dict[int, list] = {}
-    for gen in gens:
-        by_degree.setdefault(grading(gen), []).append(gen)
+def _surface_runs(genus: int, k: int) -> dict[int, list[tuple]]:
+    """The surface runs of the region {i < 0, j >= k}, grouped by model degree F - 2p.
+
+    A run ``(SURFACE, size, p, 0, 0)`` is every genus-``genus`` monomial of
+    one size s at one U-power p; F = s - genus, and p runs over 1 .. F - k.
+    """
+    by_degree: dict[int, list[tuple]] = {}
+    for size in range(max(genus + k + 1, 0), 2 * genus + 1):
+        F = size - genus
+        for p in range(1, F - k + 1):
+            by_degree.setdefault(F - 2 * p, []).append((SURFACE, size, p, 0, 0))
     return by_degree
 
 
-def _stray(target, deg: int, positions: dict[int, dict]) -> NotAComplex:
-    """The refusal for an image term that is not a generator of degree deg - 1."""
-    for tdeg, index in positions.items():
-        if target in index:
-            return NotAComplex(f"differential drops grading by {deg - tdeg}, not 1")
-    return NotAComplex(f"differential leaves the generator set at degree {deg}")
+def _circle_runs(spec: Params, labels: Sequence[int]) -> dict[int, list[tuple]]:
+    """The circle runs on ``labels``, grouped by model degree F + eps + eps_n - 2p.
 
-
-def _assemble_complex(by_degree: dict[int, list], image: Callable) -> tuple[dict[int, int], dict[int, dict]]:
-    """A complex's sizes and boundary columns, from generators grouped by degree and a differential rule.
-
-    Each degree's list is sorted in place, and a generator's position in it
-    is its index in the complex.  ``image(gen)`` returns a sequence of
-    (target_generator, coefficient) pairs; targets must be generators of
-    degree one less, or the assembly refuses.  Each generator's image is
-    summed into its own column, keyed by target row, so only the nonzero
-    part of each boundary is ever built.  The result is what ``FreeComplex``
-    takes: a complex keeps each degree's count, not its generators, so
-    ``by_degree`` is emptied once the columns are built.
+    A run ``(CIRCLES, size, p, circle, eps)`` is every genus-(g-1) monomial
+    (symbol indices 2..2g-1) of one size s at one U-power, circle and eps;
+    F = s - (g - 1), and p runs over 1 .. F - |k|.
     """
-    positions: dict[int, dict] = {}
-    for deg, gens in by_degree.items():
-        gens.sort()
-        positions[deg] = dict(zip(gens, range(len(gens))))
-    boundaries: dict[int, dict[int, list[tuple[int, int]]]] = {}
-    for deg, sources in by_degree.items():
-        below = positions.get(deg - 1, {})
-        columns = {}
-        for col, gen in enumerate(sources):
-            terms = image(gen)
-            if not terms:
-                continue
-            if len(terms) == 1:
-                # one term needs no summing
-                (target, coeff), = terms
-                row = below.get(target)
-                if row is None:
-                    raise _stray(target, deg, positions)
-                columns[col] = [(row, coeff)]
-                continue
-            column: dict[int, int] = {}
-            for target, coeff in terms:
-                row = below.get(target)
-                if row is None:
-                    raise _stray(target, deg, positions)
-                column[row] = column.get(row, 0) + coeff
-            columns[col] = list(column.items())
-        if columns:
-            boundaries[deg] = columns
-    sizes = {deg: len(gens) for deg, gens in by_degree.items()}
-    # the complex keeps no generator: free the index and the lists before it is built
-    del positions
-    by_degree.clear()
-    return sizes, boundaries
+    by_degree: dict[int, list[tuple]] = {}
+    for size in range(spec.g + spec.abs_k, 2 * spec.g - 1):
+        F = size - (spec.g - 1)
+        for bit in (0, 1):
+            for p in range(1, F - spec.abs_k + 1):
+                deg = F + bit + spec.eps_n - 2 * p
+                by_degree.setdefault(deg, []).extend((CIRCLES, size, p, c, bit) for c in labels)
+    return by_degree
+
+
+def _run_length(genus: int, run: tuple) -> int:
+    """The number of monomials in a run: C(2g, s) on the surface, C(2g - 2, s) on a circle."""
+    tag, size, _, _, _ = run
+    return comb(2 * genus if tag == SURFACE else 2 * genus - 2, size)
+
+
+def _layout(genus: int, runs: dict[int, list[tuple]]) -> tuple[dict[int, int], dict[tuple, tuple[int, int]]]:
+    """Each degree's size and each run's (degree, offset): a degree's runs sit back to back, as listed."""
+    sizes: dict[int, int] = {}
+    where: dict[tuple, tuple[int, int]] = {}
+    for deg, listed in runs.items():
+        offset = 0
+        for run in listed:
+            where[run] = (deg, offset)
+            offset += _run_length(genus, run)
+        sizes[deg] = offset
+    return sizes, where
+
+
+def _surface_blocks(genus: int, size: int) -> Iterator[tuple[Monomial, int, int]]:
+    """The blocks of a size-``size`` surface run as (block, start in the run, length), in run order."""
+    start = 0
+    for block in BLOCKS:
+        rest = size - len(block)
+        length = comb(2 * genus - 2, rest) if rest >= 0 else 0
+        yield block, start, length
+        start += length
+
+
+def _split(mono: Monomial) -> tuple[Monomial, Monomial]:
+    """A surface monomial as (its {a1, b1} block, the rest over symbols 2..2g-1)."""
+    cut = sum(1 for s in mono[:2] if s < 2)
+    return mono[:cut], mono[cut:]
+
+
+def _block_start(genus: int, mono: Monomial) -> int:
+    """Where the block of a surface monomial starts in its run."""
+    block = _split(mono)[0]
+    return next(start for b, start, _ in _surface_blocks(genus, len(mono)) if b == block)
+
+
+def _target_start(where: dict[tuple, tuple[int, int]], run: tuple, deg: int) -> int:
+    """Where the target run of an arrow out of degree ``deg`` starts, or the refusal if it is not in degree deg - 1."""
+    found = where.get(run)
+    if found is None:
+        raise NotAComplex(f"differential leaves the generator set at degree {deg}")
+    tdeg, start = found
+    if tdeg != deg - 1:
+        raise NotAComplex(f"differential drops grading by {deg - tdeg}, not 1")
+    return start
+
+
+def _fill(columns: dict[int, list], source: int, length: int, targets: dict[int, int]) -> None:
+    """Columns ``source + i`` for i < length, each with the entries (row + i, coeff) of ``targets``.
+
+    Each target is a signed, shifted identity out of the source block, so a
+    column is range arithmetic: no generator is built or looked up.
+    """
+    entries = [(row, coeff) for row, coeff in targets.items() if coeff]
+    if len(entries) == 1:
+        (row, coeff), = entries
+        columns.update(zip(range(source, source + length), ([(r, coeff)] for r in range(row, row + length))))
+    elif entries:
+        for i in range(length):
+            columns[source + i] = [(row + i, coeff) for row, coeff in entries]
+
+
+def _rest_moved(deg: int, source: Monomial, target: Monomial) -> NotAComplex:
+    return NotAComplex(
+        f"differential at degree {deg} sends {source} to {target}, which changes the rest: not a shifted identity"
+    )
 
 
 # -- the page-one differential -------------------------------------------
@@ -189,23 +243,55 @@ def _d1_image(
     return out
 
 
+def _surface_page(
+    genus: int, d: int, runs: dict[int, list[tuple]], half: str, pd_sign: int
+) -> tuple[dict[int, int], dict[int, dict]]:
+    """The sizes and page-one boundary columns of surface runs, over the model grading.
+
+    ``_d1_image`` is asked once per (run, block), of the block's first
+    monomial.  Contraction drops a1 and wedging adds b1, so the rest never
+    changes: each term names a target run and block, and the whole source
+    block maps onto it at the same rank.  A term outside the runs of the
+    degree below is refused, and so is a term that changes the rest.
+    """
+    sizes, where = _layout(genus, runs)
+    boundaries: dict[int, dict] = {}
+    for deg, listed in runs.items():
+        columns: dict[int, list] = {}
+        for run in listed:
+            _, size, p, _, _ = run
+            offset = where[run][1]
+            for block, start, length in _surface_blocks(genus, size):
+                if not length:
+                    continue
+                first = block + tuple(range(2, 2 + size - len(block)))
+                targets: dict[int, int] = {}
+                for target, u, coeff in _d1_image(first, p - 1, genus, d, half, pd_sign):
+                    if _split(target)[1] != first[len(block):]:
+                        raise _rest_moved(deg, first, target)
+                    row = _target_start(where, (SURFACE, len(target), u + 1, 0, 0), deg) + _block_start(genus, target)
+                    targets[row] = targets.get(row, 0) + coeff
+                _fill(columns, offset + start, length, targets)
+        if columns:
+            boundaries[deg] = columns
+    return sizes, boundaries
+
+
 def build_x_complex(genus: int, d: int, left: bool = False, pd_sign: int = 1) -> FreeComplex:
     """The truncated tower module X(g, d) as a complex under the page-one differential.
 
-    Gradings are the module's own (X-convention).  ``left`` selects the
+    Gradings are the module's own (X-convention).  X(g, d) is the surface
+    summand of the region at level k = g - 1 - d, so its complex is that
+    summand's ranked page, shifted by +2.  ``left`` selects the
     left-handed-twist convention, which supports the differential on the
     other half of the exterior splitting.
     """
     if genus < 2:
         raise BadGenus(f"genus {genus} < 2")
-    module = build_X(genus, d)
+    check_x_params(genus, d)
     half = "E+" if left else "E-"
-
-    def image(x: XBasisElement):
-        terms = _d1_image(x.monomial, x.u, genus, d, half, pd_sign)
-        return [(XBasisElement(genus, mono, u), coeff) for mono, u, coeff in terms]
-
-    return FreeComplex(*_assemble_complex(_by_degree(module.basis, lambda x: x.grading), image))
+    sizes, columns = _surface_page(genus, d, _surface_runs(genus, genus - 1 - d), half, pd_sign)
+    return FreeComplex({deg + 2: n for deg, n in sizes.items()}, {deg + 2: c for deg, c in columns.items()})
 
 
 # -- region pipeline -------------------------------------------------------
@@ -217,35 +303,6 @@ def _circle_labels(spec: Params, labels: Sequence[int] | None) -> tuple[int, ...
     if sorted(labels) != sorted(set(labels)) or len(labels) != spec.abs_n:
         raise BadParams(f"need {spec.abs_n} distinct circle labels, got {labels!r}")
     return tuple(labels)
-
-
-def _surface_generators(spec: Params) -> dict[int, list[tuple]]:
-    """The surface generators, grouped by model degree F - 2p."""
-    by_degree: dict[int, list[tuple]] = {}
-    for size in range(spec.g + spec.abs_k + 1, 2 * spec.g + 1):
-        F = size - spec.g
-        monos = list(monomials(range(2 * spec.g), size))
-        for p in range(1, F - spec.abs_k + 1):
-            by_degree.setdefault(F - 2 * p, []).extend((SURFACE, mono, p, 0, 0) for mono in monos)
-    return by_degree
-
-
-def _circle_generators(spec: Params, labels: Sequence[int]) -> dict[int, list[tuple]]:
-    """The circle generators on ``labels``, grouped by model degree F + eps + eps_n - 2p."""
-    by_degree: dict[int, list[tuple]] = {}
-    labels = sorted(labels)
-    for size in range(spec.g + spec.abs_k, 2 * spec.g - 1):
-        F = size - (spec.g - 1)
-        monos = list(monomials(range(2, 2 * spec.g), size))
-        for bit in (0, 1):
-            for p in range(1, F - spec.abs_k + 1):
-                # one (p, eps) per label size lands in this degree, so with the
-                # label innermost the size adds one sorted run to the list
-                deg = F + bit + spec.eps_n - 2 * p
-                by_degree.setdefault(deg, []).extend(
-                    (CIRCLES, mono, p, c, bit) for mono in monos for c in labels
-                )
-    return by_degree
 
 
 def region_size(spec: Params) -> int:
@@ -268,44 +325,54 @@ def _check_tower(spec: Params, surface: dict[int, list[tuple]]) -> None:
     """Refuse a surface summand that is not the truncated tower X(g, d) in disguise.
 
     The surface generator (monomial, p) in model degree deg must be the
-    tower element (monomial, u = p - 1) of grading deg + 2, and the two
-    sets must agree in full.  Both key sets are freed on return, before
-    the region is assembled.
+    tower element (monomial, u = p - 1) of grading deg + 2.  Each run's
+    degree is checked against the tower grading, and the region's
+    (genus, monomial, u) stream is compared with ``x_basis`` element by
+    element, in its order (size down, monomials in lex order, u up).
+    Neither side is ever held in full.
     """
-    found = {(mono, p - 1, deg) for deg, gens in surface.items() for _, mono, p, _, _ in gens}
-    expected = {(x.monomial, x.u, x.grading - 2) for x in build_X(spec.g, spec.d).basis}
-    if found != expected:
-        raise GateFailure(f"region/tower basis mismatch at {spec}")
+    g = spec.g
+    mismatch = GateFailure(f"region/tower basis mismatch at {spec}")
+    powers: dict[int, list[int]] = {}
+    for deg, runs in surface.items():
+        for _, size, p, _, _ in runs:
+            if XBasisElement(g, tuple(range(size)), p - 1).grading != deg + 2:
+                raise mismatch
+            powers.setdefault(size, []).append(p)
+    # a size's runs must be p = 1 .. P, each once, so its stream is u = 0 .. P - 1
+    if any(set(ps) != set(range(1, len(ps) + 1)) for ps in powers.values()):
+        raise mismatch
+    found = (
+        (g, mono, u)
+        for size in range(2 * g, -1, -1)
+        if size in powers
+        for mono in monomials(range(2 * g), size)
+        for u in range(len(powers[size]))
+    )
+    if any(starmap(ne, zip_longest(found, x_basis(g, spec.d)))):
+        raise mismatch
 
 
 def build_e1_region(spec: Params, pd_sign: int = 1) -> FreeComplex:
     """Page one of the region {i < 0, j >= k}, over the model grading.
 
-    Page one is the surface complex plus counted circle cycles.  SURFACE
-    generators in the active half carry the page-one differential (with
-    image terms leaving the region dropped), and only they are assembled.
-    CIRCLES generators are cycles that no arrow hits: each degree's circles
-    are counted and added to its size, after its surface generators, where
-    no row or column refers to them.
+    Page one is the surface complex plus counted circle cycles.  Each degree
+    lists its surface runs, then its circle runs.  SURFACE generators in the
+    active half carry the page-one differential (with image terms leaving
+    the region dropped), and only they get columns.  CIRCLES generators are
+    cycles that no arrow hits: each degree's circle runs are counted and
+    added to its size, after its surface runs, where no row or column
+    refers to them.
     """
-    # counted first, so the circle tuples are gone before the surface is enumerated
-    circles = {deg: len(gens) for deg, gens in _circle_generators(spec, range(1, spec.abs_n + 1)).items()}
-    surface = _surface_generators(spec)
+    surface = _surface_runs(spec.g, spec.abs_k)
+    circles = _circle_runs(spec, range(1, spec.abs_n + 1))
     _check_tower(spec, surface)
-    total = sum(circles.values()) + sum(map(len, surface.values()))
+    total = sum(_run_length(spec.g, run) for part in (surface, circles) for runs in part.values() for run in runs)
     expected_size = region_size(spec)
     if total != expected_size:
         raise GateFailure(f"region has {total} generators, but its count is {expected_size} at {spec}")
-
-    g, d, half = spec.g, spec.d, active_half(spec.n)
-
-    def image(gen: tuple):
-        _, mono, p, _, _ = gen
-        terms = _d1_image(mono, p - 1, g, d, half, pd_sign)
-        return [((SURFACE, target, u + 1, 0, 0), coeff) for target, u, coeff in terms]
-
-    sizes, columns = _assemble_complex(surface, image)
-    for deg, count in circles.items():
+    sizes, columns = _surface_page(spec.g, spec.d, surface, active_half(spec.n), pd_sign)
+    for deg, count in _layout(spec.g, circles)[0].items():
         sizes[deg] = sizes.get(deg, 0) + count
     return FreeComplex(sizes, columns)
 
@@ -316,6 +383,32 @@ def _d2_image(spec: Params, gen: tuple) -> list[tuple[tuple, int]]:
     if bit == 0 and p + 1 <= len(mono) - (spec.g - 1) - spec.abs_k:
         return [((tag, mono, p + 1, c, 1), 1)]
     return []
+
+
+def _circle_page(spec: Params, runs: dict[int, list[tuple]]) -> tuple[dict[int, int], dict[int, dict]]:
+    """The sizes and page-two boundary columns of circle runs.
+
+    ``_d2_image`` is asked once per run, of its first monomial; the arrow
+    keeps the monomial, so the whole run maps onto its target run at the
+    same rank.
+    """
+    sizes, where = _layout(spec.g, runs)
+    boundaries: dict[int, dict] = {}
+    for deg, listed in runs.items():
+        columns: dict[int, list] = {}
+        for run in listed:
+            tag, size, p, c, bit = run
+            first = tuple(range(2, 2 + size))
+            targets: dict[int, int] = {}
+            for (ttag, target, tp, tc, tbit), coeff in _d2_image(spec, (tag, first, p, c, bit)):
+                if target != first:
+                    raise _rest_moved(deg, first, target)
+                row = _target_start(where, (ttag, len(target), tp, tc, tbit), deg)
+                targets[row] = targets.get(row, 0) + coeff
+            _fill(columns, where[run][1], _run_length(spec.g, run), targets)
+        if columns:
+            boundaries[deg] = columns
+    return sizes, boundaries
 
 
 def build_e2_symbolic(
@@ -336,9 +429,8 @@ def build_e2_symbolic(
     g, d = spec.g, spec.d
     fixed = x_ranks(g - 1, d - 1).tensor(circles_cohomology(2, spec.eps_n))
     fixed += GradedGroup.free({g - d: comb(2 * g - 2, d)})
-    image = (lambda gen: ()) if corrupt_d2 else (lambda gen: _d2_image(spec, gen))
-    d2_complex = FreeComplex(*_assemble_complex(_circle_generators(spec, labels[1:]), image))
-    return E2Page(fixed, d2_complex)
+    sizes, columns = _circle_page(spec, _circle_runs(spec, labels[1:]))
+    return E2Page(fixed, FreeComplex(sizes, {} if corrupt_d2 else columns))
 
 
 def _torsion_text(torsion: tuple[int, ...]) -> str:
@@ -512,22 +604,19 @@ def collapse_hfk(n: int) -> GradedGroup:
     """
     eps_n = eps(n)
     half = active_half(n)
-
-    gens = [(SURFACE, mono, 0, 0, 0) for size in range(3) for mono in monomials(range(2), size)]
-    gens += [(CIRCLES, (), 0, c, bit) for c in range(1, abs(n) + 1) for bit in (0, 1)]
-
-    def grading(gen: tuple) -> int:
-        tag, mono, _, _, bit = gen
-        return len(mono) - 1 if tag == SURFACE else bit + eps_n
-
-    def image(gen: tuple):
-        tag, mono, _, _, _ = gen
-        if tag != SURFACE or e_half(mono) != half:
-            return ()
+    # the circle classes first, then the genus-1 monomials, which are the blocks
+    sizes = {eps_n: abs(n), eps_n + 1: abs(n)}
+    index: dict[Monomial, int] = {}
+    for mono in BLOCKS:
+        deg = len(mono) - 1
+        index[mono] = sizes.get(deg, 0)
+        sizes[deg] = index[mono] + 1
+    columns: dict[int, dict] = {}
+    for mono in BLOCKS:
         rest = contract_monomial(mono)
-        return () if rest is None else [((SURFACE, rest, 0, 0, 0), 1)]
-
-    return FreeComplex(*_assemble_complex(_by_degree(gens, grading), image)).homology()
+        if e_half(mono) == half and rest is not None:
+            columns.setdefault(len(mono) - 1, {})[index[mono]] = [(index[rest], 1)]
+    return FreeComplex(sizes, columns).homology()
 
 
 def hf_hat_M(n: int) -> GradedGroup:

@@ -131,25 +131,25 @@ def test_compute_bad_params_exit_two(capsys):
     assert code == 2
 
 
-def _no_enumeration(spec):
-    raise AssertionError(f"region enumerated at {spec}")
+def _no_enumeration(*args):
+    raise AssertionError(f"region runs enumerated at {args}")
 
 
 def test_compute_refuses_an_oversized_region_before_enumerating(capsys, monkeypatch):
-    monkeypatch.setattr(knot_model, "_surface_generators", _no_enumeration)
-    code, out, err = run_main(capsys, "compute", "--g", "11", "--n", "3", "--k", "1")
+    monkeypatch.setattr(knot_model, "_surface_runs", _no_enumeration)
+    code, out, err = run_main(capsys, "compute", "--g", "12", "--n", "3", "--k", "1")
     assert (code, out) == (2, "")
-    assert err == "error: the region at g=11 n=3 k=1 has 5086660 generators, more than --max-generators 2000000\n"
+    assert err == "error: the region at g=12 n=3 k=1 has 22001046 generators, more than --max-generators 6000000\n"
     code, out, err = run_main(capsys, "compute", "--g", "3", "--n", "2", "--k", "1", "--method", "oracle", "--max-generators", "11")
     assert (code, out) == (2, "")
     assert err == "error: the region at g=3 n=2 k=1 has 12 generators, more than --max-generators 11\n"
     # the closed form and a vanishing level build no region, so the limit does not apply
-    assert run_main(capsys, "compute", "--g", "11", "--n", "3", "--k", "1", "--method", "closed")[0] == 0
+    assert run_main(capsys, "compute", "--g", "12", "--n", "3", "--k", "1", "--method", "closed")[0] == 0
     assert run_main(capsys, "compute", "--g", "3", "--n", "2", "--k", "3", "--max-generators", "0")[0] == 0
 
 
-def test_default_generator_limit_admits_g10_and_refuses_g11():
-    assert region_size(Params(10, 3, 1)) == 1164038 <= cli.MAX_GENERATORS < region_size(Params(11, 3, 1))
+def test_default_generator_limit_admits_g11_and_refuses_g12():
+    assert region_size(Params(11, 3, 1)) == 5086660 <= cli.MAX_GENERATORS < region_size(Params(12, 3, 1))
 
 
 def test_compute_at_the_limit_runs(capsys):
@@ -162,7 +162,7 @@ def test_compute_at_the_limit_runs(capsys):
 
 def test_verify_refuses_an_oversized_grid_before_any_triple(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("MTFLOER_THREADS", "1")
-    monkeypatch.setattr(knot_model, "_surface_generators", _no_enumeration)
+    monkeypatch.setattr(knot_model, "_surface_runs", _no_enumeration)
     monkeypatch.setattr(cli, "_verify_triple", lambda task: pytest.fail(f"triple {task[:3]} started"))
     target = tmp_path / "r.json"
     # only g = 4, n = +-3, k = 1 of the grid has more than 90 generators
@@ -490,8 +490,8 @@ def test_xgd_homology_refuses_before_building_the_module(capsys, monkeypatch):
     code, out, err = run_main(capsys, "xgd", "--g", "7", "--d", "30", "--homology")
     assert (code, out, err) == (2, "", "error: need 0 <= d <= g-1, got d=30\n")
     # inside it, but larger than a compute would start
-    code, out, err = run_main(capsys, "xgd", "--g", "11", "--d", "10", "--homology")
-    assert (code, out, err) == (2, "", "error: X(g=11, d=10) has 3879876 elements, more than 2000000\n")
+    code, out, err = run_main(capsys, "xgd", "--g", "12", "--d", "11", "--homology")
+    assert (code, out, err) == (2, "", "error: X(g=12, d=11) has 16224936 elements, more than 6000000\n")
 
 
 def test_xgd_homology_at_the_size_limit_runs(capsys, monkeypatch):

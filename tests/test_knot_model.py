@@ -1,5 +1,6 @@
 import gc
 import re
+import tracemalloc
 from dataclasses import replace
 from itertools import product
 from math import comb
@@ -8,10 +9,10 @@ from typing import NamedTuple
 import pytest
 
 from mtfloer.closed_form import theorem_answer
-from mtfloer.exterior import ExtVector, e_half, monomials
+from mtfloer.exterior import ExtVector, XBasisElement, build_X, e_half, monomials, x_ranks
 from mtfloer.errors import BadGenus, BadParams, GateFailure, NotAComplex, UnknownTable, ZeroTwist
 from mtfloer.graded import GradedGroup
-from mtfloer.homology import FreeComplex, IntMatrix, _nonzero_columns
+from mtfloer.homology import FreeComplex, IntMatrix
 from mtfloer import knot_model
 from mtfloer.knot_model import (
     CIRCLES,
@@ -35,8 +36,6 @@ from mtfloer.knot_model import (
 )
 from mtfloer.params import Params
 from test_homology import assert_blocks_match_the_reference, dense_homology
-
-REAL_ASSEMBLE = knot_model._assemble_complex
 
 G = GradedGroup.free
 
@@ -74,9 +73,172 @@ def model_grading(spec, gen):
     return base - 2 * gen.p
 
 
+# -- the tuple reference ----------------------------------------------------------
+#
+# The region as plain tuples ``(tag, monomial, p, circle, eps)`` grouped by model
+# degree, and the assembly that sorts, indexes and images them one by one.  The
+# pipeline ran this before its generators were indexed by rank; it stays here as
+# the reference the ranked pages are checked against.
+
+
+def surface_generators(spec):
+    """The surface generators, grouped by model degree F - 2p."""
+    by_degree = {}
+    for size in range(spec.g + spec.abs_k + 1, 2 * spec.g + 1):
+        F = size - spec.g
+        monos = list(monomials(range(2 * spec.g), size))
+        for p in range(1, F - spec.abs_k + 1):
+            by_degree.setdefault(F - 2 * p, []).extend((SURFACE, mono, p, 0, 0) for mono in monos)
+    return by_degree
+
+
+def circle_generators(spec, labels):
+    """The circle generators on ``labels``, grouped by model degree F + eps + eps_n - 2p."""
+    by_degree = {}
+    for size in range(spec.g + spec.abs_k, 2 * spec.g - 1):
+        F = size - (spec.g - 1)
+        monos = list(monomials(range(2, 2 * spec.g), size))
+        for bit in (0, 1):
+            for p in range(1, F - spec.abs_k + 1):
+                deg = F + bit + spec.eps_n - 2 * p
+                by_degree.setdefault(deg, []).extend((CIRCLES, mono, p, c, bit) for mono in monos for c in labels)
+    return by_degree
+
+
+def region_generators(spec):
+    """Every page-one generator, surface and circle, grouped by model degree."""
+    by_degree = surface_generators(spec)
+    for deg, gens in circle_generators(spec, range(1, spec.abs_n + 1)).items():
+        by_degree.setdefault(deg, []).extend(gens)
+    return by_degree
+
+
+def group_by_degree(gens, grading):
+    """Generators grouped by ``grading(gen)``, for ``assemble_complex``."""
+    by_degree = {}
+    for gen in gens:
+        by_degree.setdefault(grading(gen), []).append(gen)
+    return by_degree
+
+
+def stray(target, deg, positions):
+    """The refusal for an image term that is not a generator of degree deg - 1."""
+    for tdeg, index in positions.items():
+        if target in index:
+            return NotAComplex(f"differential drops grading by {deg - tdeg}, not 1")
+    return NotAComplex(f"differential leaves the generator set at degree {deg}")
+
+
+def assemble_complex(by_degree, image):
+    """A complex's sizes and boundary columns from generators grouped by degree.
+
+    Each degree's list is sorted, and a generator's position in it is its
+    index; ``image(gen)`` gives (target generator, coefficient) pairs, and
+    each column sums its generator's image by target row.  A target that is
+    not a generator of degree one less is refused.
+    """
+    positions = {deg: {gen: i for i, gen in enumerate(sorted(gens))} for deg, gens in by_degree.items()}
+    boundaries = {}
+    for deg, index in positions.items():
+        below = positions.get(deg - 1, {})
+        columns = {}
+        for gen, col in index.items():
+            column = {}
+            for target, coeff in image(gen):
+                row = below.get(target)
+                if row is None:
+                    raise stray(target, deg, positions)
+                column[row] = column.get(row, 0) + coeff
+            if column:
+                columns[col] = list(column.items())
+        if columns:
+            boundaries[deg] = columns
+    return {deg: len(index) for deg, index in positions.items()}, boundaries
+
+
+def page_one_image(spec, pd_sign=1):
+    """The page-one image of one region tuple, through ``_d1_image``."""
+    half = active_half(spec.n)
+
+    def image(gen):
+        tag, mono, p, _, _ = gen
+        if tag != SURFACE:
+            return []
+        terms = knot_model._d1_image(mono, p - 1, spec.g, spec.d, half, pd_sign)
+        return [((SURFACE, target, u + 1, 0, 0), coeff) for target, u, coeff in terms]
+
+    return image
+
+
 def page_two_generators(spec):
     """The generators page two can move: the circle generators on every label but the first."""
-    return knot_model._circle_generators(spec, range(2, spec.abs_n + 1))
+    return circle_generators(spec, range(2, spec.abs_n + 1))
+
+
+# -- unranking -----------------------------------------------------------------------
+
+
+def colex_unrank(rank, size):
+    """The size-``size`` set of symbols 2, 3, ... with this colex rank (the combinatorial number system)."""
+    symbols = []
+    for i in range(size, 0, -1):
+        c = i - 1
+        while comb(c + 1, i) <= rank:
+            c += 1
+        rank -= comb(c, i)
+        symbols.append(c + 2)
+    return tuple(reversed(symbols))
+
+
+def unrank_run(genus, run, index):
+    """The generator at ``index`` in a run: a circle monomial by its colex rank, a
+    surface monomial by its block (none, a1, b1, both) and the colex rank of its rest."""
+    tag, size, p, c, bit = run
+    if tag == CIRCLES:
+        return (CIRCLES, colex_unrank(index, size), p, c, bit)
+    for block in ((), (0,), (1,), (0, 1)):
+        length = comb(2 * genus - 2, size - len(block)) if size >= len(block) else 0
+        if index < length:
+            return (SURFACE, block + colex_unrank(index, size - len(block)), p, 0, 0)
+        index -= length
+    raise IndexError(f"index past the end of run {run}")
+
+
+def unranked(genus, *parts):
+    """Every generator of a ranked page, by degree and index: each degree lists the
+    runs of ``parts`` in turn, back to back."""
+    by_degree = {}
+    for part in parts:
+        for deg, runs in part.items():
+            gens = by_degree.setdefault(deg, [])
+            for run in runs:
+                tag, size = run[:2]
+                length = comb(2 * genus if tag == SURFACE else 2 * genus - 2, size)
+                gens.extend(unrank_run(genus, run, i) for i in range(length))
+    return by_degree
+
+
+def assert_unranks_onto(ranked, reference):
+    """Unranking is a bijection from each degree's indices onto its reference generators."""
+    assert {deg for deg, gens in ranked.items() if gens} == {deg for deg, gens in reference.items() if gens}
+    for deg, gens in ranked.items():
+        assert len(set(gens)) == len(gens) == len(reference.get(deg, ())), deg
+        assert set(gens) == set(reference.get(deg, ())), deg
+
+
+def assert_columns_match(cx, ranked, reference_cx, reference):
+    """The ranked complex's columns, carried to the reference's indices through the unranking, are the reference's."""
+    position = {deg: {gen: i for i, gen in enumerate(sorted(gens))} for deg, gens in reference.items()}
+    carried = {
+        deg: {
+            position[deg][ranked[deg][j]]: sorted((position[deg - 1][ranked[deg - 1][i]], x) for i, x in column)
+            for j, column in columns.items()
+        }
+        for deg, columns in cx._columns.items()
+    }
+    expected = {deg: {j: sorted(column) for j, column in columns.items()} for deg, columns in reference_cx._columns.items()}
+    assert carried == expected
+    assert cx.sizes == reference_cx.sizes
 
 
 # -- parameters and gradings ---------------------------------------------------
@@ -141,9 +303,10 @@ def test_region_size_at_g3():
 
 
 def test_region_size_bound_is_enforced(monkeypatch):
-    # the region at g=2, |n|=1, k=1 is one surface generator and no circles
-    padding = {0: [(CIRCLES, (), 1, 0, 0)] * 49}
-    monkeypatch.setattr(knot_model, "_circle_generators", lambda spec, labels: padding)
+    # the region at g=2, |n|=1, k=1 is one surface generator and no circles;
+    # a size-0 circle run at g=2 holds C(2, 0) = 1 generator
+    padding = {0: [(CIRCLES, 0, 1, c, 0) for c in range(49)]}
+    monkeypatch.setattr(knot_model, "_circle_runs", lambda spec, labels: padding)
     with pytest.raises(GateFailure, match="region has 50 generators, but its count is 1"):
         build_e1_region(Params(2, 1, 1))
 
@@ -153,8 +316,8 @@ def test_region_size_counts_the_enumeration(g):
     for n in (1, -1, 2, -2, 3, -3):
         for k in range(1, g):
             spec = Params(g, n, k)
-            surface = knot_model._surface_generators(spec)
-            circles = knot_model._circle_generators(spec, range(1, spec.abs_n + 1))
+            surface = surface_generators(spec)
+            circles = circle_generators(spec, range(1, spec.abs_n + 1))
             enumerated = sum(len(gens) for part in (surface, circles) for gens in part.values())
             assert region_size(spec) == enumerated, spec
             assert region_size(Params(g, n, -k)) == enumerated
@@ -163,23 +326,9 @@ def test_region_size_counts_the_enumeration(g):
 @pytest.mark.parametrize("spec", [Params(g, n, k) for g in range(2, 6) for n in (2, -3) for k in range(1, g)], ids=str)
 def test_enumeration_degrees_are_the_model_grading(spec):
     labels = range(1, spec.abs_n + 1)
-    for part in (knot_model._surface_generators(spec), knot_model._circle_generators(spec, labels)):
+    for part in (surface_generators(spec), circle_generators(spec, labels)):
         for deg, gens in part.items():
             assert {model_grading(spec, PageGenerator(*gen)) for gen in gens} == {deg}
-
-
-def descents(gens):
-    return sum(1 for a, b in zip(gens, gens[1:]) if b < a)
-
-
-@pytest.mark.parametrize("labels", [(1, 2, 3), (3, 1, 2)], ids=["sorted labels", "shuffled labels"])
-def test_circle_generators_come_in_one_sorted_run_per_label_size(labels):
-    spec = Params(6, 3, 1)
-    sizes = len(range(spec.g + spec.abs_k, 2 * spec.g - 1))
-    for deg, gens in knot_model._circle_generators(spec, labels).items():
-        assert descents(gens) < sizes, deg
-        # each run is one size's monomials, each followed by every label
-        assert [c for _, _, _, c, _ in gens[:3]] == [1, 2, 3]
 
 
 def test_page_generator_is_its_compact_tuple():
@@ -199,14 +348,15 @@ def test_region_size_pinned_values():
 def test_region_size_refuses_one_missing_generator(monkeypatch):
     # the old bound, (2^(2g) + 2|n| 2^(2g-2)) g, let a short region through
     spec = Params(3, 2, 1)
-    full = knot_model._circle_generators
+    full = knot_model._circle_runs
 
     def one_short(spec, labels):
+        # at g=3, k=1 every circle run is the one size-4 monomial, C(4, 4) = 1
         by_degree = full(spec, labels)
         by_degree[min(by_degree)].pop()
         return by_degree
 
-    monkeypatch.setattr(knot_model, "_circle_generators", one_short)
+    monkeypatch.setattr(knot_model, "_circle_runs", one_short)
     with pytest.raises(GateFailure, match="region has 11 generators, but its count is 12"):
         build_e1_region(spec)
 
@@ -234,129 +384,207 @@ def test_region_homology_matches_dense_reference(spec):
     assert_blocks_match_the_reference(page2)
 
 
-def dense_assemble_complex(by_degree, image):
-    """The assembly as it was before it went sparse: one dense matrix per
-    degree, filled entry by entry, kept as the reference for the columns.
-    It takes the same generators grouped by degree and the same image rule
-    as ``_assemble_complex``, and returns the same sizes and columns."""
-    by_degree = {deg: sorted(gens) for deg, gens in by_degree.items()}
-    index = {}
-    for deg, row in by_degree.items():
-        for i, gen in enumerate(row):
-            index[gen] = (deg, i)
-    mats = {}
-    for deg, sources in sorted(by_degree.items()):
-        targets = by_degree.get(deg - 1)
-        if not targets:
-            for gen in sources:
-                if list(image(gen)):
-                    raise NotAComplex(f"differential leaves the generator set at degree {deg}")
-            continue
-        mat = IntMatrix.zeros(len(targets), len(sources))
-        filled = False
-        for col, gen in enumerate(sources):
-            for target, coeff in image(gen):
-                tdeg, row = index[target]
-                if tdeg != deg - 1:
-                    raise NotAComplex(f"differential drops grading by {deg - tdeg}, not 1")
-                mat.data[row][col] += coeff
-                filled = True
-        if filled:
-            mats[deg] = mat
-    return {d: len(row) for d, row in by_degree.items()}, {d: _nonzero_columns(mat) for d, mat in mats.items()}
+# every REGIONS spec and every other region with g <= 7
+RANKED = REGIONS + [Params(g, n, k) for g in (6, 7) for n in (1, -1, 2, -2, 3, -3) for k in range(1, g)]
 
 
-def assert_matches_dense_assembly(monkeypatch, build, *args, **kwargs):
-    sparse = build(*args, **kwargs)
-    with monkeypatch.context() as patched:
-        patched.setattr(knot_model, "_assemble_complex", dense_assemble_complex)
-        dense = build(*args, **kwargs)
-    assert sparse.sizes == dense.sizes
-    assert sparse.differentials == dense.differentials
-    for d in sparse.degrees():
-        assert sparse.differential(d) == dense.differential(d)
+@pytest.mark.parametrize("spec", RANKED, ids=region_id)
+def test_ranked_pages_unrank_onto_the_tuple_reference(spec):
+    labels = range(1, spec.abs_n + 1)
+    page_one = unranked(spec.g, knot_model._surface_runs(spec.g, spec.abs_k), knot_model._circle_runs(spec, labels))
+    assert_unranks_onto(page_one, region_generators(spec))
+    # page two keeps the labels in the order given, sorted or not
+    for movable in (labels[1:], labels[:0:-1]):
+        assert_unranks_onto(unranked(spec.g, knot_model._circle_runs(spec, movable)), page_two_generators(spec))
 
 
-@pytest.mark.parametrize("spec", REGIONS, ids=region_id)
-def test_region_assembly_matches_dense_reference(monkeypatch, spec):
-    assert_matches_dense_assembly(monkeypatch, build_e1_region, spec)
-    assert_matches_dense_assembly(monkeypatch, lambda s: build_e2_symbolic(s).d2_complex, spec)
+@pytest.mark.parametrize("spec", RANKED, ids=region_id)
+def test_ranked_columns_match_the_reference_assembly(spec):
+    labels = range(1, spec.abs_n + 1)
+    reference = region_generators(spec)
+    page_one = unranked(spec.g, knot_model._surface_runs(spec.g, spec.abs_k), knot_model._circle_runs(spec, labels))
+    assert_columns_match(
+        build_e1_region(spec), page_one, FreeComplex(*assemble_complex(reference, page_one_image(spec))), reference
+    )
+    reference = page_two_generators(spec)
+    page_two = unranked(spec.g, knot_model._circle_runs(spec, labels[1:]))
+    reference_cx = FreeComplex(*assemble_complex(reference, lambda gen: knot_model._d2_image(spec, gen)))
+    assert_columns_match(build_e2_symbolic(spec).d2_complex, page_two, reference_cx, reference)
 
 
 @pytest.mark.parametrize("spec", REGIONS, ids=region_id)
 def test_page_one_image_is_asked_only_of_surface_generators(monkeypatch, spec):
-    handed, asked = [], []
+    asked = []
+    real = knot_model._d1_image
 
-    def recording(by_degree, image):
-        handed.extend(gen for gens in by_degree.values() for gen in gens)
+    def recording(mono, u, *args):
+        asked.append((mono, u))
+        return real(mono, u, *args)
 
-        def recorded(gen):
-            asked.append(gen)
-            return image(gen)
-
-        return REAL_ASSEMBLE(by_degree, recorded)
-
-    monkeypatch.setattr(knot_model, "_assemble_complex", recording)
+    monkeypatch.setattr(knot_model, "_d1_image", recording)
+    monkeypatch.setattr(knot_model, "_d2_image", lambda *args: pytest.fail("page two asked"))
     build_e1_region(spec)
-    surface = sorted(gen for gens in knot_model._surface_generators(spec).values() for gen in gens)
-    # the assembly is handed exactly the surface generators, and no circle
-    assert sorted(handed) == surface
-    assert not any(gen[0] == CIRCLES for gen in handed)
-    assert sorted(asked) == surface
+    # once per (surface run, nonempty block), of the block's first monomial, and never of a circle
+    expected = [
+        (block + tuple(range(2, 2 + size - len(block))), p - 1)
+        for runs in knot_model._surface_runs(spec.g, spec.abs_k).values()
+        for _, size, p, _, _ in runs
+        for block in knot_model.BLOCKS
+        if 0 <= size - len(block) <= 2 * spec.g - 2
+    ]
+    assert sorted(asked) == sorted(expected)
+    assert len(set(asked)) == len(asked)
+
+
+def test_ranked_pages_refuse_a_term_that_changes_the_rest(monkeypatch):
+    spec = Params(4, 2, 1)
+    real = knot_model._d1_image
+
+    def wedge_drops_the_last_symbol(mono, u, *args):
+        return [(t[:-1], v, c) if v > u else (t, v, c) for t, v, c in real(mono, u, *args)]
+
+    monkeypatch.setattr(knot_model, "_d1_image", wedge_drops_the_last_symbol)
+    with pytest.raises(NotAComplex, match="which changes the rest: not a shifted identity"):
+        build_e1_region(spec)
+    monkeypatch.undo()
+    monkeypatch.setattr(knot_model, "_d2_image", lambda spec, gen: [((gen[0], gen[1][1:], gen[2] + 1, gen[3], 1), 1)])
+    with pytest.raises(NotAComplex, match="which changes the rest: not a shifted identity"):
+        build_e2_symbolic(spec)
+
+
+def test_ranked_pages_refuse_a_target_outside_the_degree_below(monkeypatch):
+    spec = Params(4, 3, 1)
+    # one U-power up with the same monomial, where the region has room: a run two degrees down
+    room = lambda mono, u: u + 2 <= len(mono) - spec.g - spec.abs_k
+    monkeypatch.setattr(knot_model, "_d1_image", lambda mono, u, *args: [(mono, u + 1, 1)] if room(mono, u) else [])
+    with pytest.raises(NotAComplex, match="drops grading by 2, not 1"):
+        build_e1_region(spec)
+    # nine U-powers up: no run at all
+    monkeypatch.setattr(knot_model, "_d1_image", lambda mono, u, *args: [(mono, u + 9, 1)])
+    with pytest.raises(NotAComplex, match="leaves the generator set at degree"):
+        build_e1_region(spec)
+    monkeypatch.setattr(knot_model, "_d2_image", lambda spec, gen: [((gen[0], gen[1], gen[2], gen[3], 1 - gen[4]), 1)])
+    with pytest.raises(NotAComplex, match="drops grading by -1, not 1"):
+        build_e2_symbolic(spec)
+    monkeypatch.setattr(knot_model, "_d2_image", lambda spec, gen: [((gen[0], gen[1], gen[2] + 9, gen[3], 1), 1)])
+    with pytest.raises(NotAComplex, match="leaves the generator set at degree"):
+        build_e2_symbolic(spec)
+
+
+def tower_runs(spec):
+    return knot_model._surface_runs(spec.g, spec.abs_k)
+
+
+@pytest.mark.parametrize("spec", [Params(5, 2, 1), Params(5, -3, 2), Params(4, 1, 3)], ids=str)
+def test_tower_check_refuses_each_run_out_of_place(spec):
+    knot_model._check_tower(spec, tower_runs(spec))
+    mismatch = f"region/tower basis mismatch at {spec}"
+    top = max(tower_runs(spec))
+    _, size, p, _, _ = tower_runs(spec)[top][0]
+    moved = tower_runs(spec)
+    moved[top + 2] = [moved[top].pop(0)]
+    gap = tower_runs(spec)
+    gap[top].pop(0)
+    twice = tower_runs(spec)
+    twice[top].append(twice[top][0])
+    extra = tower_runs(spec)
+    # one U-power past the region: the p-range one too long at the top size
+    last = 2 * spec.g - spec.g - spec.abs_k
+    extra.setdefault(spec.g - 2 * (last + 1), []).append((SURFACE, 2 * spec.g, last + 1, 0, 0))
+    # every run of the top size one U-power up, each in its own degree: the right count, the wrong powers
+    shifted = {}
+    for deg, runs in tower_runs(spec).items():
+        for run in runs:
+            tag, size, p, c, bit = run
+            if size == 2 * spec.g:
+                run, deg = (tag, size, p + 1, c, bit), deg - 2
+            shifted.setdefault(deg, []).append(run)
+    for runs in (moved, gap, twice, extra, shifted):
+        with pytest.raises(GateFailure, match=re.escape(mismatch)):
+            knot_model._check_tower(spec, runs)
+
+
+def test_tower_check_streams_both_sides():
+    spec = Params(8, 3, 1)
+    runs = tower_runs(spec)
+    tracemalloc.start()
+    try:
+        knot_model._check_tower(spec, runs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # two key sets of its tower elements would take megabytes; the streams hold one element each
+    assert x_ranks(spec.g, spec.d).total_rank() > 20_000
+    assert peak < 100_000
 
 
 @pytest.mark.parametrize("spec", REGIONS, ids=region_id)
 def test_page_one_sizes_are_the_surface_plus_the_circle_counts(spec):
     counts = {}
     labels = range(1, spec.abs_n + 1)
-    for part in (knot_model._surface_generators(spec), knot_model._circle_generators(spec, labels)):
+    for part in (surface_generators(spec), circle_generators(spec, labels)):
         for deg, gens in part.items():
             counts[deg] = counts.get(deg, 0) + len(gens)
     assert build_e1_region(spec).sizes == {deg: count for deg, count in counts.items() if count}
 
 
 @pytest.mark.parametrize("genus", range(2, 6))
-def test_x_complex_assembly_matches_dense_reference(monkeypatch, genus):
+def test_x_complex_columns_match_the_reference_assembly(genus):
     for d in range(-1, genus + 1):
+        basis = build_X(genus, d).basis
+        reference = group_by_degree(basis, lambda x: x.grading)
+        # X(g, d) is the surface summand at level g - 1 - d, two degrees up
+        runs = knot_model._surface_runs(genus, genus - 1 - d)
+        ranked = {
+            deg + 2: [XBasisElement(genus, mono, p - 1) for _, mono, p, _, _ in gens]
+            for deg, gens in unranked(genus, runs).items()
+        }
+        assert_unranks_onto(ranked, reference)
         for left in (False, True):
-            assert_matches_dense_assembly(monkeypatch, build_x_complex, genus, d, left=left)
+            half = "E+" if left else "E-"
+
+            def image(x):
+                terms = knot_model._d1_image(x.monomial, x.u, genus, d, half, 1)
+                return [(XBasisElement(genus, mono, u), coeff) for mono, u, coeff in terms]
+
+            reference_cx = FreeComplex(*assemble_complex(reference, image))
+            assert_columns_match(build_x_complex(genus, d, left=left), ranked, reference_cx, reference)
 
 
 def test_assembly_keeps_one_term_columns_and_drops_a_zero_one():
     gens = ["a", "b", "x", "y"]
-    by_degree = knot_model._by_degree(gens, {"a": 1, "b": 1, "x": 0, "y": 0}.__getitem__)
+    by_degree = group_by_degree(gens, {"a": 1, "b": 1, "x": 0, "y": 0}.__getitem__)
     rules = {"a": [("y", -3)], "b": [("x", 0)]}
-    sizes, columns = knot_model._assemble_complex(by_degree, lambda gen: rules.get(gen, []))
+    sizes, columns = assemble_complex(by_degree, lambda gen: rules.get(gen, []))
     assert FreeComplex(sizes, columns)._columns == {1: {0: [(1, -3)]}}
-    # the complex gets counts, and the generator lists are let go
-    assert sizes == {0: 2, 1: 2} and by_degree == {}
+    assert sizes == {0: 2, 1: 2}
 
 
 def test_assembly_sums_each_column_and_stores_no_cancelled_entry():
     gens = ["a", "b", "x", "y"]
     grading = {"a": 1, "b": 1, "x": 0, "y": 0}.__getitem__
     rules = {"a": [("x", 1), ("x", -1)], "b": [("y", 1), ("x", 2), ("y", 1)]}
-    by_degree = lambda: knot_model._by_degree(gens, grading)
-    cx = FreeComplex(*knot_model._assemble_complex(by_degree(), lambda gen: rules.get(gen, [])))
+    by_degree = lambda: group_by_degree(gens, grading)
+    cx = FreeComplex(*assemble_complex(by_degree(), lambda gen: rules.get(gen, [])))
     # a's two terms cancel, so column a holds nothing; b's two y terms add up
     assert cx._columns == {1: {1: [(1, 2), (0, 2)]}}
     assert cx.differential(1) == IntMatrix.from_rows([[0, 2], [0, 2]])
-    cancelled = FreeComplex(*knot_model._assemble_complex(by_degree(), lambda gen: rules["a"] if gen == "a" else []))
+    cancelled = FreeComplex(*assemble_complex(by_degree(), lambda gen: rules["a"] if gen == "a" else []))
     assert cancelled._columns == {} and not cancelled.differentials
 
 
 def test_assembly_refuses_bad_targets():
     gens = ["a", "x", "z"]
-    by_degree = lambda: knot_model._by_degree(gens, {"a": 2, "x": 1, "z": 0}.__getitem__)
+    by_degree = lambda: group_by_degree(gens, {"a": 2, "x": 1, "z": 0}.__getitem__)
     with pytest.raises(NotAComplex, match="leaves the generator set at degree 2"):
-        knot_model._assemble_complex(by_degree(), lambda gen: [("w", 1)] if gen == "a" else [])
+        assemble_complex(by_degree(), lambda gen: [("w", 1)] if gen == "a" else [])
     with pytest.raises(NotAComplex, match="drops grading by 2, not 1"):
-        knot_model._assemble_complex(by_degree(), lambda gen: [("z", 1)] if gen == "a" else [])
+        assemble_complex(by_degree(), lambda gen: [("z", 1)] if gen == "a" else [])
     # a one-term image takes its own path through the assembly: refuse behind a good term too
     with pytest.raises(NotAComplex, match="leaves the generator set at degree 2"):
-        knot_model._assemble_complex(by_degree(), lambda gen: [("x", 1), ("w", 1)] if gen == "a" else [])
+        assemble_complex(by_degree(), lambda gen: [("x", 1), ("w", 1)] if gen == "a" else [])
     with pytest.raises(NotAComplex, match="drops grading by 2, not 1"):
-        knot_model._assemble_complex(by_degree(), lambda gen: [("x", 1), ("z", 1)] if gen == "a" else [])
+        assemble_complex(by_degree(), lambda gen: [("x", 1), ("z", 1)] if gen == "a" else [])
 
 
 def test_region_rejects_bad_circle_labels(monkeypatch):

@@ -8,6 +8,7 @@ so a check that fails everywhere cannot pass for one that bites.
 
 import inspect
 import random
+import re
 import sys
 
 import pytest
@@ -19,7 +20,15 @@ from mtfloer.exterior import ExtVector
 from mtfloer.graded import GradedGroup
 from mtfloer.homology import FreeComplex, IntMatrix
 from test_homology import thin_block_mismatch
-from test_knot_model import d1_image_mismatches
+from mtfloer.params import Params
+from test_knot_model import (
+    assemble_complex,
+    assert_columns_match,
+    d1_image_mismatches,
+    page_one_image,
+    region_generators,
+    unranked,
+)
 
 REAL_WEDGE = exterior.wedge_monomials
 
@@ -90,10 +99,22 @@ def test_dropped_sign_at_the_d1_call_site_breaks_the_extvector_pin(monkeypatch):
     assert knot_model.oracle_hfplus(4, 3, 1).group == theorem_answer(4, 3, 1)
 
 
-# -- mutants of the compact enumeration, page two and the thin-block path --------
+# -- mutants of the region runs, page two and the thin-block path ---------------
 
-REAL_SURFACE = knot_model._surface_generators
-REAL_CIRCLES = knot_model._circle_generators
+def ranked_column_mismatch(spec):
+    """The failure of the page-one column comparison with the tuple reference at ``spec``, or None."""
+    reference = region_generators(spec)
+    runs = (knot_model._surface_runs(spec.g, spec.abs_k), knot_model._circle_runs(spec, range(1, spec.abs_n + 1)))
+    reference_cx = FreeComplex(*assemble_complex(reference, page_one_image(spec)))
+    try:
+        assert_columns_match(knot_model.build_e1_region(spec), unranked(spec.g, *runs), reference_cx, reference)
+    except AssertionError as failure:
+        return failure
+    return None
+
+
+REAL_SURFACE = knot_model._surface_runs
+REAL_CIRCLES = knot_model._circle_runs
 REAL_D2 = knot_model._d2_image
 REAL_THIN = homology._thin_factor
 
@@ -107,25 +128,25 @@ def sweep_failures(monkeypatch):
     ]
 
 
-def surface_p_range_one_too_long(spec):
-    """The surface enumeration with U-powers p = 1 .. F - |k| + 1."""
-    by_degree = REAL_SURFACE(spec)
+def surface_p_range_one_too_long(genus, k):
+    """The surface runs with U-powers p = 1 .. F - k + 1."""
+    by_degree = REAL_SURFACE(genus, k)
     extra = [
-        (tag, mono, p + 1, c, bit)
-        for gens in by_degree.values()
-        for tag, mono, p, c, bit in gens
-        if p == len(mono) - spec.g - spec.abs_k
+        (tag, size, p + 1, c, bit)
+        for runs in by_degree.values()
+        for tag, size, p, c, bit in runs
+        if p == size - genus - k
     ]
-    for gen in extra:
-        _, mono, p, _, _ = gen
-        by_degree.setdefault(len(mono) - spec.g - 2 * p, []).append(gen)
+    for run in extra:
+        _, size, p, _, _ = run
+        by_degree.setdefault(size - genus - 2 * p, []).append(run)
     return by_degree
 
 
 def circle_sizes_one_short(spec, labels):
-    """The circle enumeration with label sizes g + |k| + 1 .. 2g - 2."""
+    """The circle runs with label sizes g + |k| + 1 .. 2g - 2."""
     by_degree = REAL_CIRCLES(spec, labels)
-    return {deg: [gen for gen in gens if len(gen[1]) != spec.g + spec.abs_k] for deg, gens in by_degree.items()}
+    return {deg: [run for run in runs if run[1] != spec.g + spec.abs_k] for deg, runs in by_degree.items()}
 
 
 def capacity_one_short(spec, gen):
@@ -136,7 +157,7 @@ def capacity_one_short(spec, gen):
 
 def test_surface_p_range_off_by_one_fails_the_tower_check(monkeypatch):
     assert sweep_failures(monkeypatch) == []
-    monkeypatch.setattr(knot_model, "_surface_generators", surface_p_range_one_too_long)
+    monkeypatch.setattr(knot_model, "_surface_runs", surface_p_range_one_too_long)
     failures = sweep_failures(monkeypatch)
     assert failures
     assert all(gate.startswith("failed: region/tower basis mismatch") for _, gate in failures)
@@ -144,14 +165,14 @@ def test_surface_p_range_off_by_one_fails_the_tower_check(monkeypatch):
 
 def test_circle_size_range_off_by_one_fails_the_count(monkeypatch):
     assert sweep_failures(monkeypatch) == []
-    monkeypatch.setattr(knot_model, "_circle_generators", circle_sizes_one_short)
+    monkeypatch.setattr(knot_model, "_circle_runs", circle_sizes_one_short)
     failures = sweep_failures(monkeypatch)
     assert failures
     assert all(gate.startswith("failed: region has") for _, gate in failures)
     # with the count check out of the way, the page-one gate catches it
     def mutant_count(spec):
-        parts = (REAL_SURFACE(spec), circle_sizes_one_short(spec, range(1, spec.abs_n + 1)))
-        return sum(len(gens) for part in parts for gens in part.values())
+        parts = (REAL_SURFACE(spec.g, spec.abs_k), circle_sizes_one_short(spec, range(1, spec.abs_n + 1)))
+        return sum(knot_model._run_length(spec.g, run) for part in parts for runs in part.values() for run in runs)
 
     monkeypatch.setattr(knot_model, "region_size", mutant_count)
     failures = sweep_failures(monkeypatch)
@@ -167,6 +188,28 @@ def test_page_two_capacity_off_by_one_fails_only_the_final_comparison(monkeypatc
     # every gate passes: only the comparison with the closed form sees it
     assert all(gate == "passed" for _, gate in failures)
     assert (4, 2, 1) in [triple for triple, _ in failures]
+
+
+def test_wedge_block_target_off_by_one_fails_the_row_check_and_the_page_one_gate(monkeypatch):
+    spec = Params(4, -2, 1)
+    assert sweep_failures(monkeypatch) == []
+    assert ranked_column_mismatch(spec) is None
+    # the wedge term raises the U-power (u == p): its rows land one past their block
+    plant_source(
+        monkeypatch, knot_model._surface_page,
+        "+ _block_start(genus, target)", "+ _block_start(genus, target) + (u == p)",
+    )
+    failures = sweep_failures(monkeypatch)
+    gates = {gate.split(" at ")[0].split(" has row ")[0] for _, gate in failures}
+    # where the wedge block ends its degree, the complex refuses the row past the end;
+    # elsewhere the row lands in the next block and the page-one gate sees it
+    assert gates == {"error: NotAComplex: differential", "failed: page-one gate failed"}
+    assert all(
+        gate.startswith("failed: page-one gate failed") or re.search(r"has row \d+, but degree -?\d+ has", gate)
+        for _, gate in failures
+    )
+    # the comparison with the tuple reference sees it too
+    assert ranked_column_mismatch(spec) is not None
 
 
 def swapped_half(n):
