@@ -15,24 +15,23 @@ laws checked on ``ExtVector`` check the signs the pipeline runs.
 The centered grading convention puts Lambda^i H^1 in degree i - g, so the
 grading range is symmetric about zero.
 
-The truncated tower X(g, d) appears two ways.  :func:`x_basis` streams
-its basis and :func:`build_X` holds that stream as a tuple of
-:class:`XBasisElement`; the oracle's tower check compares the region with
-the stream element by element and never holds either side.  :func:`x_ranks`
-counts its graded ranks from the Betti numbers of a symmetric product, for
-every caller that needs only ranks: the closed form, the symbolic page two
-and ``xgd`` without ``--homology``.  The oracle's page-one gate compares
-that page two with homology computed by linear algebra, so every oracle run
-checks the count at chain level.
+The truncated tower X(g, d) appears two ways.  :func:`build_X` lists its
+basis as :class:`XBasisElement` tuples; the oracle never does, because its
+tower check compares the region's run shapes with the tower's.
+:func:`x_ranks` counts its graded ranks from the Betti numbers of a
+symmetric product, for every caller that needs only ranks: the closed
+form, the symbolic page two and ``xgd`` without ``--homology``.  The
+oracle's page-one gate compares that page two with homology computed by
+linear algebra, so every oracle run checks the count at chain level.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations
 from math import comb
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import BadParams, GenusMismatch
 from .graded import GradedGroup
@@ -255,31 +254,19 @@ def check_x_params(genus: int, d: int) -> None:
 def build_X(genus: int, d: int) -> XModule:
     """The canonical ordered basis of the truncated tower X(g, d).
 
-    X(g, d) = sum over i <= d of Lambda^{2g-i} (x) Z[U]/U^{d+1-i}.  This
-    holds the :func:`x_basis` stream in full; the oracle's tower check
-    streams it instead, and ``knot_model.build_x_complex`` indexes the
-    module by rank without it.  The basis grows exponentially in g; callers
-    that need only graded ranks use :func:`x_ranks`.  ``d = -1`` is the
-    zero module.
-    """
-    # tuple.__new__ is what XBasisElement._make runs, without its Python frame
-    return XModule(tuple(map(tuple.__new__, repeat(XBasisElement), x_basis(genus, d))))
-
-
-def x_basis(genus: int, d: int) -> Iterator[tuple[int, Monomial, int]]:
-    """The basis of X(g, d) as a stream of plain (genus, monomial, u) tuples, in :func:`build_X`'s order.
-
-    Codegree i = 0 .. d (so monomial sizes from 2g down), monomials in lex
-    order, u = 0 .. d - i.  The parameters are checked before the stream
-    starts.
+    X(g, d) = sum over i <= d of Lambda^{2g-i} (x) Z[U]/U^{d+1-i}: codegree
+    i = 0 .. d (so monomial sizes from 2g down), monomials in lex order,
+    u = 0 .. d - i.  ``knot_model.build_x_complex`` indexes the module by
+    rank without it.  The basis grows exponentially in g; callers that need
+    only graded ranks use :func:`x_ranks`.  ``d = -1`` is the zero module.
     """
     check_x_params(genus, d)
-    return (
-        (genus, mono, u)
-        for i in range(0, min(d, 2 * genus) + 1)
+    return XModule(tuple(
+        XBasisElement(genus, mono, u)
+        for i in range(min(d, 2 * genus) + 1)
         for mono in monomials(range(2 * genus), 2 * genus - i)
         for u in range(d - i + 1)
-    )
+    ))
 
 
 def sym_betti(genus: int, d: int, j: int) -> int:

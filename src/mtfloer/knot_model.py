@@ -30,14 +30,18 @@ back to back, so a run's offset is a prefix sum of binomials.  Inside a
 surface run the monomials fall into four blocks by their {a1, b1} part, in
 the order none, a1, b1, both, and inside a block a monomial's index is the
 colex rank of the rest over symbols 2..2g-1 (the combinatorial number
-system, Knuth TAOCP 4A 7.2.1.3); a circle monomial's index in its run is its
-own colex rank.  That is colex order with a1 and b1 as the most significant
-symbols.  Contraction drops a1 and wedging adds b1, so the rest never
-changes: every block of a boundary is a signed, shifted identity, and its
-columns are range arithmetic.  ``_d1_image`` and ``_d2_image`` stay the
-only definitions of the two differentials; each is asked once per run and
-block, of its first monomial.  A complex keeps the number of generators in
-each degree and its boundary columns, nothing else.
+system, Knuth TAOCP 4A 7.2.1.3).  A circle run is one block, the none
+block: its monomials hold neither a1 nor b1.  That is colex order with a1
+and b1 as the most significant symbols.  Contraction drops a1, wedging adds
+b1 and the page-two arrow keeps the monomial, so the rest never changes:
+every block of a boundary is a signed, shifted identity, and its columns
+are range arithmetic.  One builder, ``_ranked_page``, turns runs into
+columns for page one, page two and X(g, d); ``_d1_image`` and
+``_d2_image`` stay the only definitions of the two differentials, each
+asked once per run and block, of its first monomial.  A complex keeps the
+number of generators in each degree and its boundary columns, nothing
+else.  The tower check compares the surface runs' shapes with X(g, d)'s
+and enumerates no monomial.
 
 Page one is a direct sum: the surface complex plus the circle generators,
 which no arrow leaves or hits.  The circles enter page one as counted
@@ -48,10 +52,8 @@ from __future__ import annotations
 
 import gc
 from dataclasses import dataclass
-from itertools import starmap, zip_longest
 from math import comb
-from operator import ne
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import BadGenus, BadParams, GateFailure, NotAComplex, UnknownTable, ZeroTwist
 from .exterior import (
@@ -60,9 +62,7 @@ from .exterior import (
     check_x_params,
     contract_monomial,
     e_half,
-    monomials,
     wedge_monomials,
-    x_basis,
     x_ranks,
 )
 from .graded import GradedGroup, circles_cohomology
@@ -162,10 +162,15 @@ def _layout(genus: int, runs: dict[int, list[tuple]]) -> tuple[dict[int, int], d
     return sizes, where
 
 
-def _surface_blocks(genus: int, size: int) -> Iterator[tuple[Monomial, int, int]]:
-    """The blocks of a size-``size`` surface run as (block, start in the run, length), in run order."""
+def _run_blocks(genus: int, run: tuple) -> Iterator[tuple[Monomial, int, int]]:
+    """The blocks of a run as (block, start in the run, length), in run order.
+
+    A surface run has the four ``BLOCKS``; a circle run, whose monomials
+    hold neither a1 nor b1, is one block ``()`` of length C(2g - 2, s).
+    """
+    tag, size, _, _, _ = run
     start = 0
-    for block in BLOCKS:
+    for block in BLOCKS if tag == SURFACE else BLOCKS[:1]:
         rest = size - len(block)
         length = comb(2 * genus - 2, rest) if rest >= 0 else 0
         yield block, start, length
@@ -173,15 +178,9 @@ def _surface_blocks(genus: int, size: int) -> Iterator[tuple[Monomial, int, int]
 
 
 def _split(mono: Monomial) -> tuple[Monomial, Monomial]:
-    """A surface monomial as (its {a1, b1} block, the rest over symbols 2..2g-1)."""
+    """A monomial as (its {a1, b1} block, the rest over symbols 2..2g-1)."""
     cut = sum(1 for s in mono[:2] if s < 2)
     return mono[:cut], mono[cut:]
-
-
-def _block_start(genus: int, mono: Monomial) -> int:
-    """Where the block of a surface monomial starts in its run."""
-    block = _split(mono)[0]
-    return next(start for b, start, _ in _surface_blocks(genus, len(mono)) if b == block)
 
 
 def _target_start(where: dict[tuple, tuple[int, int]], run: tuple, deg: int) -> int:
@@ -216,6 +215,43 @@ def _rest_moved(deg: int, source: Monomial, target: Monomial) -> NotAComplex:
     )
 
 
+# the differential on one block's first monomial, as (target run, target monomial, coefficient) terms
+Image = Callable[[tuple, Monomial], list[tuple[tuple, Monomial, int]]]
+
+
+def _ranked_page(genus: int, runs: dict[int, list[tuple]], image: Image) -> tuple[dict[int, int], dict[int, dict]]:
+    """The sizes and boundary columns of a page of runs, over the model grading.
+
+    ``image`` is asked once per (run, nonempty block), of the block's first
+    monomial.  Neither page differential changes the rest, so each term
+    names a target block and the whole source block maps onto it at the
+    same rank.  A term outside the runs of the degree below is refused, and
+    so is a term that changes the rest.
+    """
+    sizes, where = _layout(genus, runs)
+    boundaries: dict[int, dict] = {}
+    for deg, listed in runs.items():
+        columns: dict[int, list] = {}
+        for run in listed:
+            offset = where[run][1]
+            for block, start, length in _run_blocks(genus, run):
+                if not length:
+                    continue
+                first = block + tuple(range(2, 2 + run[1] - len(block)))
+                targets: dict[int, int] = {}
+                for target_run, target, coeff in image(run, first):
+                    target_block, rest = _split(target)
+                    starts = {b: at for b, at, _ in _run_blocks(genus, target_run)}
+                    if rest != first[len(block):] or target_block not in starts:
+                        raise _rest_moved(deg, first, target)
+                    row = _target_start(where, target_run, deg) + starts[target_block]
+                    targets[row] = targets.get(row, 0) + coeff
+                _fill(columns, offset + start, length, targets)
+        if columns:
+            boundaries[deg] = columns
+    return sizes, boundaries
+
+
 # -- the page-one differential -------------------------------------------
 
 
@@ -246,35 +282,15 @@ def _d1_image(
 def _surface_page(
     genus: int, d: int, runs: dict[int, list[tuple]], half: str, pd_sign: int
 ) -> tuple[dict[int, int], dict[int, dict]]:
-    """The sizes and page-one boundary columns of surface runs, over the model grading.
+    """The ranked page of surface runs under ``_d1_image``: contraction drops a1 and wedging adds b1."""
 
-    ``_d1_image`` is asked once per (run, block), of the block's first
-    monomial.  Contraction drops a1 and wedging adds b1, so the rest never
-    changes: each term names a target run and block, and the whole source
-    block maps onto it at the same rank.  A term outside the runs of the
-    degree below is refused, and so is a term that changes the rest.
-    """
-    sizes, where = _layout(genus, runs)
-    boundaries: dict[int, dict] = {}
-    for deg, listed in runs.items():
-        columns: dict[int, list] = {}
-        for run in listed:
-            _, size, p, _, _ = run
-            offset = where[run][1]
-            for block, start, length in _surface_blocks(genus, size):
-                if not length:
-                    continue
-                first = block + tuple(range(2, 2 + size - len(block)))
-                targets: dict[int, int] = {}
-                for target, u, coeff in _d1_image(first, p - 1, genus, d, half, pd_sign):
-                    if _split(target)[1] != first[len(block):]:
-                        raise _rest_moved(deg, first, target)
-                    row = _target_start(where, (SURFACE, len(target), u + 1, 0, 0), deg) + _block_start(genus, target)
-                    targets[row] = targets.get(row, 0) + coeff
-                _fill(columns, offset + start, length, targets)
-        if columns:
-            boundaries[deg] = columns
-    return sizes, boundaries
+    def image(run: tuple, first: Monomial) -> list[tuple[tuple, Monomial, int]]:
+        return [
+            ((SURFACE, len(target), u + 1, 0, 0), target, coeff)
+            for target, u, coeff in _d1_image(first, run[2] - 1, genus, d, half, pd_sign)
+        ]
+
+    return _ranked_page(genus, runs, image)
 
 
 def build_x_complex(genus: int, d: int, left: bool = False, pd_sign: int = 1) -> FreeComplex:
@@ -326,12 +342,13 @@ def _check_tower(spec: Params, surface: dict[int, list[tuple]]) -> None:
 
     The surface generator (monomial, p) in model degree deg must be the
     tower element (monomial, u = p - 1) of grading deg + 2.  Each run's
-    degree is checked against the tower grading, and the region's
-    (genus, monomial, u) stream is compared with ``x_basis`` element by
-    element, in its order (size down, monomials in lex order, u up).
-    Neither side is ever held in full.
+    degree is checked against the tower grading.  A run holds every
+    monomial of its size, and so does X(g, d) at each codegree i <= d, with
+    u = 0 .. d - i; so the region is the tower exactly when its runs have
+    the sizes 2g - i and, at each, the U-powers p = 1 .. d - i + 1, each
+    once.  That compares run shapes only: no monomial is enumerated.
     """
-    g = spec.g
+    g, d = spec.g, spec.d
     mismatch = GateFailure(f"region/tower basis mismatch at {spec}")
     powers: dict[int, list[int]] = {}
     for deg, runs in surface.items():
@@ -339,17 +356,8 @@ def _check_tower(spec: Params, surface: dict[int, list[tuple]]) -> None:
             if XBasisElement(g, tuple(range(size)), p - 1).grading != deg + 2:
                 raise mismatch
             powers.setdefault(size, []).append(p)
-    # a size's runs must be p = 1 .. P, each once, so its stream is u = 0 .. P - 1
-    if any(set(ps) != set(range(1, len(ps) + 1)) for ps in powers.values()):
-        raise mismatch
-    found = (
-        (g, mono, u)
-        for size in range(2 * g, -1, -1)
-        if size in powers
-        for mono in monomials(range(2 * g), size)
-        for u in range(len(powers[size]))
-    )
-    if any(starmap(ne, zip_longest(found, x_basis(g, spec.d)))):
+    tower = {2 * g - i: list(range(1, d - i + 2)) for i in range(min(d, 2 * g) + 1)}
+    if {size: sorted(ps) for size, ps in powers.items()} != tower:
         raise mismatch
 
 
@@ -385,32 +393,6 @@ def _d2_image(spec: Params, gen: tuple) -> list[tuple[tuple, int]]:
     return []
 
 
-def _circle_page(spec: Params, runs: dict[int, list[tuple]]) -> tuple[dict[int, int], dict[int, dict]]:
-    """The sizes and page-two boundary columns of circle runs.
-
-    ``_d2_image`` is asked once per run, of its first monomial; the arrow
-    keeps the monomial, so the whole run maps onto its target run at the
-    same rank.
-    """
-    sizes, where = _layout(spec.g, runs)
-    boundaries: dict[int, dict] = {}
-    for deg, listed in runs.items():
-        columns: dict[int, list] = {}
-        for run in listed:
-            tag, size, p, c, bit = run
-            first = tuple(range(2, 2 + size))
-            targets: dict[int, int] = {}
-            for (ttag, target, tp, tc, tbit), coeff in _d2_image(spec, (tag, first, p, c, bit)):
-                if target != first:
-                    raise _rest_moved(deg, first, target)
-                row = _target_start(where, (ttag, len(target), tp, tc, tbit), deg)
-                targets[row] = targets.get(row, 0) + coeff
-            _fill(columns, where[run][1], _run_length(spec.g, run), targets)
-        if columns:
-            boundaries[deg] = columns
-    return sizes, boundaries
-
-
 def build_e2_symbolic(
     spec: Params,
     circle_labels: Sequence[int] | None = None,
@@ -429,7 +411,13 @@ def build_e2_symbolic(
     g, d = spec.g, spec.d
     fixed = x_ranks(g - 1, d - 1).tensor(circles_cohomology(2, spec.eps_n))
     fixed += GradedGroup.free({g - d: comb(2 * g - 2, d)})
-    sizes, columns = _circle_page(spec, _circle_runs(spec, labels[1:]))
+
+    def image(run: tuple, first: Monomial) -> list[tuple[tuple, Monomial, int]]:
+        tag, _, p, c, bit = run
+        terms = _d2_image(spec, (tag, first, p, c, bit))
+        return [((t, len(target), tp, tc, tbit), target, coeff) for (t, target, tp, tc, tbit), coeff in terms]
+
+    sizes, columns = _ranked_page(g, _circle_runs(spec, labels[1:]), image)
     return E2Page(fixed, FreeComplex(sizes, {} if corrupt_d2 else columns))
 
 
@@ -521,11 +509,14 @@ def _run_pages(
     page1 = build_e1_region(spec, pd_sign)
     e2 = build_e2_symbolic(spec, labels, corrupt_d2)
     run_d1(spec, page1, e2)
+    # page one is needed past its gate only for its Euler characteristic
+    euler = page1.euler_characteristic()
+    del page1
     result = run_d2(spec, e2)
     where = f"at g={spec.g} n={spec.n} k={spec.k}"
     if not result.group.is_free():
         raise GateFailure(f"oracle output has torsion {where}")
-    if page1.euler_characteristic() != result.group.euler_characteristic():
+    if euler != result.group.euler_characteristic():
         raise GateFailure(f"Euler characteristic drifted through the pipeline {where}")
     return result
 

@@ -504,8 +504,8 @@ def test_tower_check_refuses_each_run_out_of_place(spec):
             knot_model._check_tower(spec, runs)
 
 
-def test_tower_check_streams_both_sides():
-    spec = Params(8, 3, 1)
+def test_tower_check_enumerates_no_monomial():
+    spec = Params(12, 3, 1)
     runs = tower_runs(spec)
     tracemalloc.start()
     try:
@@ -513,9 +513,77 @@ def test_tower_check_streams_both_sides():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # two key sets of its tower elements would take megabytes; the streams hold one element each
-    assert x_ranks(spec.g, spec.d).total_rank() > 20_000
+    # the check reads run shapes: its peak does not grow with the region or the tower
+    assert region_size(spec) == 22_001_046
+    assert x_ranks(spec.g, spec.d).total_rank() == 9_188_406
     assert peak < 100_000
+
+
+def stream_tower_check(spec, surface):
+    """The tower check as an element-by-element stream: True when the surface runs are X(g, d).
+
+    Each run's degree is checked against the tower grading, each size's
+    U-powers must be 1 .. P, each once, and then the region's (genus,
+    monomial, u) elements, size down, monomials in lex order and u up, must
+    be ``build_X``'s basis in its order.
+    """
+    g = spec.g
+    powers = {}
+    for deg, runs in surface.items():
+        for _, size, p, _, _ in runs:
+            if XBasisElement(g, tuple(range(size)), p - 1).grading != deg + 2:
+                return False
+            powers.setdefault(size, []).append(p)
+    if any(set(ps) != set(range(1, len(ps) + 1)) for ps in powers.values()):
+        return False
+    found = (
+        (g, mono, u)
+        for size in range(2 * g, -1, -1)
+        if size in powers
+        for mono in monomials(range(2 * g), size)
+        for u in range(len(powers[size]))
+    )
+    return tuple(found) == build_X(g, spec.d).basis
+
+
+def shape_tower_check(spec, surface):
+    """``_check_tower``'s verdict, with its refusal text checked."""
+    try:
+        knot_model._check_tower(spec, surface)
+    except GateFailure as failure:
+        assert str(failure) == f"region/tower basis mismatch at {spec}"
+        return False
+    return True
+
+
+def single_run_perturbations(runs):
+    """Every run set that differs from ``runs`` in one run.
+
+    The run is dropped, doubled, or replaced by itself or a copy with p + 1,
+    p - 1, size + 1 or size - 1, moved by -2, 0 or +1 degrees.
+    """
+    for deg, listed in runs.items():
+        for i, run in enumerate(listed):
+            tag, size, p, c, bit = run
+            dropped = {d: [r for j, r in enumerate(rs) if (d, j) != (deg, i)] for d, rs in runs.items()}
+            yield dropped
+            yield {**runs, deg: listed + [run]}
+            for new in (run, (tag, size, p + 1, c, bit), (tag, size, p - 1, c, bit),
+                        (tag, size + 1, p, c, bit), (tag, size - 1, p, c, bit)):
+                for move in (-2, 0, 1):
+                    if (new, move) != (run, 0):
+                        out = {d: list(rs) for d, rs in dropped.items()}
+                        out.setdefault(deg + move, []).append(new)
+                        yield out
+
+
+@pytest.mark.parametrize("genus", range(2, 7))
+def test_tower_check_by_shape_gives_the_stream_verdict(genus):
+    for k in range(1, genus):
+        spec = Params(genus, 1, k)
+        assert shape_tower_check(spec, tower_runs(spec)) is stream_tower_check(spec, tower_runs(spec)) is True
+        for runs in single_run_perturbations(tower_runs(spec)):
+            assert shape_tower_check(spec, runs) is stream_tower_check(spec, runs), (spec, runs)
 
 
 @pytest.mark.parametrize("spec", REGIONS, ids=region_id)

@@ -194,10 +194,11 @@ def test_wedge_block_target_off_by_one_fails_the_row_check_and_the_page_one_gate
     spec = Params(4, -2, 1)
     assert sweep_failures(monkeypatch) == []
     assert ranked_column_mismatch(spec) is None
-    # the wedge term raises the U-power (u == p): its rows land one past their block
+    # a surface wedge target is one U-power up: its rows land one past their block
     plant_source(
-        monkeypatch, knot_model._surface_page,
-        "+ _block_start(genus, target)", "+ _block_start(genus, target) + (u == p)",
+        monkeypatch, knot_model._ranked_page,
+        "+ starts[target_block]",
+        "+ starts[target_block] + (target_run[0] == SURFACE and target_run[2] > run[2])",
     )
     failures = sweep_failures(monkeypatch)
     gates = {gate.split(" at ")[0].split(" has row ")[0] for _, gate in failures}
