@@ -28,18 +28,19 @@ from .closed_form import (
 from .errors import BadParams, GateFailure, UnknownTable
 from .exterior import x_ranks
 from .graded import GradedGroup
-from .knot_model import FilteredGroup, build_x_complex, oracle_hfplus, reference_tables, region_size
+from .knot_model import FilteredGroup, build_x_complex, oracle_hfplus, reference_tables, run_count
 from .params import Params
 
 SCHEMA = "1"
 
-# The largest oracle region, in generators, that compute and verify start,
-# and the largest X(g, d) that `xgd --homology` builds.  A fresh `compute`
-# process peaks at 0.087 kB per generator at g = 11, n = 3, k = 1 (5,086,660
-# generators, 424 MB, 7.7 s on 2 CPUs) and 0.084 kB at g = 12
-# (`scripts/genus_frontier.py`), so the default keeps a run under 1 GB: it
-# admits g = 11 at k = 1 and refuses g = 12 (22,001,046 generators, 1.76 GB).
-MAX_GENERATORS = 6_000_000
+# The most runs (``knot_model.run_count``) in an oracle region that compute
+# and verify start, counted at |k| = 1, where the region of a genus and
+# twist is largest, and the most runs in X(g, g - 1) that `xgd --homology`
+# builds.  A run's cost grows with g, its monomials' length, so the count
+# is taken where it caps g too.  On 2 CPUs the costliest admitted inputs
+# take 6.0 s / 71 MB (compute --g 259 --n -1 --k 1) and 21.8 s / 125 MB
+# (xgd --g 446 --d 445 --homology, four blocks in every run).
+MAX_RUNS = 100_000
 
 
 # -- output -------------------------------------------------------------------
@@ -186,17 +187,11 @@ def _comparison_rows(
     ]
 
 
-def _refuse_oversized(triples: Sequence[tuple[int, int, int]], limit: int) -> None:
-    """Refuse a run before it builds any generator if one of its oracle regions exceeds ``limit``."""
+def _refuse_oversized(triples: Sequence[tuple[int, int, int]]) -> None:
+    """Refuse a run before it builds anything if the region of one of its (g, n) at |k| = 1 passes ``MAX_RUNS``."""
     for g, n, k in triples:
-        spec = Params(g, n, k)
-        if spec.vanishes_by_adjunction:
-            continue
-        size = region_size(spec)
-        if size > limit:
-            raise BadParams(
-                f"the region at g={g} n={n} k={k} has {size} generators, more than --max-generators {limit}"
-            )
+        if not Params(g, n, k).vanishes_by_adjunction and (runs := run_count(Params(g, n, 1))) > MAX_RUNS:
+            raise BadParams(f"the region at g={g} n={n} |k|=1 has {runs} runs, more than {MAX_RUNS}")
 
 
 # -- compute ----------------------------------------------------------------
@@ -207,7 +202,7 @@ def cmd_compute(args) -> Output:
     vanishes = Params(g, n, k).vanishes_by_adjunction
     oracle = closed = oracle_json = closed_json = None
     if args.method in ("oracle", "both"):
-        _refuse_oversized([(g, n, k)], args.max_generators)
+        _refuse_oversized([(g, n, k)])
         if vanishes:
             # the group is zero for |k| >= g; report it without running the
             # pipeline, so parameter rectangles never crash
@@ -339,14 +334,12 @@ def run_sweep(
     n_values: list[int],
     corrupt_d2: bool = False,
     timing: bool = False,
-    max_generators: int | None = None,
 ) -> dict:
     """Oracle-vs-closed comparison over all admissible (g, n, k); order-stable.
 
-    With ``max_generators``, the whole grid is checked against that region
-    size before any triple starts.  If a worker process dies, the entries
-    already returned are kept and every unfinished triple is recorded as
-    failed.
+    The whole grid is checked against ``MAX_RUNS`` before any triple
+    starts.  If a worker process dies, the entries already returned are
+    kept and every unfinished triple is recorded as failed.
     """
     if g_max < 2:
         raise BadParams(f"g-max {g_max} < 2")
@@ -356,8 +349,7 @@ def run_sweep(
         for n in n_values
         for k in range(1, g)
     ]
-    if max_generators is not None:
-        _refuse_oversized([task[:3] for task in tasks], max_generators)
+    _refuse_oversized([task[:3] for task in tasks])
     workers = _worker_count()
     if workers == 1 or len(tasks) <= 1:
         entries = [_verify_triple(task) for task in tasks]
@@ -401,9 +393,7 @@ def cmd_verify(args) -> Output:
             raise BadParams(f"cannot write the report to {args.emit}: no directory {folder}")
         if os.path.isdir(args.emit):
             raise BadParams(f"cannot write the report to {args.emit}: it is a directory")
-    report = run_sweep(
-        args.g_max, n_values, corrupt_d2=args.corrupt_d2, timing=args.timing, max_generators=args.max_generators
-    )
+    report = run_sweep(args.g_max, n_values, corrupt_d2=args.corrupt_d2, timing=args.timing)
     entries = report["entries"]
     failure = None
     for entry in entries:
@@ -450,11 +440,11 @@ def cmd_xgd(args) -> Output:
     failure = None
     if args.homology:
         # the closed form for the same page refuses a (g, d) outside its
-        # domain; it and the size check run before any basis is built
+        # domain; it and the run check run before any page is built.  X(g, g - 1)
+        # has one run per size 2g - i and U-power u <= g - 1 - i: g(g + 1)/2
         formula = x_homology_formula(args.g, args.d, left=args.left)
-        size = x_ranks(args.g, args.d).total_rank()
-        if size > MAX_GENERATORS:
-            raise BadParams(f"X(g={args.g}, d={args.d}) has {size} elements, more than {MAX_GENERATORS}")
+        if (runs := args.g * (args.g + 1) // 2) > MAX_RUNS:
+            raise BadParams(f"X(g={args.g}, d={args.g - 1}) has {runs} runs, more than {MAX_RUNS}")
         group = build_x_complex(args.g, args.d, left=args.left).homology()
         # a mismatch here is a library bug
         payload["matches_formula"] = group == formula
@@ -547,16 +537,6 @@ def _command(sub, name: str, formats: tuple[str, ...], help: str, ints: tuple[st
     return parser
 
 
-def _max_generators_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--max-generators",
-        type=int,
-        default=MAX_GENERATORS,
-        dest="max_generators",
-        help=f"refuse (exit 2) an oracle region larger than this, before building it (default {MAX_GENERATORS})",
-    )
-
-
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The whole parser, built on first use and shared by later calls."""
@@ -569,7 +549,6 @@ def _parser() -> argparse.ArgumentParser:
 
     compute = _command(sub, "compute", ("json", "table", "csv"), "one (g, n, k) group, by either or both methods", ("g", "n", "k"))
     compute.add_argument("--method", choices=("oracle", "closed", "both"), default="both")
-    _max_generators_option(compute)
 
     verify = _command(sub, "verify", ("json", "csv"), "sweep oracle vs closed form over a grid")
     verify.add_argument("--g-max", type=int, default=3, dest="g_max")
@@ -577,7 +556,6 @@ def _parser() -> argparse.ArgumentParser:
     verify.add_argument("--emit", help="write the report to this path")
     verify.add_argument("--timing", action="store_true", help="record real wall times (non-reproducible output)")
     verify.add_argument("--corrupt-d2", action="store_true", dest="corrupt_d2", help="test hook: drop every page-two arrow")
-    _max_generators_option(verify)
 
     tables = _command(sub, "tables", ("json", "table"), "dump a bundled reference table", ("n",))
     tables.add_argument("name", choices=("hfk_M1", "hfk_Mn", "hf_hat_Mn", "hfplus_Z", "hfplus_Mn"))

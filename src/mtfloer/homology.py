@@ -2,41 +2,45 @@
 
 Everything here runs over Python's arbitrary-precision integers.  A
 :class:`FreeComplex` is the number of generators in each degree plus each
-boundary's nonzero entries, grouped by column; homology needs no generator
-labels, so it keeps none.  The d^2 = 0 check composes boundaries entry by
-entry, and homology splits each boundary into the connected blocks of its
-nonzero pattern: union-find joins the rows that share a column, and each
-column goes to the block of its rows.  Each block is a direct summand of
-the boundary, so its invariant factors are that block's share of the
-boundary's.  A block with one row or one column has one factor, the gcd of
-its entries, and needs no matrix at all; any other block gets its Smith
-normal form, computed as a small dense :class:`IntMatrix` by the classical
-pivoting algorithm with unimodular row and column transforms.  Homology
-groups come out as free ranks plus invariant-factor torsion.  No whole
-boundary is ever held densely; a dense view is built only when a caller
-asks for one.
+boundary as a list of strips: a strip maps a run of consecutive columns
+onto runs of consecutive rows by signed, shifted identities, and a sparse
+column is a strip of length 1.  Homology needs no generator labels, so it
+keeps none, and it never expands a strip.  Each boundary's index ranges
+are cut at every strip end, and the cuts are carried through the strips
+until every strip maps whole intervals onto whole intervals (partition
+refinement, Paige and Tarjan 1987).  Union-find over the intervals gives
+components, each a small integer matrix tensored with an identity, so each
+of its invariant factors counts once per element of its intervals
+(reduction of a chain complex, Kaczynski, Mrozek and Slusarek 1998).  A
+matrix with one row or one column has one factor, the gcd of its entries;
+any other gets its Smith normal form, computed as a small dense
+:class:`IntMatrix` by the classical pivoting algorithm with unimodular row
+and column transforms.  The d^2 = 0 check cuts two boundaries at the
+strip ends of the degree they share and sums each diagonal of the
+composite.  A dense view is built only when a caller asks for one.
 
-Set :data:`VERIFY_SNF` (or the environment variable ``MTFLOER_SNF_VERIFY``)
-to make every Smith decomposition re-check its own postconditions by direct
-multiplication, every gcd of a one-row or one-column block agree with that
-block's Smith form, and every block split check that its blocks cover each
-nonzero entry exactly once; the test suite runs with this on.
+Set :data:`VERIFY_SNF` (or the environment variable ``MTFLOER_SNF_VERIFY``
+to anything but empty or ``0``) to make every Smith decomposition re-check
+its own postconditions by direct multiplication, every gcd of a one-row or
+one-column component agree with its Smith form, and every split check that
+its pieces tile the strips, no cut falls inside a piece and the components
+hold each piece once; the test suite runs with this on.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import compress
+from bisect import bisect_left, bisect_right
 from math import gcd
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import NotAComplex
 from .graded import GradedGroup, torsion_chain
 
 # When true, every smith_normal_form call verifies U m V == D, unimodularity
-# of U and V, and the divisibility chain before returning, and every
-# one-row or one-column block's gcd is checked against its Smith form.
-VERIFY_SNF = bool(os.environ.get("MTFLOER_SNF_VERIFY"))
+# of U and V, and the divisibility chain before returning, and every split
+# of a boundary is checked.  Read once, at import; "" and "0" mean off.
+VERIFY_SNF = os.environ.get("MTFLOER_SNF_VERIFY", "") not in ("", "0")
 
 
 class IntMatrix:
@@ -285,221 +289,234 @@ def check_smith_form(m: IntMatrix, f: SmithForm) -> None:
             raise AssertionError("diagonal violates the divisibility chain")
 
 
-# (row, value) pairs of one column's nonzero entries
-Column = list[tuple[int, int]]
+# (source start, length, [(target start, coeff), ...]): column source + i of a
+# boundary has the entries (target + i, coeff) for every i < length
+Strip = tuple[int, int, list[tuple[int, int]]]
 
 
-def _nonzero_columns(mat: IntMatrix) -> dict[int, Column]:
-    """The nonzero entries of a matrix, grouped by column; zero columns omitted."""
-    columns: dict[int, Column] = {}
-    positions = range(mat.cols)
-    for i, row in enumerate(mat.data):
-        # boundaries are very sparse: count and compress pass over the
-        # zeros at C speed, and most rows are zero throughout
-        if row.count(0) != mat.cols:
-            for j in compress(positions, row):
-                columns.setdefault(j, []).append((i, row[j]))
-    return columns
+def _pieces(start: int, length: int, cuts: list[int]) -> Iterator[tuple[int, int]]:
+    """``[start, start + length)`` cut at each point of the sorted ``cuts`` inside it, as (start, length)."""
+    for end in cuts[bisect_right(cuts, start) : bisect_left(cuts, start + length)] + [start + length]:
+        yield start, end - start
+        start = end
 
 
-def _block_members(columns: Mapping[int, Column]) -> list[tuple[list[int], list[int]]]:
-    """The connected blocks of a matrix's nonzero pattern, as (rows, columns).
+def _refine(strips: list[Strip]) -> tuple[list[int], list[int]]:
+    """Sorted cuts of a boundary's source and target ranges at which every strip maps whole intervals.
 
-    Rows sharing a column are joined by union-find, and each column goes to
-    the block of its first row, so the matrix is the direct sum of its
-    blocks up to permuting rows and columns.  Blocks come in the order of
-    the first column of each; rows and columns with no nonzero entry belong
-    to no block.  Every column must hold a nonzero entry.
+    The cuts start at every strip end and are carried from each strip's
+    source range to its target ranges and back until none is added.
+    """
+    source = {x for s, length, _ in strips for x in (s, s + length)}
+    target = {x for _, length, targets in strips for t, _ in targets for x in (t, t + length)}
+    while True:
+        src, tgt = sorted(source), sorted(target)
+        for s, length, targets in strips:
+            inside = src[bisect_right(src, s) : bisect_left(src, s + length)]
+            for t, _ in targets:
+                target.update(x - s + t for x in inside)
+                source.update(y - t + s for y in tgt[bisect_right(tgt, t) : bisect_left(tgt, t + length)])
+        if len(source) == len(src) and len(target) == len(tgt):
+            return src, tgt
+
+
+# (interval length, target starts, source starts, {(target start, source start): summed coeff})
+Component = tuple[int, list[int], list[int], dict[tuple[int, int], int]]
+
+
+def _components(pieces: list[list[Strip]], tgt: list[int]) -> list[Component]:
+    """The connected components of a boundary cut into pieces.
+
+    Union-find joins each piece's source interval with its target
+    intervals, and a component's entries add up the pieces it holds.  All
+    intervals of a component must share one length L: then the boundary on
+    it is its small matrix tensored with the L x L identity.
     """
     parent: dict[int, int] = {}
 
-    def find(row: int) -> int:
-        parent.setdefault(row, row)
-        while parent[row] != row:
-            parent[row] = parent[parent[row]]
-            row = parent[row]
-        return row
+    def find(node: int) -> int:  # source interval a is node a, target interval t is ~t
+        parent.setdefault(node, node)
+        while parent[node] != node:
+            parent[node] = parent[parent[node]]
+            node = parent[node]
+        return node
 
-    for column in columns.values():
-        if len(column) > 1:
-            root = find(column[0][0])
-            for i, _ in column[1:]:
-                other = find(i)
-                if other != root:
-                    parent[other] = root
-    members: dict[int, tuple[set[int], list[int]]] = {}
-    for j, column in columns.items():
-        root = find(column[0][0])
-        if root not in members:
-            members[root] = (set(), [])
-        rows, cols = members[root]
-        cols.append(j)
-        rows.update(i for i, _ in column)
-    return [(sorted(rows), sorted(cols)) for rows, cols in members.values()]
-
-
-def _block_matrix(columns: Mapping[int, Column], rows: list[int], cols: list[int]) -> IntMatrix:
-    """The submatrix on one block's rows and columns."""
-    where = {i: r for r, i in enumerate(rows)}
-    sub = IntMatrix(len(rows), len(cols))
-    for c, j in enumerate(cols):
-        for i, x in columns[j]:
-            sub.data[where[i]][c] = x
-    return sub
+    flat = [piece for strip in pieces for piece in strip]
+    for a, _, targets in flat:
+        for t, _ in targets:
+            if (other := find(~t)) != (root := find(a)):
+                parent[other] = root
+    members: dict[int, Component] = {}
+    for a, length, targets in flat:
+        root = find(a)
+        held, rows, cols, entries = members.get(root) or members.setdefault(root, (length, set(), set(), {}))
+        cols.add(a)
+        for t, coeff in targets:
+            # the target interval is the one holding t, between the cuts around it
+            at = bisect_right(tgt, t)
+            if length != held or tgt[at] - tgt[at - 1] != held:
+                raise AssertionError(f"a component's intervals differ in length: {length} at column {a}, {held}")
+            rows.add(t)
+            entries[t, a] = entries.get((t, a), 0) + coeff
+    return [(length, sorted(rows), sorted(cols), entries) for length, rows, cols, entries in members.values()]
 
 
-def _blocks(columns: Mapping[int, Column]) -> list[tuple[list[int], list[int], IntMatrix]]:
-    """Each block of :func:`_block_members` with its submatrix: (rows, columns, submatrix)."""
-    return [(rows, cols, _block_matrix(columns, rows, cols)) for rows, cols in _block_members(columns)]
+def _check_components(
+    strips: list[Strip], cuts: tuple[list[int], list[int]], pieces: list[list[Strip]], components: list[Component]
+) -> None:
+    """Verify that ``components`` split the boundary ``strips``; raise on failure.
 
-
-def _check_blocks(columns: Mapping[int, Column], blocks) -> None:
-    """Verify that ``blocks`` split the matrix ``columns``; raise on failure.
-
-    No row or column may lie in two blocks, and every nonzero entry must
-    appear, with its value, in the one block owning its row and column, so
-    the blocks hold each nonzero entry exactly once and nothing else.
+    The pieces of each strip must tile it exactly, with its targets shifted
+    along, and no cut may fall inside a piece.  No interval may lie in two
+    components, no component may hold an entry outside its intervals, and
+    the components together must hold the summed entries of the pieces and
+    nothing else.
     """
-    row_at: dict[int, tuple[int, int]] = {}  # row -> (block, position in block)
-    col_at: dict[int, tuple[int, int]] = {}
-    held = 0
-    for b, (rows, cols, sub) in enumerate(blocks):
-        for at, keys in ((row_at, rows), (col_at, cols)):
-            for position, key in enumerate(keys):
-                if at.setdefault(key, (b, position)) != (b, position):
-                    raise AssertionError("a row or column lies in two blocks")
-        held += sum(len(row) - row.count(0) for row in sub.data)
-    entries = 0
-    for j, column in columns.items():
-        for i, x in column:
-            if i not in row_at or j not in col_at or row_at[i][0] != col_at[j][0]:
-                raise AssertionError("a nonzero entry lies outside its block")
-            (b, r), (_, c) = row_at[i], col_at[j]
-            if blocks[b][2].data[r][c] != x:
-                raise AssertionError("a block holds the wrong value")
-            entries += 1
-    if held != entries:
-        raise AssertionError("the blocks hold entries the matrix does not")
+    src, tgt = cuts
+    expected: dict[tuple[int, int], int] = {}
+    for (s, length, targets), strip in zip(strips, pieces, strict=True):
+        ends = [s] + [a + n for a, n, _ in strip]
+        if [a for a, _, _ in strip] != ends[:-1] or ends[-1] != s + length or any(
+            n < 1 or shifted != [(t + a - s, c) for t, c in targets] for a, n, shifted in strip
+        ):
+            raise AssertionError("the pieces do not tile their strip")
+        for a, n, shifted in strip:
+            if any(bisect_right(cut, x) != bisect_left(cut, x + n) for x, cut in [(a, src), *((t, tgt) for t, _ in shifted)]):
+                raise AssertionError("a cut falls inside a piece")
+            for t, c in shifted:
+                expected[t, a] = expected.get((t, a), 0) + c
+    owner: dict[int, int] = {}
+    held: dict[tuple[int, int], int] = {}
+    for b, (_, rows, cols, entries) in enumerate(components):
+        if any(owner.setdefault(node, b) != b for node in cols + [~t for t in rows]):
+            raise AssertionError("an interval lies in two components")
+        if any(owner.get(a) != b or owner.get(~t) != b for t, a in entries):
+            raise AssertionError("a component holds an entry outside its intervals")
+        held.update((key, x) for key, x in entries.items() if x)
+    if held != {key: x for key, x in expected.items() if x}:
+        raise AssertionError("the components do not hold each piece once")
 
 
 def _thin_factor(entries: list[int]) -> int:
-    """The one invariant factor of a block with one row or one column.
-
-    Such a block presents the cokernel of a single vector (or of a map out
-    of a single generator), whose one invariant factor is the gcd of its
-    entries.
-    """
+    """The one invariant factor of a matrix with one row or one column: the gcd of its entries."""
     return gcd(*entries)
 
 
-def _invariant_factors(columns: Mapping[int, Column]) -> list[int]:
-    """Nonzero invariant factors of a matrix, block by block.
+def _invariant_factors(strips: list[Strip]) -> list[tuple[int, int]]:
+    """Nonzero invariant factors of a boundary, as (factor, multiplicity) pairs.
 
-    A block with one row or one column has one factor, the gcd of its
-    entries; any other block gets a Smith form.  The factors of the blocks
-    together present the same cokernel as the whole matrix, but they need
-    not form one divisibility chain.
+    Each component of length L is a small matrix tensored with the L x L
+    identity, so each of that matrix's factors counts L times.  A matrix
+    with one row or one column has one factor, the gcd of its entries; any
+    other gets a Smith form.  The factors of the components together
+    present the same cokernel as the whole boundary, but they need not
+    form one divisibility chain.
     """
+    cuts = _refine(strips)
+    pieces = [[(a, piece, [(t + a - s, c) for t, c in targets]) for a, piece in _pieces(s, length, cuts[0])]
+              for s, length, targets in strips]
+    components = _components(pieces, cuts[1])
     if VERIFY_SNF:
-        blocks = _blocks(columns)
-        _check_blocks(columns, blocks)
-    else:
-        blocks = [(rows, cols, None) for rows, cols in _block_members(columns)]
+        _check_components(strips, cuts, pieces, components)
     factors = []
-    for rows, cols, sub in blocks:
-        if len(rows) == 1 or len(cols) == 1:
-            factor = _thin_factor([x for j in cols for _, x in columns[j]])
-            if sub is not None and (found := [x for x in smith_normal_form(sub).d.diagonal() if x]) != [factor]:
+    for component in components:
+        length, rows, cols, entries = component
+        if len(rows) > 1 and len(cols) > 1:
+            factors += [(x, length) for x in _smith_factors(component)]
+        elif values := [x for x in entries.values() if x]:
+            factor = _thin_factor(values)
+            if VERIFY_SNF and (found := _smith_factors(component)) != [factor]:
                 raise AssertionError(f"thin block factor {factor}, but its Smith form gives {found}")
-            factors.append(factor)
-            continue
-        if sub is None:
-            sub = _block_matrix(columns, rows, cols)
-        factors.extend(x for x in smith_normal_form(sub).d.diagonal() if x)
+            factors.append((factor, length))
     return factors
 
 
-def _summed(column: Iterable[tuple[int, int]]) -> Column:
-    """A column's entries with each row's values added up, rows in first-seen order."""
-    entries: dict[int, int] = {}
-    for i, x in column:
-        entries[i] = entries.get(i, 0) + x
-    return list(entries.items())
+def _smith_factors(component: Component) -> list[int]:
+    """The nonzero Smith factors of a component's small matrix, rows and columns in interval order."""
+    _, rows, cols, entries = component
+    sub = IntMatrix(len(rows), len(cols), [[entries.get((t, a), 0) for a in cols] for t in rows])
+    return [x for x in smith_normal_form(sub).d.diagonal() if x]
+
+
+def _composes_to_zero(upper: list[Strip], lower: list[Strip]) -> bool:
+    """Whether the boundary ``lower`` after the boundary ``upper`` is zero.
+
+    Both are cut at every strip end in the degree they share, so a piece
+    of an ``upper`` target and a piece of a ``lower`` source with the same
+    start cover the same interval there.  Each matched pair adds its
+    product along one diagonal (row minus column) of the composite, and a
+    sweep over each diagonal's interval ends finds any sum left nonzero.
+    """
+    ends = {x for s, length, _ in lower for x in (s, s + length)}
+    ends.update(x for _, length, targets in upper for t, _ in targets for x in (t, t + length))
+    cuts = sorted(ends)
+    below: dict[int, list[tuple[int, int]]] = {}
+    for s, length, targets in lower:
+        for y, _ in _pieces(s, length, cuts):
+            below.setdefault(y, []).extend((r + y - s, c) for r, c in targets)
+    diagonals: dict[int, dict[int, int]] = {}
+    for s, length, targets in upper:
+        for t, a in targets:
+            for y, piece in _pieces(t, length, cuts):
+                x = s + y - t
+                for r, b in below.get(y, ()):
+                    sweep = diagonals.setdefault(r - x, {})
+                    sweep[x] = sweep.get(x, 0) + a * b
+                    sweep[x + piece] = sweep.get(x + piece, 0) - a * b
+    for sweep in diagonals.values():
+        running = 0
+        for x in sorted(sweep):
+            running += sweep[x]
+            if running:
+                return False
+    return True
 
 
 class FreeComplex:
-    """A finite chain complex of free abelian groups, given by sizes and boundaries.
+    """A finite chain complex of free abelian groups, given by sizes and boundary strips.
 
     ``sizes`` maps a degree to the number of generators in that degree;
-    generators are known only by their index ``0 .. size - 1``.  ``columns``
-    maps degree d to the boundary from degree d to degree d-1, given by its
-    nonzero columns: ``{col: [(row, value), ...]}``, where ``col`` indexes
-    degree d and ``row`` indexes degree d-1.  Entries listed twice are added
-    up and zero entries are dropped; missing columns and degrees are zero.
-    A column list with distinct rows and no zero is kept as given, not
-    copied, so the caller hands it over.  The constructor refuses an index
-    outside the sizes and checks that consecutive boundaries compose to
-    zero: a silently invalid complex is the worst failure mode this package
-    could have.
+    generators are known only by their index ``0 .. size - 1``.  ``strips``
+    maps degree d to the boundary from degree d to degree d-1, as a list of
+    strips ``(source, length, [(target, coeff), ...])``: column
+    ``source + i`` of degree d has the entry ``coeff`` at row ``target + i``
+    of degree d-1, for each i < length.  A sparse column is a strip of
+    length 1.  Strips may overlap, and entries that meet are added up;
+    zero coefficients are dropped, and missing degrees are zero.  The
+    constructor refuses a strip outside the sizes and checks that
+    consecutive boundaries compose to zero: a silently invalid complex is
+    the worst failure mode this package could have.
     """
 
-    def __init__(
-        self,
-        sizes: Mapping[int, int],
-        columns: Mapping[int, Mapping[int, Iterable[tuple[int, int]]]] | None = None,
-    ):
+    def __init__(self, sizes: Mapping[int, int], strips: Mapping[int, Iterable[Strip]] | None = None):
         self.sizes = {d: count for d, count in sizes.items() if count}
-        # the nonzero entries of each boundary, by column
-        self._columns: dict[int, dict[int, Column]] = {}
-        for d, given in (columns or {}).items():
+        self._strips: dict[int, list[Strip]] = {}
+        for d, given in (strips or {}).items():
             targets, sources = self.size(d - 1), self.size(d)
-            kept: dict[int, Column] = {}
-            for j, column in given.items():
-                if not 0 <= j < sources:
-                    raise NotAComplex(
-                        f"differential at degree {d} has column {j}, but degree {d} has {sources} generators"
-                    )
-                if not isinstance(column, list):
-                    column = list(column)
-                if not column:
-                    continue
-                if len(column) == 1:
-                    low = high = column[0][0]
-                else:
-                    rows = {i for i, _ in column}
-                    low, high = min(rows), max(rows)
-                    if len(rows) < len(column):
-                        column = _summed(column)
-                if low < 0 or high >= targets:
-                    raise NotAComplex(
-                        f"differential at degree {d} has row {low if low < 0 else high}, "
-                        f"but degree {d - 1} has {targets} generators"
-                    )
-                if not all(x for _, x in column):
-                    column = [(i, x) for i, x in column if x]
-                if column:
-                    kept[j] = column
+            kept = []
+            for source, length, entries in given:
+                if length < 1:
+                    raise NotAComplex(f"differential at degree {d} has a strip of length {length}")
+                entries = [(t, c) for t, c in entries if c]
+                for what, at, degree, count in [("column", source, d, sources), *(("row", t, d - 1, targets) for t, _ in entries)]:
+                    if at < 0 or at + length > count:
+                        raise NotAComplex(f"differential at degree {d} has {what} {at if at < 0 else at + length - 1}, "
+                                          f"but degree {degree} has {count} generators")
+                if entries:
+                    kept.append((source, length, entries))
             if kept:
-                self._columns[d] = kept
-        for d, boundary in self._columns.items():
-            below = self._columns.get(d - 1)
-            if below is None:
-                continue
-            for column in boundary.values():
-                image: dict[int, int] = {}
-                for t, a in column:
-                    for i, b in below.get(t, ()):
-                        image[i] = image.get(i, 0) + a * b
-                if any(image.values()):
-                    raise NotAComplex(f"boundary squared is nonzero from degree {d}")
+                self._strips[d] = kept
+        for d, upper in self._strips.items():
+            if d - 1 in self._strips and not _composes_to_zero(upper, self._strips[d - 1]):
+                raise NotAComplex(f"boundary squared is nonzero from degree {d}")
 
     @classmethod
     def from_matrices(cls, sizes: Mapping[int, int], mats: Mapping[int, IntMatrix]) -> "FreeComplex":
         """The complex whose boundary at degree d is the dense matrix ``mats[d]``.
 
-        Each matrix must have shape (sizes[d-1], sizes[d]); its
-        nonzero entries are handed to the constructor, which does the rest
-        of the checking.
+        Each matrix must have shape (sizes[d-1], sizes[d]); each of its
+        columns is handed to the constructor as a strip of length 1, and
+        the constructor does the rest of the checking.
         """
         for d, mat in mats.items():
             expected = (sizes.get(d - 1, 0), sizes.get(d, 0))
@@ -507,7 +524,8 @@ class FreeComplex:
                 raise NotAComplex(
                     f"differential at degree {d} has shape {mat.shape}, expected {expected}"
                 )
-        return cls(sizes, {d: _nonzero_columns(mat) for d, mat in mats.items()})
+        columns = {d: enumerate(zip(*mat.data)) for d, mat in mats.items()}
+        return cls(sizes, {d: [(j, 1, list(enumerate(column))) for j, column in cols] for d, cols in columns.items()})
 
     def degrees(self) -> list[int]:
         return sorted(self.sizes)
@@ -519,17 +537,18 @@ class FreeComplex:
         return sum(self.sizes.values())
 
     def differential(self, degree: int) -> IntMatrix:
-        """A dense copy of the boundary out of ``degree``, built on each call."""
+        """A dense copy of the boundary out of ``degree``, built on each call; overlapping strips add up."""
         mat = IntMatrix.zeros(self.size(degree - 1), self.size(degree))
-        for j, column in self._columns.get(degree, {}).items():
-            for i, x in column:
-                mat.data[i][j] = x
+        for source, length, entries in self._strips.get(degree, ()):
+            for t, c in entries:
+                for i in range(length):
+                    mat.data[t + i][source + i] += c
         return mat
 
     @property
     def differentials(self) -> dict[int, IntMatrix]:
-        """Dense copies of the nonzero boundaries, by degree, built on each read."""
-        return {d: self.differential(d) for d in self._columns}
+        """Dense copies of the boundaries with strips, by degree, built on each read."""
+        return {d: self.differential(d) for d in self._strips}
 
     def euler_characteristic(self) -> int:
         return sum(count if d % 2 == 0 else -count for d, count in self.sizes.items())
@@ -537,20 +556,19 @@ class FreeComplex:
     def homology(self) -> GradedGroup:
         """Integer homology from the invariant factors of each differential.
 
-        Each differential is split into the connected blocks of its nonzero
-        pattern, and each block gives its invariant factors: the gcd of its
-        entries for a block with one row or one column, its Smith form
-        otherwise.  In each degree,
-        the free rank is dim ker(boundary out) minus rank(boundary in), and
-        the torsion is the incoming boundary's factors above 1 over all its
-        blocks, merged back into one divisibility chain (a Z/2 block and a
-        Z/3 block give Z/6).
+        Each differential is cut into intervals that its strips map onto
+        each other whole, and split into the connected components of those
+        intervals; each component gives its invariant factors, each counted
+        once per element of its intervals.  In each degree, the free rank
+        is dim ker(boundary out) minus rank(boundary in), and the torsion
+        is the incoming boundary's factors above 1 over all its components,
+        merged back into one divisibility chain (a Z/2 block and a Z/3
+        block give Z/6).
         """
-        factors = {d: _invariant_factors(columns) for d, columns in self._columns.items()}
+        factors = {d: _invariant_factors(strips) for d, strips in self._strips.items()}
         result: dict[int, tuple[int, tuple[int, ...]]] = {}
         for d in self.degrees():
             incoming = factors.get(d + 1, ())
-            rank = self.size(d) - len(factors.get(d, ())) - len(incoming)
-            result[d] = (rank, torsion_chain(x for x in incoming if x > 1))
+            rank = self.size(d) - sum(n for _, n in factors.get(d, ())) - sum(n for _, n in incoming)
+            result[d] = (rank, torsion_chain(x for x, n in incoming if x > 1 for _ in range(n)))
         return GradedGroup.of(result)
-

@@ -5,55 +5,48 @@ genus-1 separating circle in a genus-g surface is 0-surgery on a knot in a
 connected sum of a small Seifert-fibered piece with 2g-2 copies of
 S^1 x S^2.  Its plus-flavor Floer group in the k-th nontorsion spin-c
 structure is the homology of the region {i < 0, j >= k} of the associated
-knot complex.  This module realizes that region explicitly: generators are
-indexed by run and rank, the page-one differential (contraction plus wedge, supported on
-one half of the splitting along the genus-1 block) is applied with region
-truncation, the page-two differential moves the surviving circle summands,
-and nothing differs after that.
+knot complex.  This module realizes that region explicitly: the page-one
+differential (contraction plus wedge, supported on one half of the
+splitting along the genus-1 block) is applied with region truncation, the
+page-two differential moves the surviving circle summands, and nothing
+differs after that.  Everything is computed over the integers; the
+symbolic page-two bookkeeping is cross-checked against the computed
+page-one homology by a rank gate that aborts the run on any discrepancy.
 
-Everything is computed over the integers; the only non-computation in the
-pipeline is the symbolic page-two bookkeeping, which is cross-checked
-against the genuinely computed page-one homology by a rank gate that aborts
-the run on any discrepancy.
+Gradings: complexes carry the raw region ("model") grading; reported
+results are shifted by +2 into the symmetric-product ("X") convention,
+under which comparisons to the closed form are exact.
 
-Gradings: complexes over region generators carry the raw region ("model")
-grading; reported results are shifted by +2 into the symmetric-product
-("X") convention, under which comparisons to the closed form are exact.
-
-Region generators are never built one by one: they are indexed by
-arithmetic.  Each degree is a fixed sequence of runs.  A SURFACE run
-``(SURFACE, size, p, 0, 0)`` is every genus-g monomial of one size at one
-U-power p >= 1 (column i = -p); a CIRCLES run ``(CIRCLES, size, p, circle,
-eps)`` is every genus-(g-1) monomial (symbol indices 2..2g-1) of one size at
-one U-power, circle index and cohomological bit eps.  A degree's runs sit
-back to back, so a run's offset is a prefix sum of binomials.  Inside a
-surface run the monomials fall into four blocks by their {a1, b1} part, in
-the order none, a1, b1, both, and inside a block a monomial's index is the
-colex rank of the rest over symbols 2..2g-1 (the combinatorial number
-system, Knuth TAOCP 4A 7.2.1.3).  A circle run is one block, the none
-block: its monomials hold neither a1 nor b1.  That is colex order with a1
-and b1 as the most significant symbols.  Contraction drops a1, wedging adds
-b1 and the page-two arrow keeps the monomial, so the rest never changes:
-every block of a boundary is a signed, shifted identity, and its columns
-are range arithmetic.  One builder, ``_ranked_page``, turns runs into
-columns for page one, page two and X(g, d); ``_d1_image`` and
-``_d2_image`` stay the only definitions of the two differentials, each
-asked once per run and block, of its first monomial.  A complex keeps the
-number of generators in each degree and its boundary columns, nothing
-else.  The tower check compares the surface runs' shapes with X(g, d)'s
-and enumerates no monomial.
-
-Page one is a direct sum: the surface complex plus the circle generators,
-which no arrow leaves or hits.  The circles enter page one as counted
-cycles only, one count per degree, after the surface runs.
+No generator is ever built: each degree is a fixed sequence of runs.  A
+SURFACE run ``(SURFACE, size, p, 0, 0)`` is every genus-g monomial of one
+size at one U-power p >= 1 (column i = -p); a CIRCLES run ``(CIRCLES,
+size, p, circle, eps)`` is every genus-(g-1) monomial (symbols 2..2g-1) of
+one size at one U-power, circle and cohomological bit eps.  A degree's
+runs sit back to back.  Inside a surface run the monomials fall into four
+blocks by their {a1, b1} part, in the order none, a1, b1, both, and inside
+a block a monomial's index is the colex rank of the rest over symbols
+2..2g-1 (the combinatorial number system, Knuth TAOCP 4A 7.2.1.3); a
+circle run is one block, the none block.  Contraction drops a1, wedging
+adds b1 and the page-two arrow keeps the monomial, so the rest never
+changes: every block of a boundary is one strip, a signed, shifted
+identity onto a block of the degree below.  One builder, ``_ranked_page``,
+turns runs into strips for page one, page two and X(g, d); ``_d1_image``
+and ``_d2_image`` stay the only definitions of the two differentials, each
+asked of a block's first and last monomials.  A page costs time in its
+runs, not in its generators.  The tower check compares the surface runs'
+shapes with X(g, d)'s.  Page one is the surface complex plus the circle
+generators, which no arrow leaves or hits: counted cycles, one count per
+degree, after the surface runs.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .errors import BadGenus, BadParams, GateFailure, NotAComplex, UnknownTable, ZeroTwist
 from .exterior import (
@@ -143,10 +136,25 @@ def _circle_runs(spec: Params, labels: Sequence[int]) -> dict[int, list[tuple]]:
     return by_degree
 
 
+@functools.cache
+def _run_blocks(genus: int, tag: str, size: int) -> dict[Monomial, tuple[int, int]]:
+    """The blocks of a run of one tag and size, in run order: {block: (start in the run, length)}.
+
+    A surface run has the four ``BLOCKS``; a circle run, whose monomials
+    hold neither a1 nor b1, is one block ``()`` of length C(2g - 2, s).
+    Every run of a shape asks for the same blocks, so they are kept.
+    """
+    blocks, start = {}, 0
+    for block in BLOCKS if tag == SURFACE else BLOCKS[:1]:
+        rest = size - len(block)
+        blocks[block] = (start, comb(2 * genus - 2, rest) if rest >= 0 else 0)
+        start += blocks[block][1]
+    return blocks
+
+
 def _run_length(genus: int, run: tuple) -> int:
     """The number of monomials in a run: C(2g, s) on the surface, C(2g - 2, s) on a circle."""
-    tag, size, _, _, _ = run
-    return comb(2 * genus if tag == SURFACE else 2 * genus - 2, size)
+    return comb(2 * genus if run[0] == SURFACE else 2 * genus - 2, run[1])
 
 
 def _layout(genus: int, runs: dict[int, list[tuple]]) -> tuple[dict[int, int], dict[tuple, tuple[int, int]]]:
@@ -162,24 +170,9 @@ def _layout(genus: int, runs: dict[int, list[tuple]]) -> tuple[dict[int, int], d
     return sizes, where
 
 
-def _run_blocks(genus: int, run: tuple) -> Iterator[tuple[Monomial, int, int]]:
-    """The blocks of a run as (block, start in the run, length), in run order.
-
-    A surface run has the four ``BLOCKS``; a circle run, whose monomials
-    hold neither a1 nor b1, is one block ``()`` of length C(2g - 2, s).
-    """
-    tag, size, _, _, _ = run
-    start = 0
-    for block in BLOCKS if tag == SURFACE else BLOCKS[:1]:
-        rest = size - len(block)
-        length = comb(2 * genus - 2, rest) if rest >= 0 else 0
-        yield block, start, length
-        start += length
-
-
 def _split(mono: Monomial) -> tuple[Monomial, Monomial]:
     """A monomial as (its {a1, b1} block, the rest over symbols 2..2g-1)."""
-    cut = sum(1 for s in mono[:2] if s < 2)
+    cut = bisect_left(mono, 2)
     return mono[:cut], mono[cut:]
 
 
@@ -194,61 +187,56 @@ def _target_start(where: dict[tuple, tuple[int, int]], run: tuple, deg: int) -> 
     return start
 
 
-def _fill(columns: dict[int, list], source: int, length: int, targets: dict[int, int]) -> None:
-    """Columns ``source + i`` for i < length, each with the entries (row + i, coeff) of ``targets``.
-
-    Each target is a signed, shifted identity out of the source block, so a
-    column is range arithmetic: no generator is built or looked up.
-    """
-    entries = [(row, coeff) for row, coeff in targets.items() if coeff]
-    if len(entries) == 1:
-        (row, coeff), = entries
-        columns.update(zip(range(source, source + length), ([(r, coeff)] for r in range(row, row + length))))
-    elif entries:
-        for i in range(length):
-            columns[source + i] = [(row + i, coeff) for row, coeff in entries]
-
-
-def _rest_moved(deg: int, source: Monomial, target: Monomial) -> NotAComplex:
-    return NotAComplex(
-        f"differential at degree {deg} sends {source} to {target}, which changes the rest: not a shifted identity"
-    )
-
-
-# the differential on one block's first monomial, as (target run, target monomial, coefficient) terms
+# the differential on one monomial of a run, as (target run, target monomial, coefficient) terms
 Image = Callable[[tuple, Monomial], list[tuple[tuple, Monomial, int]]]
 
 
-def _ranked_page(genus: int, runs: dict[int, list[tuple]], image: Image) -> tuple[dict[int, int], dict[int, dict]]:
-    """The sizes and boundary columns of a page of runs, over the model grading.
+def _ranked_page(genus: int, runs: dict[int, list[tuple]], image: Image) -> tuple[dict[int, int], dict[int, list]]:
+    """The sizes and boundary strips of a page of runs, over the model grading.
 
-    ``image`` is asked once per (run, nonempty block), of the block's first
-    monomial.  Neither page differential changes the rest, so each term
-    names a target block and the whole source block maps onto it at the
-    same rank.  A term outside the runs of the degree below is refused, and
-    so is a term that changes the rest.
+    ``image`` is asked of each nonempty block's first and last monomials.
+    Neither page differential changes the rest, so each term names a target
+    block and the whole source block maps onto it at the same rank: one
+    strip per block.  A term outside the runs of the degree below is
+    refused, and so are a term that changes the rest and a last monomial
+    whose image differs from the first's.
     """
     sizes, where = _layout(genus, runs)
-    boundaries: dict[int, dict] = {}
+
+    def targets(deg: int, run: tuple, block: Monomial, rest: Monomial) -> list[tuple[int, int]]:
+        """Where ``image`` sends the monomial block + rest: (start of its target block, coefficient) pairs."""
+        rows: dict[int, int] = {}
+        for target_run, target, coeff in image(run, block + rest):
+            target_block, target_rest = _split(target)
+            blocks = _run_blocks(genus, target_run[0], target_run[1])
+            if target_rest != rest or target_block not in blocks:
+                raise NotAComplex(f"differential at degree {deg} sends {block + rest} to {target}, "
+                                  "which changes the rest: not a shifted identity")
+            row = _target_start(where, target_run, deg) + blocks[target_block][0]
+            rows[row] = rows.get(row, 0) + coeff
+        return [(row, coeff) for row, coeff in rows.items() if coeff]
+
+    symbols = tuple(range(2 * genus))  # sliced, so the monomials share one set of ints
+    boundaries: dict[int, list] = {}
     for deg, listed in runs.items():
-        columns: dict[int, list] = {}
+        strips = []
         for run in listed:
             offset = where[run][1]
-            for block, start, length in _run_blocks(genus, run):
+            for block, (start, length) in _run_blocks(genus, run[0], run[1]).items():
                 if not length:
                     continue
-                first = block + tuple(range(2, 2 + run[1] - len(block)))
-                targets: dict[int, int] = {}
-                for target_run, target, coeff in image(run, first):
-                    target_block, rest = _split(target)
-                    starts = {b: at for b, at, _ in _run_blocks(genus, target_run)}
-                    if rest != first[len(block):] or target_block not in starts:
-                        raise _rest_moved(deg, first, target)
-                    row = _target_start(where, target_run, deg) + starts[target_block]
-                    targets[row] = targets.get(row, 0) + coeff
-                _fill(columns, offset + start, length, targets)
-        if columns:
-            boundaries[deg] = columns
+                rest = run[1] - len(block)
+                first, last = symbols[2 : 2 + rest], symbols[2 * genus - rest :]
+                hit = targets(deg, run, block, first)
+                if length > 1 and targets(deg, run, block, last) != hit:
+                    raise NotAComplex(
+                        f"differential at degree {deg} sends {block + last} elsewhere than {block + first}: "
+                        "not a shifted identity"
+                    )
+                if hit:
+                    strips.append((offset + start, length, hit))
+        if strips:
+            boundaries[deg] = strips
     return sizes, boundaries
 
 
@@ -281,7 +269,7 @@ def _d1_image(
 
 def _surface_page(
     genus: int, d: int, runs: dict[int, list[tuple]], half: str, pd_sign: int
-) -> tuple[dict[int, int], dict[int, dict]]:
+) -> tuple[dict[int, int], dict[int, list]]:
     """The ranked page of surface runs under ``_d1_image``: contraction drops a1 and wedging adds b1."""
 
     def image(run: tuple, first: Monomial) -> list[tuple[tuple, Monomial, int]]:
@@ -306,16 +294,17 @@ def build_x_complex(genus: int, d: int, left: bool = False, pd_sign: int = 1) ->
         raise BadGenus(f"genus {genus} < 2")
     check_x_params(genus, d)
     half = "E+" if left else "E-"
-    sizes, columns = _surface_page(genus, d, _surface_runs(genus, genus - 1 - d), half, pd_sign)
-    return FreeComplex({deg + 2: n for deg, n in sizes.items()}, {deg + 2: c for deg, c in columns.items()})
+    sizes, strips = _surface_page(genus, d, _surface_runs(genus, genus - 1 - d), half, pd_sign)
+    return FreeComplex({deg + 2: n for deg, n in sizes.items()}, {deg + 2: s for deg, s in strips.items()})
 
 
 # -- region pipeline -------------------------------------------------------
 
 
-def _circle_labels(spec: Params, labels: Sequence[int] | None) -> tuple[int, ...]:
-    if labels is None:
-        return tuple(range(1, spec.abs_n + 1))
+def _circle_labels(spec: Params, labels: Sequence[int] | None) -> Sequence[int]:
+    default = range(1, spec.abs_n + 1)  # kept a range: a level with no circle run never lists the labels
+    if labels is None or labels == default:
+        return default
     if sorted(labels) != sorted(set(labels)) or len(labels) != spec.abs_n:
         raise BadParams(f"need {spec.abs_n} distinct circle labels, got {labels!r}")
     return tuple(labels)
@@ -335,6 +324,20 @@ def region_size(spec: Params) -> int:
     surface = sum(comb(2 * g, s) * (s - g - k) for s in range(g + k + 1, 2 * g + 1))
     circles = sum(comb(2 * g - 2, s) * (s - g + 1 - k) for s in range(g + k, 2 * g - 1))
     return surface + 2 * spec.abs_n * circles
+
+
+def run_count(spec: Params) -> int:
+    """The number of page-one runs, counted without listing them.
+
+    With m = g - |k|, the surface has m(m + 1)/2 runs, one per size and
+    U-power, and the circles have |n| m(m - 1): one per size, U-power, eps
+    and circle.
+
+    >>> run_count(Params(10, 3000, 1)), run_count(Params(30, 300, 1)), run_count(Params(200, 3, 1))
+    (216045, 244035, 138106)
+    """
+    m = spec.g - spec.abs_k
+    return m * (m + 1) // 2 + spec.abs_n * m * (m - 1)
 
 
 def _check_tower(spec: Params, surface: dict[int, list[tuple]]) -> None:
@@ -367,10 +370,10 @@ def build_e1_region(spec: Params, pd_sign: int = 1) -> FreeComplex:
     Page one is the surface complex plus counted circle cycles.  Each degree
     lists its surface runs, then its circle runs.  SURFACE generators in the
     active half carry the page-one differential (with image terms leaving
-    the region dropped), and only they get columns.  CIRCLES generators are
+    the region dropped), and only they get strips.  CIRCLES generators are
     cycles that no arrow hits: each degree's circle runs are counted and
-    added to its size, after its surface runs, where no row or column
-    refers to them.
+    added to its size, after its surface runs, where no strip reaches
+    them.
     """
     surface = _surface_runs(spec.g, spec.abs_k)
     circles = _circle_runs(spec, range(1, spec.abs_n + 1))
@@ -379,10 +382,10 @@ def build_e1_region(spec: Params, pd_sign: int = 1) -> FreeComplex:
     expected_size = region_size(spec)
     if total != expected_size:
         raise GateFailure(f"region has {total} generators, but its count is {expected_size} at {spec}")
-    sizes, columns = _surface_page(spec.g, spec.d, surface, active_half(spec.n), pd_sign)
+    sizes, strips = _surface_page(spec.g, spec.d, surface, active_half(spec.n), pd_sign)
     for deg, count in _layout(spec.g, circles)[0].items():
         sizes[deg] = sizes.get(deg, 0) + count
-    return FreeComplex(sizes, columns)
+    return FreeComplex(sizes, strips)
 
 
 def _d2_image(spec: Params, gen: tuple) -> list[tuple[tuple, int]]:
@@ -417,8 +420,8 @@ def build_e2_symbolic(
         terms = _d2_image(spec, (tag, first, p, c, bit))
         return [((t, len(target), tp, tc, tbit), target, coeff) for (t, target, tp, tc, tbit), coeff in terms]
 
-    sizes, columns = _ranked_page(g, _circle_runs(spec, labels[1:]), image)
-    return E2Page(fixed, FreeComplex(sizes, {} if corrupt_d2 else columns))
+    sizes, strips = _ranked_page(g, _circle_runs(spec, labels[1:]), image)
+    return E2Page(fixed, FreeComplex(sizes, {} if corrupt_d2 else strips))
 
 
 def _torsion_text(torsion: tuple[int, ...]) -> str:
@@ -503,20 +506,17 @@ def oracle_hfplus(
 
 
 def _run_pages(
-    spec: Params, pd_sign: int, labels: tuple[int, ...], corrupt_d2: bool
+    spec: Params, pd_sign: int, labels: Sequence[int], corrupt_d2: bool
 ) -> HomologyResult:
     """Build and reduce both pages, and check what comes out."""
     page1 = build_e1_region(spec, pd_sign)
     e2 = build_e2_symbolic(spec, labels, corrupt_d2)
     run_d1(spec, page1, e2)
-    # page one is needed past its gate only for its Euler characteristic
-    euler = page1.euler_characteristic()
-    del page1
     result = run_d2(spec, e2)
     where = f"at g={spec.g} n={spec.n} k={spec.k}"
     if not result.group.is_free():
         raise GateFailure(f"oracle output has torsion {where}")
-    if euler != result.group.euler_characteristic():
+    if page1.euler_characteristic() != result.group.euler_characteristic():
         raise GateFailure(f"Euler characteristic drifted through the pipeline {where}")
     return result
 
@@ -602,12 +602,12 @@ def collapse_hfk(n: int) -> GradedGroup:
         deg = len(mono) - 1
         index[mono] = sizes.get(deg, 0)
         sizes[deg] = index[mono] + 1
-    columns: dict[int, dict] = {}
+    strips: dict[int, list] = {}
     for mono in BLOCKS:
         rest = contract_monomial(mono)
         if e_half(mono) == half and rest is not None:
-            columns.setdefault(len(mono) - 1, {})[index[mono]] = [(index[rest], 1)]
-    return FreeComplex(sizes, columns).homology()
+            strips.setdefault(len(mono) - 1, []).append((index[mono], 1, [(index[rest], 1)]))
+    return FreeComplex(sizes, strips).homology()
 
 
 def hf_hat_M(n: int) -> GradedGroup:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from mtfloer import cli, knot_model
 from mtfloer.errors import BadParams, NotAComplex
-from mtfloer.knot_model import region_size
 from mtfloer.params import Params
 
 GOLDEN = Path(__file__).resolve().parent.parent / "golden" / "sweep_g4_n3.json"
@@ -135,41 +134,88 @@ def _no_enumeration(*args):
     raise AssertionError(f"region runs enumerated at {args}")
 
 
-def test_compute_refuses_an_oversized_region_before_enumerating(capsys, monkeypatch):
+def test_compute_refuses_too_many_runs_before_enumerating(capsys, monkeypatch):
     monkeypatch.setattr(knot_model, "_surface_runs", _no_enumeration)
-    code, out, err = run_main(capsys, "compute", "--g", "12", "--n", "3", "--k", "1")
+    code, out, err = run_main(capsys, "compute", "--g", "260", "--n", "1", "--k", "1")
     assert (code, out) == (2, "")
-    assert err == "error: the region at g=12 n=3 k=1 has 22001046 generators, more than --max-generators 6000000\n"
-    code, out, err = run_main(capsys, "compute", "--g", "3", "--n", "2", "--k", "1", "--method", "oracle", "--max-generators", "11")
+    assert err == "error: the region at g=260 n=1 |k|=1 has 100492 runs, more than 100000\n"
+    # the count is taken at |k| = 1, so a level near g with few runs of long monomials is refused too
+    code, out, err = run_main(capsys, "compute", "--g", "260", "--n", "1", "--k", "-258", "--method", "oracle")
     assert (code, out) == (2, "")
-    assert err == "error: the region at g=3 n=2 k=1 has 12 generators, more than --max-generators 11\n"
-    # the closed form and a vanishing level build no region, so the limit does not apply
-    assert run_main(capsys, "compute", "--g", "12", "--n", "3", "--k", "1", "--method", "closed")[0] == 0
-    assert run_main(capsys, "compute", "--g", "3", "--n", "2", "--k", "3", "--max-generators", "0")[0] == 0
+    assert err == "error: the region at g=260 n=1 |k|=1 has 100492 runs, more than 100000\n"
+    code, out, err = run_main(capsys, "compute", "--g", "30", "--n", "-300", "--k", "29")
+    assert (code, out) == (2, "")
+    assert err == "error: the region at g=30 n=-300 |k|=1 has 244035 runs, more than 100000\n"
+    # the closed form and a vanishing level build no region, so the bound does not apply
+    assert run_main(capsys, "compute", "--g", "260", "--n", "1", "--k", "1", "--method", "closed")[0] == 0
+    assert run_main(capsys, "compute", "--g", "260", "--n", "1", "--k", "260")[0] == 0
 
 
-def test_default_generator_limit_admits_g11_and_refuses_g12():
-    assert region_size(Params(11, 3, 1)) == 5086660 <= cli.MAX_GENERATORS < region_size(Params(12, 3, 1))
+def test_run_bound_is_a_constant_not_an_option(capsys):
+    assert cli.MAX_RUNS == 100_000
+    assert knot_model.run_count(Params(259, -1, 1)) <= cli.MAX_RUNS < knot_model.run_count(Params(260, -1, 1))
+    with pytest.raises(SystemExit) as refused:
+        cli.main(["compute", "--g", "3", "--n", "2", "--k", "1", "--max-generators", "12"])
+    assert refused.value.code == 2
+    assert "unrecognized arguments: --max-generators 12" in capsys.readouterr().err
 
 
-def test_compute_at_the_limit_runs(capsys):
-    code, out, err = run_main(capsys, "compute", "--g", "3", "--n", "2", "--k", "1", "--max-generators", "12")
+def test_compute_at_the_run_bound_runs(capsys, monkeypatch):
+    # the region at g=3, |n|=2, |k|=1 has 3 surface runs and 4 circle runs
+    monkeypatch.setattr(cli, "MAX_RUNS", 7)
+    code, out, err = run_main(capsys, "compute", "--g", "3", "--n", "-2", "--k", "2")
     assert (code, err) == (0, "")
+    monkeypatch.setattr(cli, "MAX_RUNS", 6)
+    code, out, err = run_main(capsys, "compute", "--g", "3", "--n", "-2", "--k", "2")
+    assert (code, out, err) == (2, "", "error: the region at g=3 n=-2 |k|=1 has 7 runs, more than 6\n")
+
+
+def test_compute_at_g60_is_admitted_and_matches(capsys):
+    assert knot_model.run_count(Params(60, 3, 1)) == 12036
+    code, out, err = run_main(capsys, "compute", "--g", "60", "--n", "3", "--k", "1", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["match"] is True
+
+
+# ranks pass 2^63 from g = 33 on; the largest at g = 40, n = 3, k = 1 sits at degree 2
+BIG_RANK = 297667626190834285259294
+
+
+def test_ranks_past_two_to_the_63_print_exactly(capsys):
+    assert BIG_RANK > 2**63
+    code, out, err = run_main(capsys, "compute", "--g", "40", "--n", "3", "--k", "1", "--format", "json")
+    assert (code, err) == (0, "")
+    assert out.count(f'"degree": 2,\n        "rank": {BIG_RANK},\n') == 2  # the oracle's and the closed form's
+    payload = json.loads(out)
+    assert payload["match"] is True
+    assert {"degree": 2, "rank": BIG_RANK, "torsion": []} in payload["oracle"]["degrees"]
+    assert payload["oracle"]["degrees"] == payload["closed"]["degrees"]
+    code, out, err = run_main(capsys, "compute", "--g", "40", "--n", "3", "--k", "1", "--format", "csv")
+    assert code == 0
+    assert f"40,3,1,2,{BIG_RANK},{BIG_RANK},true\n" in out
+    assert all(line.endswith(",true") for line in out.splitlines()[1:])
+    code, out, err = run_main(capsys, "compute", "--g", "40", "--n", "3", "--k", "1", "--format", "table")
+    assert code == 0
+    assert out.count(f"     2  {BIG_RANK}  -\n") == 2  # the oracle's and the closed form's
+    assert out.endswith("match: true\n")
 
 
 # -- verify --------------------------------------------------------------------------
 
 
-def test_verify_refuses_an_oversized_grid_before_any_triple(capsys, monkeypatch, tmp_path):
+def test_verify_refuses_too_many_runs_before_any_triple(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("MTFLOER_THREADS", "1")
     monkeypatch.setattr(knot_model, "_surface_runs", _no_enumeration)
     monkeypatch.setattr(cli, "_verify_triple", lambda task: pytest.fail(f"triple {task[:3]} started"))
+    # only g = 4, n = +-3 of the grid has more than 20 runs at |k| = 1: 6 + 3 * 6
+    monkeypatch.setattr(cli, "MAX_RUNS", 20)
     target = tmp_path / "r.json"
-    # only g = 4, n = +-3, k = 1 of the grid has more than 90 generators
-    code, out, err = run_main(capsys, "verify", "--g-max", "4", "--n", "-3..3", "--max-generators", "90", "--emit", str(target))
+    code, out, err = run_main(capsys, "verify", "--g-max", "4", "--n", "-3..3", "--emit", str(target))
     assert (code, out) == (2, "")
-    assert err == "error: the region at g=4 n=-3 k=1 has 95 generators, more than --max-generators 90\n"
+    assert err == "error: the region at g=4 n=-3 |k|=1 has 24 runs, more than 20\n"
     assert not target.exists()
+    with pytest.raises(BadParams, match="g=4 n=-3 [|]k[|]=1 has 24 runs"):
+        cli.run_sweep(4, [-3, 3])
 
 
 def test_verify_default_grid(capsys):
@@ -489,19 +535,19 @@ def test_xgd_homology_refuses_before_building_the_module(capsys, monkeypatch):
     # outside the formula's domain
     code, out, err = run_main(capsys, "xgd", "--g", "7", "--d", "30", "--homology")
     assert (code, out, err) == (2, "", "error: need 0 <= d <= g-1, got d=30\n")
-    # inside it, but larger than a compute would start
-    code, out, err = run_main(capsys, "xgd", "--g", "12", "--d", "11", "--homology")
-    assert (code, out, err) == (2, "", "error: X(g=12, d=11) has 16224936 elements, more than 6000000\n")
+    # inside it, but its genus has a tower with more runs than a compute would start
+    code, out, err = run_main(capsys, "xgd", "--g", "447", "--d", "3", "--homology")
+    assert (code, out, err) == (2, "", "error: X(g=447, d=446) has 100128 runs, more than 100000\n")
 
 
-def test_xgd_homology_at_the_size_limit_runs(capsys, monkeypatch):
-    # X(2, 1) has 6 elements
-    monkeypatch.setattr(cli, "MAX_GENERATORS", 6)
+def test_xgd_homology_at_the_run_bound_runs(capsys, monkeypatch):
+    # X(2, 1), the largest tower of genus 2, has 3 runs
+    monkeypatch.setattr(cli, "MAX_RUNS", 3)
     assert run_main(capsys, "xgd", "--g", "2", "--d", "1", "--homology")[0] == 0
-    monkeypatch.setattr(cli, "MAX_GENERATORS", 5)
+    monkeypatch.setattr(cli, "MAX_RUNS", 2)
     monkeypatch.setattr(cli, "build_x_complex", _no_x_basis)
-    code, out, err = run_main(capsys, "xgd", "--g", "2", "--d", "1", "--homology")
-    assert (code, out, err) == (2, "", "error: X(g=2, d=1) has 6 elements, more than 5\n")
+    code, out, err = run_main(capsys, "xgd", "--g", "2", "--d", "0", "--homology")
+    assert (code, out, err) == (2, "", "error: X(g=2, d=1) has 3 runs, more than 2\n")
 
 
 # -- corollary -----------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import importlib.util
 import random
 
 import pytest
@@ -6,15 +7,16 @@ from hypothesis import strategies as st
 
 import mtfloer.homology
 from mtfloer.errors import NotAComplex
-from mtfloer.graded import GradedGroup
+from mtfloer.graded import GradedGroup, torsion_chain
 from mtfloer.homology import (
     FreeComplex,
     IntMatrix,
-    _block_members,
-    _blocks,
-    _check_blocks,
+    _check_components,
+    _components,
+    _composes_to_zero,
     _invariant_factors,
-    _nonzero_columns,
+    _pieces,
+    _refine,
     check_smith_form,
     smith_normal_form,
 )
@@ -219,55 +221,64 @@ def test_shape_mismatch_is_rejected():
 
 
 @pytest.mark.parametrize(
-    "columns",
+    "strips",
     [
-        {1: {0: [(1, 1)]}},  # row past the end of degree 0
-        {1: {0: [(-1, 1)]}},  # negative row
-        {1: {1: [(0, 1)]}},  # column past the end of degree 1
-        {1: {-1: [(0, 1)]}},  # negative column
-        {2: {0: [(0, 1)]}},  # a boundary out of an empty degree
-        {0: {0: [(0, 1)]}},  # a boundary into an empty degree
+        {1: [(0, 1, [(1, 1)])]},  # row past the end of degree 0
+        {1: [(0, 1, [(-1, 1)])]},  # negative row
+        {1: [(1, 1, [(0, 1)])]},  # column past the end of degree 1
+        {1: [(-1, 1, [(0, 1)])]},  # negative column
+        {2: [(0, 1, [(0, 1)])]},  # a boundary out of an empty degree
+        {0: [(0, 1, [(0, 1)])]},  # a boundary into an empty degree
+        {1: [(0, 0, [(0, 1)])]},  # an empty strip
+        {1: [(0, 2, [(0, 1)])]},  # a strip one column too long
     ],
 )
-def test_out_of_range_entries_are_rejected(columns):
+def test_out_of_range_strips_are_rejected(strips):
     with pytest.raises(NotAComplex):
-        FreeComplex({0: 1, 1: 1}, columns)
+        FreeComplex({0: 1, 1: 1}, strips)
 
 
-def test_columns_drop_zeros_and_add_repeated_rows():
+def test_strip_ranges_name_the_first_offending_index():
+    with pytest.raises(NotAComplex, match="has row 2, but degree 0 has 2 generators"):
+        FreeComplex({0: 2, 1: 2}, {1: [(0, 2, [(0, 1), (1, 1)])]})
+    with pytest.raises(NotAComplex, match="has row -1, but degree 0 has 2 generators"):
+        FreeComplex({0: 2, 1: 1}, {1: [(0, 1, [(1, 1), (-1, 1)])]})
+    with pytest.raises(NotAComplex, match="has column 3, but degree 1 has 3 generators"):
+        FreeComplex({0: 4, 1: 3}, {1: [(1, 3, [(0, 1)])]})
+    with pytest.raises(NotAComplex, match="has a strip of length 0"):
+        FreeComplex({0: 4, 1: 3}, {1: [(1, 0, [(0, 1)])]})
+
+
+def test_strips_drop_zeros_and_overlapping_strips_add_up():
     cx = FreeComplex(
         {0: 2, 1: 3},
-        {1: {0: [(0, 1), (0, -1)], 1: [(1, 0)], 2: [(1, 2), (0, 3), (1, 1)]}},
+        {1: [(0, 1, [(0, 1), (0, -1)]), (1, 1, [(1, 0)]), (2, 1, [(1, 2), (0, 3), (1, 1)])]},
     )
-    assert cx._columns == {1: {2: [(1, 3), (0, 3)]}}
+    assert cx._strips == {1: [(0, 1, [(0, 1), (0, -1)]), (2, 1, [(1, 2), (0, 3), (1, 1)])]}
     assert cx.differentials == {1: IntMatrix.from_rows([[0, 0, 3], [0, 0, 3]])}
-    cancelled = FreeComplex({0: 1, 1: 1}, {1: {0: [(0, 2), (0, -2)]}})
-    assert cancelled._columns == {} and cancelled.differentials == {}
+    assert cx.homology() == GradedGroup.of({0: (1, [3]), 1: (2, [])})
+    cancelled = FreeComplex({0: 1, 1: 1}, {1: [(0, 1, [(0, 2), (0, -2)])]})
+    assert cancelled.differential(1).is_zero()
     assert cancelled.homology() == GradedGroup.free({0: 1, 1: 1})
+    # two misaligned strips that cancel where they overlap
+    overlap = FreeComplex({0: 3, 1: 3}, {1: [(0, 3, [(0, 1)]), (1, 2, [(1, -1)])]})
+    assert overlap.differential(1) == IntMatrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert overlap.homology() == dense_homology(overlap) == GradedGroup.free({0: 2, 1: 2})
 
 
-def test_columns_with_distinct_rows_are_kept_as_given():
-    one, two = [(1, 5)], [(0, 1), (1, -1)]
-    cx = FreeComplex({0: 2, 1: 3}, {1: {0: one, 2: two}})
-    # no copy: the lists handed over are the complex's columns
-    assert cx._columns[1][0] is one and cx._columns[1][2] is two
-    # zeros are still dropped, and any iterable of entries is taken
-    cx = FreeComplex({0: 2, 1: 1}, {1: {0: iter([(0, 0), (1, 4)])}})
-    assert cx._columns == {1: {0: [(1, 4)]}}
-    with pytest.raises(NotAComplex, match="has row 2, but degree 0 has 2 generators"):
-        FreeComplex({0: 2, 1: 1}, {1: {0: [(0, 1), (2, 1)]}})
-    with pytest.raises(NotAComplex, match="has row -1, but degree 0 has 2 generators"):
-        FreeComplex({0: 2, 1: 1}, {1: {0: [(-1, 1), (1, 1), (1, 1)]}})
-
-
-def test_from_matrices_equals_the_columns():
+def test_from_matrices_hands_over_length_one_strips():
     d1 = IntMatrix.from_rows([[1, 0, -2], [0, 0, 4]])
     cells = {0: 2, 1: 3}
     dense = FreeComplex.from_matrices(cells, {1: d1})
-    sparse = FreeComplex(cells, {1: {0: [(0, 1)], 2: [(0, -2), (1, 4)]}})
-    assert dense._columns == sparse._columns
-    assert dense.differential(1) == sparse.differential(1) == d1
-    assert dense.homology() == sparse.homology() == GradedGroup.of({0: (0, [4]), 1: (1, [])})
+    strips = FreeComplex(cells, {1: [(0, 1, [(0, 1)]), (2, 1, [(0, -2), (1, 4)])]})
+    assert dense._strips == strips._strips
+    assert dense.differential(1) == strips.differential(1) == d1
+    assert dense.homology() == strips.homology() == GradedGroup.of({0: (0, [4]), 1: (1, [])})
+    # one strip of length 3 is the same boundary as three of length 1
+    long = FreeComplex({0: 4, 1: 3}, {1: [(0, 3, [(1, 2)])]})
+    short = FreeComplex({0: 4, 1: 3}, {1: [(j, 1, [(j + 1, 2)]) for j in range(3)]})
+    assert long.differential(1) == short.differential(1)
+    assert long.homology() == short.homology() == GradedGroup.of({0: (1, [2, 2, 2])})
 
 
 def test_boundary_squared_is_enforced():
@@ -347,7 +358,7 @@ def test_top_homology_of_random_complex_is_kernel():
         assert h2.torsion(2) == ()
 
 
-# -- block-split homology against the dense reference -----------------------------
+# -- the references: dense Smith forms and the element columns ------------------
 
 
 def dense_homology(cx: FreeComplex) -> GradedGroup:
@@ -362,11 +373,31 @@ def dense_homology(cx: FreeComplex) -> GradedGroup:
     return GradedGroup.of(result)
 
 
+def element_columns(cx: FreeComplex) -> dict:
+    """The strips of a complex expanded element by element: ``{degree: {column: [(row, value), ...]}}``,
+    entries that meet added up and zeros dropped."""
+    out = {}
+    for d, strips in cx._strips.items():
+        summed = {}
+        for source, length, targets in strips:
+            for t, c in targets:
+                for i in range(length):
+                    column = summed.setdefault(source + i, {})
+                    column[t + i] = column.get(t + i, 0) + c
+        kept = {j: entries for j, column in summed.items() if (entries := sorted((i, x) for i, x in column.items() if x))}
+        if kept:
+            out[d] = kept
+    return out
+
+
+def from_columns(sizes, columns) -> FreeComplex:
+    """The complex whose boundary columns are ``{degree: {column: [(row, value), ...]}}``, one strip each."""
+    return FreeComplex(sizes, {d: [(j, 1, list(column)) for j, column in cols.items()] for d, cols in columns.items()})
+
+
 def union_find_blocks(columns):
-    """The block split as it was first written, kept as the reference for
-    ``_block_members``: rows and columns are both union-find nodes, joined
-    at every nonzero entry, and blocks come in the order of their first
-    column."""
+    """The connected blocks of a boundary given by its columns, as (rows, columns):
+    rows and columns are both union-find nodes, joined at every nonzero entry."""
     parent = {}
 
     def find(node):
@@ -390,9 +421,34 @@ def union_find_blocks(columns):
     return [(sorted(rows), sorted(cols)) for rows, cols in members.values()]
 
 
-def assert_blocks_match_the_reference(cx: FreeComplex) -> None:
-    for columns in cx._columns.values():
-        assert _block_members(columns) == union_find_blocks(columns)
+def column_homology(cx: FreeComplex) -> GradedGroup:
+    """Homology element by element, as the package computed it before strips: each boundary's
+    element columns split into connected blocks, and each block's invariant factors from its
+    Smith form."""
+    factors = {}
+    for d, columns in element_columns(cx).items():
+        found = []
+        for rows, cols in union_find_blocks(columns):
+            where = {i: r for r, i in enumerate(rows)}
+            sub = IntMatrix(len(rows), len(cols))
+            for c, j in enumerate(cols):
+                for i, x in columns[j]:
+                    sub.data[where[i]][c] = x
+            found += [x for x in smith_normal_form(sub, verify=False).d.diagonal() if x]
+        factors[d] = found
+    result = {}
+    for d in cx.degrees():
+        incoming = factors.get(d + 1, [])
+        rank = cx.size(d) - len(factors.get(d, [])) - len(incoming)
+        result[d] = (rank, torsion_chain(x for x in incoming if x > 1))
+    return GradedGroup.of(result)
+
+
+def assert_matches_the_references(cx: FreeComplex, dense: bool = True) -> None:
+    """Strip homology equals the element-column homology and, when asked, the dense one."""
+    assert cx.homology() == column_homology(cx)
+    if dense:
+        assert cx.homology() == dense_homology(cx)
 
 
 def permuted_block_diagonal(rng: random.Random, blocks) -> IntMatrix:
@@ -430,12 +486,17 @@ def test_split_torsion_merges_into_one_chain():
 # -- the thin-block path, unchecked --------------------------------------------------
 
 
+def expanded_factors(strips) -> list[int]:
+    """A boundary's invariant factors, each repeated as often as it counts."""
+    return sorted(x for x, count in _invariant_factors(strips) for _ in range(count))
+
+
 def thin_block_mismatch(mat: IntMatrix) -> bool:
     """Whether the block factors or the homology of the one-boundary complex
     on ``mat`` (one row or one column) differ from the dense Smith form."""
     cx = FreeComplex.from_matrices({0: mat.rows, 1: mat.cols}, {1: mat})
     dense = sorted(x for x in smith_normal_form(mat, verify=False).d.diagonal() if x)
-    return sorted(_invariant_factors(cx._columns.get(1, {}))) != dense or cx.homology() != dense_homology(cx)
+    return expanded_factors(cx._strips.get(1, [])) != dense or cx.homology() != dense_homology(cx)
 
 
 def thin_matrices():
@@ -464,7 +525,7 @@ def test_thin_block_torsion_merges_into_one_chain(monkeypatch):
     # a Z/2 block (1 x 1) and a Z/3 block (2 x 1)
     d1 = IntMatrix.from_rows([[2, 0], [0, 3], [0, -6]])
     cx = FreeComplex.from_matrices({0: 3, 1: 2}, {1: d1})
-    assert sorted(_invariant_factors(cx._columns[1])) == [2, 3]
+    assert sorted(_invariant_factors(cx._strips[1])) == [(2, 1), (3, 1)]
     assert cx.homology() == GradedGroup.of({0: (1, [6])})
     assert cx.homology() == dense_homology(cx)
 
@@ -472,9 +533,7 @@ def test_thin_block_torsion_merges_into_one_chain(monkeypatch):
 @given(st.integers(0, 2**32 - 1))
 def test_block_split_matches_dense_on_random_complexes(seed):
     rng = random.Random(seed)
-    cx = random_two_step_complex(rng)
-    assert cx.homology() == dense_homology(cx)
-    assert_blocks_match_the_reference(cx)
+    assert_matches_the_references(random_two_step_complex(rng))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -484,12 +543,8 @@ def test_block_split_matches_dense_on_permuted_block_diagonals(seed):
     d1 = permuted_block_diagonal(rng, blocks)
     if not d1.rows or not d1.cols:
         return
-    cx = complex_over(rng, d1, rng.randint(1, 5))
-    assert cx.homology() == dense_homology(cx)
-    lone = FreeComplex.from_matrices({0: d1.rows, 1: d1.cols}, {1: d1})
-    assert lone.homology() == dense_homology(lone)
-    assert_blocks_match_the_reference(cx)
-    assert_blocks_match_the_reference(lone)
+    assert_matches_the_references(complex_over(rng, d1, rng.randint(1, 5)))
+    assert_matches_the_references(FreeComplex.from_matrices({0: d1.rows, 1: d1.cols}, {1: d1}))
 
 
 def test_boundary_squared_may_cancel_across_paths():
@@ -504,26 +559,163 @@ def test_boundary_squared_may_cancel_across_paths():
         FreeComplex.from_matrices(cells, {1: d1, 2: IntMatrix.from_rows([[1], [-1], [1]])})
 
 
-def test_check_blocks_rejects_bad_splits():
-    d1 = permuted_block_diagonal(
-        random.Random(3), [IntMatrix.from_rows([[1, 2], [0, 3]]), IntMatrix.from_rows([[4]])]
-    )
-    columns = _nonzero_columns(d1)
-    blocks = sorted(_blocks(columns), key=lambda block: -len(block[0]))
-    assert [sub.shape for _, _, sub in blocks] == [(2, 2), (1, 1)]
-    _check_blocks(columns, blocks)
-    rows, cols, sub = blocks[0]
-    altered = sub.copy()
-    altered.data[0][0] += 1
-    padded = sub.copy()
-    r, c = next((r, c) for r, row in enumerate(sub.data) for c, x in enumerate(row) if not x)
-    padded.data[r][c] = 1
+# -- strips: intervals, components and the d^2 = 0 check ----------------------------
+
+
+@st.composite
+def random_strips(draw, sources: int, targets: int, max_strips: int = 5) -> list:
+    """Up to ``max_strips`` strips from ``sources`` columns to ``targets`` rows, at any offsets."""
+    strips = []
+    for _ in range(draw(st.integers(0, max_strips))):
+        length = draw(st.integers(1, min(sources, targets)))
+        source = draw(st.integers(0, sources - length))
+        count = draw(st.integers(1, 3))
+        offsets = draw(st.lists(st.integers(0, targets - length), min_size=count, max_size=count))
+        coeffs = draw(st.lists(st.integers(-4, 4), min_size=count, max_size=count))
+        strips.append((source, length, list(zip(offsets, coeffs))))
+    return strips
+
+
+@st.composite
+def strip_boundaries(draw) -> tuple[int, int, list]:
+    targets, sources = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    return targets, sources, draw(random_strips(sources, targets))
+
+
+@given(strip_boundaries())
+def test_misaligned_strips_match_the_dense_smith_form(drawn):
+    targets, sources, strips = drawn
+    cx = FreeComplex({0: targets, 1: sources}, {1: strips})
+    dense = [x for x in smith_normal_form(cx.differential(1), verify=False).d.diagonal() if x]
+    factors = expanded_factors(cx._strips.get(1, []))
+    # the same rank and the same torsion chain as the whole boundary's Smith form
+    assert len(factors) == len(dense)
+    assert torsion_chain(x for x in factors if x > 1) == tuple(x for x in dense if x > 1)
+    assert_matches_the_references(cx)
+
+
+def cancelling_split(strip, cut):
+    """Two strips, misaligned with ``strip``, that add up to its negative."""
+    source, length, targets = strip
+    negated = [(t, -c) for t, c in targets]
+    return [(source, cut, negated), (source + cut, length - cut, [(t + cut, c) for t, c in negated])]
+
+
+@st.composite
+def strip_pairs(draw) -> tuple[list[int], list, list]:
+    """Two boundaries 2 -> 1 -> 0 of random strips; with probability one half, the upper
+    one cancels itself through misaligned splits, but for at most one extra strip."""
+    n0, n1, n2 = (draw(st.integers(1, 8)) for _ in range(3))
+    lower = draw(random_strips(n1, n0))
+    upper = draw(random_strips(n2, n1))
+    if draw(st.booleans()):
+        # each strip that can be split is cancelled by a misaligned split of its negative
+        kept = [strip for strip in upper if strip[1] > 1]
+        upper = kept + [piece for strip in kept for piece in cancelling_split(strip, draw(st.integers(1, strip[1] - 1)))]
+        upper += draw(random_strips(n2, n1, 1))
+    return [n0, n1, n2], upper, lower
+
+
+@given(strip_pairs())
+def test_the_square_check_matches_the_dense_product(drawn):
+    (n0, n1, n2), upper, lower = drawn
+    lower_cx = FreeComplex({0: n0, 1: n1}, {1: lower})
+    upper_cx = FreeComplex({1: n1, 2: n2}, {2: upper})
+    product = lower_cx.differential(1) @ upper_cx.differential(2)
+    assert _composes_to_zero(upper_cx._strips.get(2, []), lower_cx._strips.get(1, [])) is product.is_zero()
+    if product.is_zero():
+        cx = FreeComplex({0: n0, 1: n1, 2: n2}, {1: lower, 2: upper})
+        assert_matches_the_references(cx)
+    else:
+        with pytest.raises(NotAComplex, match="boundary squared is nonzero from degree 2"):
+            FreeComplex({0: n0, 1: n1, 2: n2}, {1: lower, 2: upper})
+
+
+def test_the_square_check_sums_each_diagonal():
+    # two arrows meet on one diagonal, over overlapping ranges, and cancel only where both run
+    lower = [(0, 4, [(0, 1)])]
+    cancelling = [(0, 2, [(0, 1)]), (0, 2, [(0, -1)])]
+    assert _composes_to_zero(cancelling, lower)
+    assert not _composes_to_zero([(0, 2, [(0, 1)]), (0, 1, [(0, -1)])], lower)
+    assert _composes_to_zero([(0, 2, [(0, 1)]), (0, 1, [(0, -1)]), (1, 1, [(1, -1)])], lower)
+
+
+def test_refinement_carries_cuts_until_every_strip_maps_whole_intervals():
+    # the other strips' ends cut the first strip's source at 1 and 2, which it carries to
+    # its target, at 3 and 4; the second strip carries 1 back, and the third carries 4 back to 2
+    strips = [(0, 4, [(2, 1)]), (0, 2, [(0, 1)]), (1, 3, [(3, 1)])]
+    src, tgt = _refine(strips)
+    assert (src, tgt) == ([0, 1, 2, 4], [0, 1, 2, 3, 4, 6])
+    for source, length, targets in strips:
+        inside = [x - source for x in src if source < x < source + length]
+        for t, _ in targets:
+            assert inside == [y - t for y in tgt if t < y < t + length]
+    assert list(_pieces(0, 4, src)) == [(0, 1), (1, 1), (2, 2)]
+    cx = FreeComplex({0: 6, 1: 4}, {1: strips})
+    assert_matches_the_references(cx)
+
+
+def split_complex():
+    """A boundary of two components: [[1, 2], [0, 3]] and [[4]], each tensored with I_2, given by
+    overlapping and misaligned strips."""
+    return FreeComplex({0: 6, 1: 6}, {1: [(0, 4, [(0, 1)]), (2, 2, [(0, 2), (2, 2)]), (4, 2, [(4, 4)])]})
+
+
+def split_of(cx):
+    """The pieces and components ``_invariant_factors`` computes, biggest component first."""
+    strips = cx._strips[1]
+    cuts = _refine(strips)
+    pieces = [[(a, n, [(t + a - s, c) for t, c in targets]) for a, n in _pieces(s, length, cuts[0])]
+              for s, length, targets in strips]
+    return strips, cuts, pieces, sorted(_components(pieces, cuts[1]), key=lambda c: -len(c[1]))
+
+
+def test_components_are_small_matrices_times_an_identity():
+    cx = split_complex()
+    strips, cuts, pieces, components = split_of(cx)
+    assert cuts == ([0, 2, 4, 6], [0, 2, 4, 6])
+    assert [(length, rows, cols) for length, rows, cols, _ in components] == [(2, [0, 2], [0, 2]), (2, [4], [4])]
+    assert components[0][3] == {(0, 0): 1, (0, 2): 2, (2, 2): 3}
+    assert sorted(_invariant_factors(strips)) == [(1, 2), (3, 2), (4, 2)]
+    # factors 1, 1, 3, 3, 4, 4: full rank, and Z/3 + Z/3 + Z/4 + Z/4 = Z/12 + Z/12
+    assert cx.homology() == GradedGroup.of({0: (0, [12, 12])})
+    assert_matches_the_references(cx)
+
+
+def test_check_components_rejects_bad_splits():
+    strips, cuts, pieces, components = split_of(split_complex())
+    _check_components(strips, cuts, pieces, components)
+    length, rows, cols, entries = components[0]
+    altered = dict(entries)
+    altered[0, 0] += 1
+    padded = {**entries, (2, 0): 1}
     forgeries = [
-        blocks[:1],  # an entry left out
-        blocks + blocks[:1],  # an entry held twice
-        [(rows, cols, altered)] + blocks[1:],  # a wrong value
-        [(rows, cols, padded)] + blocks[1:],  # an entry the matrix lacks
+        components[:1],  # an entry left out
+        components + components[:1],  # an entry held twice
+        [(length, rows, cols, altered)] + components[1:],  # a wrong value
+        [(length, rows, cols, padded)] + components[1:],  # an entry the boundary lacks
     ]
     for forged in forgeries:
-        with pytest.raises(AssertionError):
-            _check_blocks(columns, forged)
+        with pytest.raises(AssertionError, match="component"):
+            _check_components(strips, cuts, pieces, forged)
+    # the first strip, [0, 4), is cut at 2: leave out a piece, or keep it whole
+    (first, second), *rest = pieces
+    for forged, text in (([[first]] + rest, "tile"), ([[(0, 4, first[2])]] + rest, "a cut falls inside")):
+        with pytest.raises(AssertionError, match=text):
+            _check_components(strips, cuts, forged, components)
+
+
+# -- the self-check switch ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value, on", [(None, False), ("", False), ("0", False), ("1", True), ("yes", True)])
+def test_the_smith_check_switch_reads_its_variable_once(monkeypatch, value, on):
+    if value is None:
+        monkeypatch.delenv("MTFLOER_SNF_VERIFY", raising=False)
+    else:
+        monkeypatch.setenv("MTFLOER_SNF_VERIFY", value)
+    # a fresh copy of the module, so the one the suite runs keeps its flag
+    spec = importlib.util.spec_from_file_location("mtfloer._switch_probe", mtfloer.homology.__file__)
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    assert probe.VERIFY_SNF is on

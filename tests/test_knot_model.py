@@ -35,7 +35,7 @@ from mtfloer.knot_model import (
     run_d2,
 )
 from mtfloer.params import Params
-from test_homology import assert_blocks_match_the_reference, dense_homology
+from test_homology import assert_matches_the_references, column_homology, element_columns, from_columns
 
 G = GradedGroup.free
 
@@ -234,9 +234,9 @@ def assert_columns_match(cx, ranked, reference_cx, reference):
             position[deg][ranked[deg][j]]: sorted((position[deg - 1][ranked[deg - 1][i]], x) for i, x in column)
             for j, column in columns.items()
         }
-        for deg, columns in cx._columns.items()
+        for deg, columns in element_columns(cx).items()
     }
-    expected = {deg: {j: sorted(column) for j, column in columns.items()} for deg, columns in reference_cx._columns.items()}
+    expected = {deg: {j: sorted(column) for j, column in columns.items()} for deg, columns in element_columns(reference_cx).items()}
     assert carried == expected
     assert cx.sizes == reference_cx.sizes
 
@@ -376,12 +376,8 @@ def region_id(spec):
 
 @pytest.mark.parametrize("spec", REGIONS, ids=region_id)
 def test_region_homology_matches_dense_reference(spec):
-    page1 = build_e1_region(spec)
-    assert page1.homology() == dense_homology(page1)
-    page2 = build_e2_symbolic(spec).d2_complex
-    assert page2.homology() == dense_homology(page2)
-    assert_blocks_match_the_reference(page1)
-    assert_blocks_match_the_reference(page2)
+    assert_matches_the_references(build_e1_region(spec))
+    assert_matches_the_references(build_e2_symbolic(spec).d2_complex)
 
 
 # every REGIONS spec and every other region with g <= 7
@@ -404,12 +400,35 @@ def test_ranked_columns_match_the_reference_assembly(spec):
     reference = region_generators(spec)
     page_one = unranked(spec.g, knot_model._surface_runs(spec.g, spec.abs_k), knot_model._circle_runs(spec, labels))
     assert_columns_match(
-        build_e1_region(spec), page_one, FreeComplex(*assemble_complex(reference, page_one_image(spec))), reference
+        build_e1_region(spec), page_one, from_columns(*assemble_complex(reference, page_one_image(spec))), reference
     )
     reference = page_two_generators(spec)
     page_two = unranked(spec.g, knot_model._circle_runs(spec, labels[1:]))
-    reference_cx = FreeComplex(*assemble_complex(reference, lambda gen: knot_model._d2_image(spec, gen)))
+    reference_cx = from_columns(*assemble_complex(reference, lambda gen: knot_model._d2_image(spec, gen)))
     assert_columns_match(build_e2_symbolic(spec).d2_complex, page_two, reference_cx, reference)
+
+
+@pytest.mark.parametrize("spec", RANKED, ids=region_id)
+def test_strip_homology_matches_the_element_columns(spec):
+    for cx in (build_e1_region(spec), build_e2_symbolic(spec).d2_complex):
+        assert cx.homology() == column_homology(cx)
+
+
+@pytest.mark.parametrize("genus", range(2, 8))
+def test_x_complex_strip_homology_matches_the_element_columns(genus):
+    for d in range(-1, genus + 1):
+        for left in (False, True):
+            cx = build_x_complex(genus, d, left=left)
+            assert cx.homology() == column_homology(cx), (d, left)
+
+
+@pytest.mark.parametrize("genus", range(2, 9))
+def test_run_count_counts_the_runs(genus):
+    for n in (1, -1, 2, -3, 6):
+        for k in range(1, genus):
+            spec = Params(genus, n, k)
+            parts = (knot_model._surface_runs(genus, k), knot_model._circle_runs(spec, range(1, abs(n) + 1)))
+            assert knot_model.run_count(spec) == sum(len(runs) for part in parts for runs in part.values()), spec
 
 
 @pytest.mark.parametrize("spec", REGIONS, ids=region_id)
@@ -424,13 +443,15 @@ def test_page_one_image_is_asked_only_of_surface_generators(monkeypatch, spec):
     monkeypatch.setattr(knot_model, "_d1_image", recording)
     monkeypatch.setattr(knot_model, "_d2_image", lambda *args: pytest.fail("page two asked"))
     build_e1_region(spec)
-    # once per (surface run, nonempty block), of the block's first monomial, and never of a circle
+    # once per (surface run, nonempty block) of the block's first monomial, once more of its
+    # last one when the block has two or more, and never of a circle
     expected = [
-        (block + tuple(range(2, 2 + size - len(block))), p - 1)
+        (block + symbols, p - 1)
         for runs in knot_model._surface_runs(spec.g, spec.abs_k).values()
         for _, size, p, _, _ in runs
         for block in knot_model.BLOCKS
-        if 0 <= size - len(block) <= 2 * spec.g - 2
+        if 0 <= (rest := size - len(block)) <= 2 * spec.g - 2
+        for symbols in {tuple(range(2, 2 + rest)), tuple(range(2 * spec.g - rest, 2 * spec.g))}
     ]
     assert sorted(asked) == sorted(expected)
     assert len(set(asked)) == len(asked)
@@ -450,6 +471,35 @@ def test_ranked_pages_refuse_a_term_that_changes_the_rest(monkeypatch):
     monkeypatch.setattr(knot_model, "_d2_image", lambda spec, gen: [((gen[0], gen[1][1:], gen[2] + 1, gen[3], 1), 1)])
     with pytest.raises(NotAComplex, match="which changes the rest: not a shifted identity"):
         build_e2_symbolic(spec)
+
+
+def test_ranked_pages_refuse_a_last_monomial_that_the_first_does_not_speak_for(monkeypatch):
+    spec = Params(4, 2, 1)
+    real = knot_model._d1_image
+
+    def wedge_moves_a_rank_without_symbol_2(mono, u, *args):
+        # the last monomial of a block lacks symbol 2 unless the block holds one monomial
+        terms = real(mono, u, *args)
+        if 2 in mono:
+            return terms
+        return [(t[:-1] + (2,) if v > u else t, v, c) for t, v, c in terms]
+
+    monkeypatch.setattr(knot_model, "_d1_image", wedge_moves_a_rank_without_symbol_2)
+    with pytest.raises(NotAComplex, match="which changes the rest: not a shifted identity"):
+        build_e1_region(spec)
+    # the same target block, but with the other sign
+    monkeypatch.setattr(knot_model, "_d1_image", lambda mono, u, *args: [
+        (t, v, c if 2 in mono else -c) for t, v, c in real(mono, u, *args)
+    ])
+    refusal = "differential at degree 0 sends (0, 3, 4, 5, 6, 7) elsewhere than (0, 2, 3, 4, 5, 6): not a shifted identity"
+    with pytest.raises(NotAComplex, match=re.escape(refusal)):
+        build_e1_region(spec)
+    monkeypatch.setattr(knot_model, "_d2_image", lambda spec, gen: [
+        ((gen[0], gen[1], gen[2] + 1, gen[3], 1), 1 if 2 in gen[1] else 2)
+    ] if gen[4] == 0 and gen[2] + 1 <= len(gen[1]) - (spec.g - 1) - spec.abs_k else [])
+    # at g = 5, the arrows leave runs of eight monomials
+    with pytest.raises(NotAComplex, match="elsewhere than"):
+        build_e2_symbolic(Params(5, 2, 1))
 
 
 def test_ranked_pages_refuse_a_target_outside_the_degree_below(monkeypatch):
@@ -615,7 +665,7 @@ def test_x_complex_columns_match_the_reference_assembly(genus):
                 terms = knot_model._d1_image(x.monomial, x.u, genus, d, half, 1)
                 return [(XBasisElement(genus, mono, u), coeff) for mono, u, coeff in terms]
 
-            reference_cx = FreeComplex(*assemble_complex(reference, image))
+            reference_cx = from_columns(*assemble_complex(reference, image))
             assert_columns_match(build_x_complex(genus, d, left=left), ranked, reference_cx, reference)
 
 
@@ -624,7 +674,7 @@ def test_assembly_keeps_one_term_columns_and_drops_a_zero_one():
     by_degree = group_by_degree(gens, {"a": 1, "b": 1, "x": 0, "y": 0}.__getitem__)
     rules = {"a": [("y", -3)], "b": [("x", 0)]}
     sizes, columns = assemble_complex(by_degree, lambda gen: rules.get(gen, []))
-    assert FreeComplex(sizes, columns)._columns == {1: {0: [(1, -3)]}}
+    assert element_columns(from_columns(sizes, columns)) == {1: {0: [(1, -3)]}}
     assert sizes == {0: 2, 1: 2}
 
 
@@ -633,12 +683,12 @@ def test_assembly_sums_each_column_and_stores_no_cancelled_entry():
     grading = {"a": 1, "b": 1, "x": 0, "y": 0}.__getitem__
     rules = {"a": [("x", 1), ("x", -1)], "b": [("y", 1), ("x", 2), ("y", 1)]}
     by_degree = lambda: group_by_degree(gens, grading)
-    cx = FreeComplex(*assemble_complex(by_degree(), lambda gen: rules.get(gen, [])))
+    cx = from_columns(*assemble_complex(by_degree(), lambda gen: rules.get(gen, [])))
     # a's two terms cancel, so column a holds nothing; b's two y terms add up
-    assert cx._columns == {1: {1: [(1, 2), (0, 2)]}}
+    assert element_columns(cx) == {1: {1: [(0, 2), (1, 2)]}}
     assert cx.differential(1) == IntMatrix.from_rows([[0, 2], [0, 2]])
-    cancelled = FreeComplex(*assemble_complex(by_degree(), lambda gen: rules["a"] if gen == "a" else []))
-    assert cancelled._columns == {} and not cancelled.differentials
+    cancelled = from_columns(*assemble_complex(by_degree(), lambda gen: rules["a"] if gen == "a" else []))
+    assert element_columns(cancelled) == {} and not cancelled.differentials
 
 
 def test_assembly_refuses_bad_targets():
@@ -653,6 +703,20 @@ def test_assembly_refuses_bad_targets():
         assemble_complex(by_degree(), lambda gen: [("x", 1), ("w", 1)] if gen == "a" else [])
     with pytest.raises(NotAComplex, match="drops grading by 2, not 1"):
         assemble_complex(by_degree(), lambda gen: [("x", 1), ("z", 1)] if gen == "a" else [])
+
+
+def test_default_circle_labels_are_never_listed():
+    # at g = 2 the region has no circle run, whatever n; a billion labels cost nothing
+    tracemalloc.start()
+    try:
+        assert oracle_hfplus(2, -10**9, 1).group == theorem_answer(2, -10**9, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    # given labels are checked, and kept as given
+    assert knot_model._circle_labels(Params(3, 3, 1), [3, 1, 2]) == (3, 1, 2)
+    assert knot_model._circle_labels(Params(3, 3, 1), None) == range(1, 4)
 
 
 def test_region_rejects_bad_circle_labels(monkeypatch):

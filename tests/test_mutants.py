@@ -19,7 +19,7 @@ from mtfloer.closed_form import theorem_answer
 from mtfloer.exterior import ExtVector
 from mtfloer.graded import GradedGroup
 from mtfloer.homology import FreeComplex, IntMatrix
-from test_homology import thin_block_mismatch
+from test_homology import dense_homology, from_columns, thin_block_mismatch
 from mtfloer.params import Params
 from test_knot_model import (
     assemble_complex,
@@ -105,7 +105,7 @@ def ranked_column_mismatch(spec):
     """The failure of the page-one column comparison with the tuple reference at ``spec``, or None."""
     reference = region_generators(spec)
     runs = (knot_model._surface_runs(spec.g, spec.abs_k), knot_model._circle_runs(spec, range(1, spec.abs_n + 1)))
-    reference_cx = FreeComplex(*assemble_complex(reference, page_one_image(spec)))
+    reference_cx = from_columns(*assemble_complex(reference, page_one_image(spec)))
     try:
         assert_columns_match(knot_model.build_e1_region(spec), unranked(spec.g, *runs), reference_cx, reference)
     except AssertionError as failure:
@@ -115,6 +115,7 @@ def ranked_column_mismatch(spec):
 
 REAL_SURFACE = knot_model._surface_runs
 REAL_CIRCLES = knot_model._circle_runs
+REAL_D1 = knot_model._d1_image
 REAL_D2 = knot_model._d2_image
 REAL_THIN = homology._thin_factor
 
@@ -197,8 +198,8 @@ def test_wedge_block_target_off_by_one_fails_the_row_check_and_the_page_one_gate
     # a surface wedge target is one U-power up: its rows land one past their block
     plant_source(
         monkeypatch, knot_model._ranked_page,
-        "+ starts[target_block]",
-        "+ starts[target_block] + (target_run[0] == SURFACE and target_run[2] > run[2])",
+        "+ blocks[target_block][0]",
+        "+ blocks[target_block][0] + (target_run[0] == SURFACE and target_run[2] > run[2])",
     )
     failures = sweep_failures(monkeypatch)
     gates = {gate.split(" at ")[0].split(" has row ")[0] for _, gate in failures}
@@ -305,3 +306,78 @@ def test_closed_form_label_rank_off_by_one_fails_only_the_final_comparison(monke
     assert all(gate == "passed" for _, gate in failures)
     # the label rank multiplies |n| - 1 sphere families, which |n| = 1 lacks
     assert all(abs(n) >= 2 for (_, n, _), _ in failures)
+
+
+# -- mutants of the strips ------------------------------------------------------
+
+
+def wedge_rank_moved_off_the_first(mono, u, *args):
+    """``_d1_image``, but a monomial whose rest lacks symbol 2, which is never the first of its
+    block, sends its wedge term to the first rest of that size: another rank of the target block."""
+    terms = REAL_D1(mono, u, *args)
+    rest = knot_model._split(mono)[1]
+    if not rest or rest[0] == 2:
+        return terms
+    moved = []
+    for target, v, coeff in terms:
+        if v > u:
+            block, target_rest = knot_model._split(target)
+            target = block + tuple(range(2, 2 + len(target_rest)))
+        moved.append((target, v, coeff))
+    return moved
+
+
+def test_last_monomial_moved_off_its_rank_fails_the_builder_check(monkeypatch):
+    assert sweep_failures(monkeypatch) == []
+    monkeypatch.setattr(knot_model, "_d1_image", wedge_rank_moved_off_the_first)
+    failures = sweep_failures(monkeypatch)
+    assert failures
+    assert all(
+        re.fullmatch(r"error: NotAComplex: differential at degree -?\d+ sends .* which changes the rest: not a shifted identity", gate)
+        for _, gate in failures
+    )
+    # only the last monomial sees it: with that question dropped, the first ones speak for every block
+    plant_source(
+        monkeypatch, knot_model._ranked_page,
+        "if length > 1 and targets(deg, run, block, last) != hit:",
+        "if False:",
+    )
+    assert sweep_failures(monkeypatch) == []
+
+
+def test_strip_length_off_by_one_fails_the_range_check_or_the_page_one_gate(monkeypatch):
+    assert sweep_failures(monkeypatch) == []
+    plant_source(monkeypatch, knot_model._ranked_page, "(offset + start, length, hit)", "(offset + start, length + 1, hit)")
+    failures = sweep_failures(monkeypatch)
+    # every region with a boundary has a block that ends its degree, and a strip past it is refused
+    assert len(failures) == 18
+    assert all(
+        re.fullmatch(r"error: NotAComplex: differential at degree -?\d+ has (row|column) 1, but degree -?\d+ has 1 generators", gate)
+        for _, gate in failures
+    )
+    monkeypatch.undo()
+    # one column short wherever a block has two or more: the last column of each is left a cycle
+    plant_source(
+        monkeypatch, knot_model._ranked_page, "(offset + start, length, hit)", "(offset + start, length - (length > 1), hit)"
+    )
+    failures = sweep_failures(monkeypatch)
+    assert sorted(triple for triple, _ in failures) == [(4, n, 1) for n in (-3, -2, -1, 1, 2, 3)]
+    assert all(gate.startswith("failed: page-one gate failed") for _, gate in failures)
+
+
+def test_cuts_left_uncarried_fail_the_interval_length_check(monkeypatch):
+    # the strip ends cut the source at 1 and 2; carried along the first two strips, they cut
+    # the target at 4 and 1, which no strip ends at
+    strips = {1: [(0, 4, [(2, 1)]), (0, 2, [(0, 1)]), (1, 3, [(3, 1)])]}
+    cx = FreeComplex({0: 6, 1: 4}, strips)
+    assert cx.homology() == dense_homology(cx)
+    # the refinement returns the cuts at the strip ends, before any is carried
+    plant_source(
+        monkeypatch, homology._refine, "if len(source) == len(src) and len(target) == len(tgt):", "if True:"
+    )
+    for verify in (True, False):
+        monkeypatch.setattr(homology, "VERIFY_SNF", verify)
+        with pytest.raises(AssertionError, match="a component's intervals differ in length"):
+            FreeComplex({0: 6, 1: 4}, strips).homology()
+    # the oracle's strips map run blocks onto run blocks, so one pass adds no cut there
+    assert sweep_failures(monkeypatch) == []
