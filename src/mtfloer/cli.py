@@ -11,8 +11,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, NamedTuple, Sequence
 
 from .closed_form import (
@@ -28,7 +26,7 @@ from .closed_form import (
 from .errors import BadParams, GateFailure, UnknownTable
 from .exterior import x_ranks
 from .graded import GradedGroup
-from .knot_model import FilteredGroup, build_x_complex, oracle_hfplus, reference_tables, run_count
+from .knot_model import FilteredGroup, build_x_complex, oracle_hfplus, reference_tables, run_count, surface_key
 from .params import Params
 
 SCHEMA = "1"
@@ -308,14 +306,18 @@ def _error_gate(exc: BaseException) -> str:
     return f"error: {type(exc).__name__}: {exc}"
 
 
-def _verify_triple(task: tuple[int, int, int, bool, bool]) -> dict:
-    """One report entry; an exception from either route fails this entry only."""
-    g, n, k, corrupt, timing = task
+def _verify_triple(triple: tuple[int, int, int], corrupt: bool, timing: bool, shared: dict) -> dict:
+    """One report entry; an exception from either route fails this entry only.
+
+    ``shared`` holds the surface page of the triple's group once a triple
+    of the group has built it (``oracle_hfplus``).
+    """
+    g, n, k = triple
     start = time.perf_counter()
     gate = "passed"
     oracle_group = closed = None
     try:
-        oracle_group = oracle_hfplus(g, n, k, corrupt_d2=corrupt).group
+        oracle_group = oracle_hfplus(g, n, k, corrupt_d2=corrupt, shared=shared).group
     except GateFailure as exc:
         gate = f"failed: {exc}"
     except Exception as exc:
@@ -329,6 +331,28 @@ def _verify_triple(task: tuple[int, int, int, bool, bool]) -> dict:
     return _entry((g, n, k), oracle_group, closed, gate, elapsed if timing else 0.0)
 
 
+def _verify_group(task: tuple[list[tuple[int, int, int]], bool, bool]) -> list[dict]:
+    """The report entries of one group of triples with one ``surface_key``, in the group's order.
+
+    The group's surface page is built by its first triple, whose wall time
+    it joins, and dropped when the group ends.
+    """
+    triples, corrupt, timing = task
+    shared: dict = {}
+    return [_verify_triple(triple, corrupt, timing, shared) for triple in triples]
+
+
+def _process_pool(workers: int):
+    """A pool of ``workers`` processes.
+
+    ``concurrent.futures`` loads ``multiprocessing`` and more; it is
+    imported here, so only a sweep that starts workers pays for it.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=workers)
+
+
 def run_sweep(
     g_max: int,
     n_values: list[int],
@@ -338,36 +362,44 @@ def run_sweep(
     """Oracle-vs-closed comparison over all admissible (g, n, k); order-stable.
 
     The whole grid is checked against ``MAX_RUNS`` before any triple
-    starts.  If a worker process dies, the entries already returned are
-    kept and every unfinished triple is recorded as failed.
+    starts.  The unit of work is a group of the triples that share a
+    surface page (``knot_model.surface_key``), so each page is built once
+    a call and one group's page is held at a time per process; the report
+    lists the triples in (g, n, k) order all the same.  If a worker
+    process dies, the entries of the groups already returned are kept and
+    every triple of an unfinished group is recorded as failed.
     """
     if g_max < 2:
         raise BadParams(f"g-max {g_max} < 2")
-    tasks = [
-        (g, n, k, corrupt_d2, timing)
-        for g in range(2, g_max + 1)
-        for n in n_values
-        for k in range(1, g)
-    ]
-    _refuse_oversized([task[:3] for task in tasks])
+    triples = [(g, n, k) for g in range(2, g_max + 1) for n in n_values for k in range(1, g)]
+    _refuse_oversized(triples)
+    groups: dict[tuple, list[tuple[int, int, int]]] = {}
+    for triple in triples:
+        groups.setdefault(surface_key(Params(*triple)), []).append(triple)
+    tasks = [(group, corrupt_d2, timing) for group in groups.values()]
+    done: dict[tuple[int, int, int], dict] = {}
     workers = _worker_count()
     if workers == 1 or len(tasks) <= 1:
-        entries = [_verify_triple(task) for task in tasks]
+        results = map(_verify_group, tasks)
     else:
-        entries = []
+        from concurrent.futures.process import BrokenProcessPool
+
+        results = []
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for entry in pool.map(_verify_triple, tasks):
-                    entries.append(entry)
+            with _process_pool(workers) as pool:
+                for entries in pool.map(_verify_group, tasks):
+                    results.append(entries)
         except BrokenProcessPool as exc:
-            entries += [_entry(task[:3], None, None, _error_gate(exc), 0.0) for task in tasks[len(entries):]]
+            done = {triple: _entry(triple, None, None, _error_gate(exc), 0.0) for triple in triples}
         except OSError:
-            entries = [_verify_triple(task) for task in tasks]
+            results = map(_verify_group, tasks)
+    for (group, _, _), entries in zip(tasks, results):
+        done.update(zip(group, entries))
     return {
         "schema": SCHEMA,
         "g_max": g_max,
         "n_values": n_values,
-        "entries": entries,
+        "entries": [done[triple] for triple in triples],
     }
 
 

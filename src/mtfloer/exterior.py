@@ -212,9 +212,11 @@ def e_half(mono: Monomial) -> str:
     """Which half of the splitting along the genus-1 block a monomial sits in.
 
     "E-" when exactly one of {a1, b1} divides the monomial, "E+" when
-    neither or both do.
+    neither or both do.  A monomial is sorted, so a1 and b1, symbols 0
+    and 1, can only be its first two.
     """
-    return "E-" if (0 in mono) + (1 in mono) == 1 else "E+"
+    head = mono[:2]
+    return "E-" if (0 in head) + (1 in head) == 1 else "E+"
 
 
 class XBasisElement(NamedTuple):

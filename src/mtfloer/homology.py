@@ -485,7 +485,9 @@ class FreeComplex:
     zero coefficients are dropped, and missing degrees are zero.  The
     constructor refuses a strip outside the sizes and checks that
     consecutive boundaries compose to zero: a silently invalid complex is
-    the worst failure mode this package could have.
+    the worst failure mode this package could have.  ``with_cycles`` adds
+    generators that no boundary reaches to a checked complex, without
+    checking or factoring its strips again.
     """
 
     def __init__(self, sizes: Mapping[int, int], strips: Mapping[int, Iterable[Strip]] | None = None):
@@ -506,6 +508,8 @@ class FreeComplex:
                     kept.append((source, length, entries))
             if kept:
                 self._strips[d] = kept
+        # each boundary's invariant factors, once with_cycles has worked them out
+        self._factors: dict[int, list[tuple[int, int]]] | None = None
         for d, upper in self._strips.items():
             if d - 1 in self._strips and not _composes_to_zero(upper, self._strips[d - 1]):
                 raise NotAComplex(f"boundary squared is nonzero from degree {d}")
@@ -526,6 +530,24 @@ class FreeComplex:
                 )
         columns = {d: enumerate(zip(*mat.data)) for d, mat in mats.items()}
         return cls(sizes, {d: [(j, 1, list(enumerate(column))) for j, column in cols] for d, cols in columns.items()})
+
+    def with_cycles(self, counts: Mapping[int, int]) -> "FreeComplex":
+        """This complex with ``counts[d]`` more generators in each degree d, after its own.
+
+        No boundary leaves or hits the new generators, so the strips stay
+        as they are and are not checked again.  Their invariant factors are
+        worked out on the first call and kept: every complex made this way
+        from one complex shares one computation of them.
+        """
+        if self._factors is None:
+            self._factors = self._boundary_factors()
+        sizes = dict(self.sizes)
+        for d, count in counts.items():
+            if count:
+                sizes[d] = self.size(d) + count
+        wider = FreeComplex.__new__(FreeComplex)
+        wider.sizes, wider._strips, wider._factors = sizes, self._strips, self._factors
+        return wider
 
     def degrees(self) -> list[int]:
         return sorted(self.sizes)
@@ -553,6 +575,10 @@ class FreeComplex:
     def euler_characteristic(self) -> int:
         return sum(count if d % 2 == 0 else -count for d, count in self.sizes.items())
 
+    def _boundary_factors(self) -> dict[int, list[tuple[int, int]]]:
+        """Each boundary's nonzero invariant factors, by degree, as (factor, multiplicity) pairs."""
+        return {d: _invariant_factors(strips) for d, strips in self._strips.items()}
+
     def homology(self) -> GradedGroup:
         """Integer homology from the invariant factors of each differential.
 
@@ -565,7 +591,7 @@ class FreeComplex:
         merged back into one divisibility chain (a Z/2 block and a Z/3
         block give Z/6).
         """
-        factors = {d: _invariant_factors(strips) for d, strips in self._strips.items()}
+        factors = self._boundary_factors() if self._factors is None else self._factors
         result: dict[int, tuple[int, tuple[int, ...]]] = {}
         for d in self.degrees():
             incoming = factors.get(d + 1, ())

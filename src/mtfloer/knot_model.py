@@ -18,25 +18,31 @@ results are shifted by +2 into the symmetric-product ("X") convention,
 under which comparisons to the closed form are exact.
 
 No generator is ever built: each degree is a fixed sequence of runs.  A
-SURFACE run ``(SURFACE, size, p, 0, 0)`` is every genus-g monomial of one
-size at one U-power p >= 1 (column i = -p); a CIRCLES run ``(CIRCLES,
-size, p, circle, eps)`` is every genus-(g-1) monomial (symbols 2..2g-1) of
-one size at one U-power, circle and cohomological bit eps.  A degree's
-runs sit back to back.  Inside a surface run the monomials fall into four
-blocks by their {a1, b1} part, in the order none, a1, b1, both, and inside
-a block a monomial's index is the colex rank of the rest over symbols
-2..2g-1 (the combinatorial number system, Knuth TAOCP 4A 7.2.1.3); a
-circle run is one block, the none block.  Contraction drops a1, wedging
-adds b1 and the page-two arrow keeps the monomial, so the rest never
-changes: every block of a boundary is one strip, a signed, shifted
-identity onto a block of the degree below.  One builder, ``_ranked_page``,
-turns runs into strips for page one, page two and X(g, d); ``_d1_image``
-and ``_d2_image`` stay the only definitions of the two differentials, each
-asked of a block's first and last monomials.  A page costs time in its
+SURFACE run ``(SURFACE, size, p, (0,), 0)`` is every genus-g monomial of
+one size at one U-power p >= 1 (column i = -p); a CIRCLES run ``(CIRCLES,
+size, p, labels, eps)`` is every genus-(g-1) monomial (symbols 2..2g-1) of
+one size at one U-power and cohomological bit eps, once for each circle
+label in turn.  A degree's runs sit back to back.  Inside a surface run
+the monomials fall into four blocks by their {a1, b1} part, in the order
+none, a1, b1, both, and inside a block a monomial's index is the colex
+rank of the rest over symbols 2..2g-1 (the combinatorial number system,
+Knuth TAOCP 4A 7.2.1.3); a circle run is one block, the none block of
+each label, back to back.  Contraction drops a1, wedging adds b1 and the
+page-two arrow keeps the monomial and the label, so neither changes:
+every block of a boundary is one strip, a signed, shifted identity onto a
+block of the degree below.  One builder, ``_ranked_page``, turns runs
+into strips for page one, page two and X(g, d); ``_d1_image`` and
+``_d2_image`` stay the only definitions of the two differentials, each
+asked of a block's first and last generators.  A page costs time in its
 runs, not in its generators.  The tower check compares the surface runs'
-shapes with X(g, d)'s.  Page one is the surface complex plus the circle
-generators, which no arrow leaves or hits: counted cycles, one count per
-degree, after the surface runs.
+shapes with X(g, d)'s.
+
+The surface summand depends on (g, |k|, handedness) only
+(``surface_key``): its runs, tower check, strips, invariant factors and
+page two's fixed part make one ``SurfacePage``, which a sweep builds once
+and hands to every triple that shares it.  Page one is that surface
+complex plus the circle generators, which no arrow leaves or hits:
+counted cycles, one count per degree, after the surface runs.
 """
 
 from __future__ import annotations
@@ -64,6 +70,8 @@ from .params import Params, eps
 
 SURFACE = "surface"
 CIRCLES = "circles"
+# a surface run is one copy, labelled 0: no circle
+SURFACE_LABELS = (0,)
 
 
 def active_half(n: int) -> str:
@@ -99,6 +107,21 @@ class E2Page:
     d2_complex: FreeComplex
 
 
+@dataclass(frozen=True)
+class SurfacePage:
+    """What both pages take from the surface summand, for one ``surface_key``.
+
+    ``complex`` is the surface summand under the page-one differential,
+    over the model grading, with its tower, range and d^2 = 0 checks done;
+    page one widens it by the circle counts (``FreeComplex.with_cycles``),
+    so every page one built on it shares one computation of its invariant
+    factors.  ``fixed`` is page two's fixed part (X-convention grading).
+    """
+
+    complex: FreeComplex
+    fixed: GradedGroup
+
+
 # -- runs and ranks --------------------------------------------------------
 
 # The {a1, b1} part of a surface monomial, in the order its blocks take in a run.
@@ -108,41 +131,45 @@ BLOCKS: tuple[Monomial, ...] = ((), (0,), (1,), (0, 1))
 def _surface_runs(genus: int, k: int) -> dict[int, list[tuple]]:
     """The surface runs of the region {i < 0, j >= k}, grouped by model degree F - 2p.
 
-    A run ``(SURFACE, size, p, 0, 0)`` is every genus-``genus`` monomial of
-    one size s at one U-power p; F = s - genus, and p runs over 1 .. F - k.
+    A run ``(SURFACE, size, p, (0,), 0)`` is every genus-``genus`` monomial
+    of one size s at one U-power p; F = s - genus, and p runs over 1 .. F - k.
     """
     by_degree: dict[int, list[tuple]] = {}
     for size in range(max(genus + k + 1, 0), 2 * genus + 1):
         F = size - genus
         for p in range(1, F - k + 1):
-            by_degree.setdefault(F - 2 * p, []).append((SURFACE, size, p, 0, 0))
+            by_degree.setdefault(F - 2 * p, []).append((SURFACE, size, p, SURFACE_LABELS, 0))
     return by_degree
 
 
 def _circle_runs(spec: Params, labels: Sequence[int]) -> dict[int, list[tuple]]:
     """The circle runs on ``labels``, grouped by model degree F + eps + eps_n - 2p.
 
-    A run ``(CIRCLES, size, p, circle, eps)`` is every genus-(g-1) monomial
-    (symbol indices 2..2g-1) of one size s at one U-power, circle and eps;
-    F = s - (g - 1), and p runs over 1 .. F - |k|.
+    A run ``(CIRCLES, size, p, labels, eps)`` is every genus-(g-1) monomial
+    (symbol indices 2..2g-1) of one size s at one U-power and eps, once for
+    each label in turn; F = s - (g - 1), and p runs over 1 .. F - |k|.
+    With no label there is no run.
     """
     by_degree: dict[int, list[tuple]] = {}
+    if not labels:
+        return by_degree
     for size in range(spec.g + spec.abs_k, 2 * spec.g - 1):
         F = size - (spec.g - 1)
         for bit in (0, 1):
             for p in range(1, F - spec.abs_k + 1):
                 deg = F + bit + spec.eps_n - 2 * p
-                by_degree.setdefault(deg, []).extend((CIRCLES, size, p, c, bit) for c in labels)
+                by_degree.setdefault(deg, []).append((CIRCLES, size, p, labels, bit))
     return by_degree
 
 
 @functools.cache
 def _run_blocks(genus: int, tag: str, size: int) -> dict[Monomial, tuple[int, int]]:
-    """The blocks of a run of one tag and size, in run order: {block: (start in the run, length)}.
+    """The blocks of one label's copy of a run of one tag and size, in run order: {block: (start, length)}.
 
     A surface run has the four ``BLOCKS``; a circle run, whose monomials
-    hold neither a1 nor b1, is one block ``()`` of length C(2g - 2, s).
-    Every run of a shape asks for the same blocks, so they are kept.
+    hold neither a1 nor b1, is one block ``()`` of length C(2g - 2, s) for
+    each label.  Every run of a shape asks for the same blocks, so they are
+    kept.
     """
     blocks, start = {}, 0
     for block in BLOCKS if tag == SURFACE else BLOCKS[:1]:
@@ -153,8 +180,8 @@ def _run_blocks(genus: int, tag: str, size: int) -> dict[Monomial, tuple[int, in
 
 
 def _run_length(genus: int, run: tuple) -> int:
-    """The number of monomials in a run: C(2g, s) on the surface, C(2g - 2, s) on a circle."""
-    return comb(2 * genus if run[0] == SURFACE else 2 * genus - 2, run[1])
+    """The number of generators in a run: C(2g, s) on the surface, C(2g - 2, s) per label on the circles."""
+    return len(run[3]) * comb(2 * genus if run[0] == SURFACE else 2 * genus - 2, run[1])
 
 
 def _layout(genus: int, runs: dict[int, list[tuple]]) -> tuple[dict[int, int], dict[tuple, tuple[int, int]]]:
@@ -187,31 +214,38 @@ def _target_start(where: dict[tuple, tuple[int, int]], run: tuple, deg: int) -> 
     return start
 
 
-# the differential on one monomial of a run, as (target run, target monomial, coefficient) terms
-Image = Callable[[tuple, Monomial], list[tuple[tuple, Monomial, int]]]
+# the differential on one generator (label, monomial) of a run, as
+# (target run, target label, target monomial, coefficient) terms
+Image = Callable[[tuple, int, Monomial], list[tuple[tuple, int, Monomial, int]]]
 
 
 def _ranked_page(genus: int, runs: dict[int, list[tuple]], image: Image) -> tuple[dict[int, int], dict[int, list]]:
     """The sizes and boundary strips of a page of runs, over the model grading.
 
-    ``image`` is asked of each nonempty block's first and last monomials.
-    Neither page differential changes the rest, so each term names a target
-    block and the whole source block maps onto it at the same rank: one
-    strip per block.  A term outside the runs of the degree below is
-    refused, and so are a term that changes the rest and a last monomial
-    whose image differs from the first's.
+    ``image`` is asked of each nonempty block's first and last generators:
+    the first monomial of the run's first label and the last monomial of
+    its last.  Neither page differential changes the rest or the label, so
+    each term names a target block of a run on the same labels, and the
+    whole source block maps onto it at the same rank: one strip per block.
+    A circle run is one block per label, back to back, so its strip spans
+    every label.  A term outside the runs of the degree below is refused,
+    and so are a term that changes the rest or the label and a last
+    generator whose image differs from the first's.
     """
     sizes, where = _layout(genus, runs)
 
-    def targets(deg: int, run: tuple, block: Monomial, rest: Monomial) -> list[tuple[int, int]]:
-        """Where ``image`` sends the monomial block + rest: (start of its target block, coefficient) pairs."""
+    def targets(deg: int, run: tuple, label: int, block: Monomial, rest: Monomial) -> list[tuple[int, int]]:
+        """Where ``image`` sends the generator (label, block + rest): (start of its target block, coefficient) pairs."""
         rows: dict[int, int] = {}
-        for target_run, target, coeff in image(run, block + rest):
+        for target_run, target_label, target, coeff in image(run, label, block + rest):
             target_block, target_rest = _split(target)
             blocks = _run_blocks(genus, target_run[0], target_run[1])
             if target_rest != rest or target_block not in blocks:
                 raise NotAComplex(f"differential at degree {deg} sends {block + rest} to {target}, "
                                   "which changes the rest: not a shifted identity")
+            if target_label != label or target_run[3] != run[3]:
+                raise NotAComplex(f"differential at degree {deg} sends {block + rest} on label {label} to label "
+                                  f"{target_label}, which changes the label: not a shifted identity")
             row = _target_start(where, target_run, deg) + blocks[target_block][0]
             rows[row] = rows.get(row, 0) + coeff
         return [(row, coeff) for row, coeff in rows.items() if coeff]
@@ -221,14 +255,15 @@ def _ranked_page(genus: int, runs: dict[int, list[tuple]], image: Image) -> tupl
     for deg, listed in runs.items():
         strips = []
         for run in listed:
-            offset = where[run][1]
+            offset, labels = where[run][1], run[3]
             for block, (start, length) in _run_blocks(genus, run[0], run[1]).items():
                 if not length:
                     continue
                 rest = run[1] - len(block)
                 first, last = symbols[2 : 2 + rest], symbols[2 * genus - rest :]
-                hit = targets(deg, run, block, first)
-                if length > 1 and targets(deg, run, block, last) != hit:
+                hit = targets(deg, run, labels[0], block, first)
+                length *= len(labels)  # only a circle run, one block, has more than one label
+                if length > 1 and targets(deg, run, labels[-1], block, last) != hit:
                     raise NotAComplex(
                         f"differential at degree {deg} sends {block + last} elsewhere than {block + first}: "
                         "not a shifted identity"
@@ -272,10 +307,10 @@ def _surface_page(
 ) -> tuple[dict[int, int], dict[int, list]]:
     """The ranked page of surface runs under ``_d1_image``: contraction drops a1 and wedging adds b1."""
 
-    def image(run: tuple, first: Monomial) -> list[tuple[tuple, Monomial, int]]:
+    def image(run: tuple, label: int, mono: Monomial) -> list[tuple[tuple, int, Monomial, int]]:
         return [
-            ((SURFACE, len(target), u + 1, 0, 0), target, coeff)
-            for target, u, coeff in _d1_image(first, run[2] - 1, genus, d, half, pd_sign)
+            ((SURFACE, len(target), u + 1, SURFACE_LABELS, 0), label, target, coeff)
+            for target, u, coeff in _d1_image(mono, run[2] - 1, genus, d, half, pd_sign)
         ]
 
     return _ranked_page(genus, runs, image)
@@ -327,11 +362,11 @@ def region_size(spec: Params) -> int:
 
 
 def run_count(spec: Params) -> int:
-    """The number of page-one runs, counted without listing them.
+    """The number of page-one runs, each circle run counted once per label, without listing them.
 
     With m = g - |k|, the surface has m(m + 1)/2 runs, one per size and
-    U-power, and the circles have |n| m(m - 1): one per size, U-power, eps
-    and circle.
+    U-power, and the circles have m(m - 1), one per size, U-power and eps,
+    each on |n| labels: |n| m(m - 1) counted.
 
     >>> run_count(Params(10, 3000, 1)), run_count(Params(30, 300, 1)), run_count(Params(200, 3, 1))
     (216045, 244035, 138106)
@@ -354,9 +389,10 @@ def _check_tower(spec: Params, surface: dict[int, list[tuple]]) -> None:
     g, d = spec.g, spec.d
     mismatch = GateFailure(f"region/tower basis mismatch at {spec}")
     powers: dict[int, list[int]] = {}
+    symbols = tuple(range(2 * g))  # sliced for each run's grading, never rebuilt
     for deg, runs in surface.items():
         for _, size, p, _, _ in runs:
-            if XBasisElement(g, tuple(range(size)), p - 1).grading != deg + 2:
+            if XBasisElement(g, symbols[:size], p - 1).grading != deg + 2:
                 raise mismatch
             powers.setdefault(size, []).append(p)
     tower = {2 * g - i: list(range(1, d - i + 2)) for i in range(min(d, 2 * g) + 1)}
@@ -364,7 +400,24 @@ def _check_tower(spec: Params, surface: dict[int, list[tuple]]) -> None:
         raise mismatch
 
 
-def build_e1_region(spec: Params, pd_sign: int = 1) -> FreeComplex:
+def surface_key(spec: Params) -> tuple[int, int, bool]:
+    """What the surface page of ``spec`` depends on: g, |k| and the twist's handedness."""
+    return spec.g, spec.abs_k, spec.n > 0
+
+
+def build_surface_page(spec: Params, pd_sign: int = 1) -> SurfacePage:
+    """The surface summand's page and page two's fixed part, shared by every triple of ``surface_key(spec)``.
+
+    The surface runs pass the tower check, their strips become a complex
+    (which checks their range and d^2 = 0), and the page keeps both.
+    """
+    surface = _surface_runs(spec.g, spec.abs_k)
+    _check_tower(spec, surface)
+    sizes, strips = _surface_page(spec.g, spec.d, surface, active_half(spec.n), pd_sign)
+    return SurfacePage(FreeComplex(sizes, strips), _fixed_part(spec))
+
+
+def build_e1_region(spec: Params, pd_sign: int = 1, surface: SurfacePage | None = None) -> FreeComplex:
     """Page one of the region {i < 0, j >= k}, over the model grading.
 
     Page one is the surface complex plus counted circle cycles.  Each degree
@@ -373,19 +426,17 @@ def build_e1_region(spec: Params, pd_sign: int = 1) -> FreeComplex:
     the region dropped), and only they get strips.  CIRCLES generators are
     cycles that no arrow hits: each degree's circle runs are counted and
     added to its size, after its surface runs, where no strip reaches
-    them.
+    them.  ``surface`` is the page of ``surface_key(spec)``, built here
+    when not given.
     """
-    surface = _surface_runs(spec.g, spec.abs_k)
-    circles = _circle_runs(spec, range(1, spec.abs_n + 1))
-    _check_tower(spec, surface)
-    total = sum(_run_length(spec.g, run) for part in (surface, circles) for runs in part.values() for run in runs)
+    if surface is None:
+        surface = build_surface_page(spec, pd_sign)
+    circles = _layout(spec.g, _circle_runs(spec, range(1, spec.abs_n + 1)))[0]
+    total = surface.complex.total_size() + sum(circles.values())
     expected_size = region_size(spec)
     if total != expected_size:
         raise GateFailure(f"region has {total} generators, but its count is {expected_size} at {spec}")
-    sizes, strips = _surface_page(spec.g, spec.d, surface, active_half(spec.n), pd_sign)
-    for deg, count in _layout(spec.g, circles)[0].items():
-        sizes[deg] = sizes.get(deg, 0) + count
-    return FreeComplex(sizes, strips)
+    return surface.complex.with_cycles(circles)
 
 
 def _d2_image(spec: Params, gen: tuple) -> list[tuple[tuple, int]]:
@@ -396,31 +447,39 @@ def _d2_image(spec: Params, gen: tuple) -> list[tuple[tuple, int]]:
     return []
 
 
+def _fixed_part(spec: Params) -> GradedGroup:
+    """Page two's fixed part: the page-one homology of the surface summand with one circle copy (X-convention)."""
+    g, d = spec.g, spec.d
+    fixed = x_ranks(g - 1, d - 1).tensor(circles_cohomology(2, spec.eps_n))
+    return fixed + GradedGroup.free({g - d: comb(2 * g - 2, d)})
+
+
 def build_e2_symbolic(
     spec: Params,
     circle_labels: Sequence[int] | None = None,
     corrupt_d2: bool = False,
+    surface: SurfacePage | None = None,
 ) -> E2Page:
     """Page two, assembled symbolically.
 
     The fixed part is the page-one homology of the surface summand together
-    with one circle copy; the remaining ``|n| - 1`` circle copies stay
-    subject to the page-two differential, which sends (label, c, eps=0, p)
-    to (label, c, eps=1, p+1) whenever the target is still in the region.
+    with one circle copy, taken from ``surface`` when given; the remaining
+    ``|n| - 1`` circle copies stay subject to the page-two differential,
+    which sends (label, c, eps=0, p) to (label, c, eps=1, p+1) whenever the
+    target is still in the region.  Those copies sit inside each run, so a
+    run is one strip whatever |n| is.
 
     ``corrupt_d2`` (a test hook) drops every page-two arrow.
     """
     labels = _circle_labels(spec, circle_labels)
-    g, d = spec.g, spec.d
-    fixed = x_ranks(g - 1, d - 1).tensor(circles_cohomology(2, spec.eps_n))
-    fixed += GradedGroup.free({g - d: comb(2 * g - 2, d)})
+    fixed = _fixed_part(spec) if surface is None else surface.fixed
 
-    def image(run: tuple, first: Monomial) -> list[tuple[tuple, Monomial, int]]:
-        tag, _, p, c, bit = run
-        terms = _d2_image(spec, (tag, first, p, c, bit))
-        return [((t, len(target), tp, tc, tbit), target, coeff) for (t, target, tp, tc, tbit), coeff in terms]
+    def image(run: tuple, label: int, mono: Monomial) -> list[tuple[tuple, int, Monomial, int]]:
+        tag, _, p, on, bit = run
+        terms = _d2_image(spec, (tag, mono, p, label, bit))
+        return [((t, len(target), tp, on, tbit), tc, target, coeff) for (t, target, tp, tc, tbit), coeff in terms]
 
-    sizes, strips = _ranked_page(g, _circle_runs(spec, labels[1:]), image)
+    sizes, strips = _ranked_page(spec.g, _circle_runs(spec, labels[1:]), image)
     return E2Page(fixed, FreeComplex(sizes, {} if corrupt_d2 else strips))
 
 
@@ -478,6 +537,7 @@ def oracle_hfplus(
     pd_sign: int = 1,
     circle_labels: Sequence[int] | None = None,
     corrupt_d2: bool = False,
+    shared: dict[tuple, SurfacePage] | None = None,
 ) -> HomologyResult:
     """Full region pipeline for the plus-flavor group at spin-c level k.
 
@@ -486,6 +546,10 @@ def oracle_hfplus(
     adjunction, are refused: the region is empty there.  The result is
     torsion-free in the X-convention grading; torsion anywhere, a gate
     mismatch, or an Euler-characteristic drift is a hard failure.
+
+    ``shared`` is a dict the caller keeps across calls with one
+    ``pd_sign``: the surface page is taken from it by ``surface_key``, or
+    built and put in it.  Without it, every page is built here.
     """
     spec = Params(g, n, k)
     if spec.vanishes_by_adjunction:
@@ -495,22 +559,27 @@ def oracle_hfplus(
     # The pages are tuples, lists and dicts of ints and form no reference
     # cycles, so the cyclic collector has nothing to find in them; paused,
     # it stops rescanning their containers as they are built.  They die
-    # with _run_pages's frame, before the collector is back.
+    # with _run_pages's frame or with ``shared``, and form no cycle there.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _run_pages(spec, pd_sign, labels, corrupt_d2)
+        return _run_pages(spec, pd_sign, labels, corrupt_d2, shared)
     finally:
         if collecting:
             gc.enable()
 
 
 def _run_pages(
-    spec: Params, pd_sign: int, labels: Sequence[int], corrupt_d2: bool
+    spec: Params, pd_sign: int, labels: Sequence[int], corrupt_d2: bool, shared: dict[tuple, SurfacePage] | None
 ) -> HomologyResult:
     """Build and reduce both pages, and check what comes out."""
-    page1 = build_e1_region(spec, pd_sign)
-    e2 = build_e2_symbolic(spec, labels, corrupt_d2)
+    shared = {} if shared is None else shared
+    key = surface_key(spec)
+    if key not in shared:
+        shared[key] = build_surface_page(spec, pd_sign)
+    surface = shared[key]
+    page1 = build_e1_region(spec, pd_sign, surface)
+    e2 = build_e2_symbolic(spec, labels, corrupt_d2, surface)
     run_d1(spec, page1, e2)
     result = run_d2(spec, e2)
     where = f"at g={spec.g} n={spec.n} k={spec.k}"

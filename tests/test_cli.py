@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -206,7 +207,7 @@ def test_ranks_past_two_to_the_63_print_exactly(capsys):
 def test_verify_refuses_too_many_runs_before_any_triple(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("MTFLOER_THREADS", "1")
     monkeypatch.setattr(knot_model, "_surface_runs", _no_enumeration)
-    monkeypatch.setattr(cli, "_verify_triple", lambda task: pytest.fail(f"triple {task[:3]} started"))
+    monkeypatch.setattr(cli, "_verify_group", lambda task: pytest.fail(f"group {task[0]} started"))
     # only g = 4, n = +-3 of the grid has more than 20 runs at |k| = 1: 6 + 3 * 6
     monkeypatch.setattr(cli, "MAX_RUNS", 20)
     target = tmp_path / "r.json"
@@ -329,7 +330,7 @@ def test_verify_records_a_raising_triple_and_keeps_the_rest(capsys, monkeypatch,
 
 
 class DyingPool:
-    """A stand-in for ProcessPoolExecutor whose workers die after two results."""
+    """A stand-in for the process pool whose workers die after two results."""
 
     def __init__(self, max_workers):
         self.max_workers = max_workers
@@ -352,19 +353,23 @@ def test_verify_keeps_the_sweep_when_a_worker_dies(capsys, monkeypatch, tmp_path
     _, clean, _ = run_main(capsys, *argv)
     monkeypatch.setenv("MTFLOER_THREADS", "2")
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", DyingPool)
+    monkeypatch.setattr(cli, "_process_pool", DyingPool)
     target = tmp_path / "r.json"
     code, out, err = run_main(capsys, *argv, "--emit", str(target))
     assert code == 3
-    assert out == f"verify: 2/6 triples match; report written to {target}\n"
-    assert err == "verify: first mismatch at g=3 n=1 k=1 (gate: error: BrokenProcessPool: a worker died)\n"
+    # the unit of work is a group of one (g, |k|, handedness): the groups at (g, |k|) = (2, 1)
+    # and (3, 1) came back, two triples each; the group at (3, 2) was lost whole
+    assert out == f"verify: 4/6 triples match; report written to {target}\n"
+    assert err == "verify: first mismatch at g=3 n=1 k=2 (gate: error: BrokenProcessPool: a worker died)\n"
     report = json.loads(target.read_text())
     assert set(report) == set(json.loads(clean))
     clean_entries = json.loads(clean)["entries"]
     entries = report["entries"]
     assert [e["params"] for e in entries] == [e["params"] for e in clean_entries]
-    assert entries[:2] == clean_entries[:2]
-    for entry in entries[2:]:
+    lost = [i for i, e in enumerate(entries) if (e["params"]["g"], e["params"]["k"]) == (3, 2)]
+    assert lost == [3, 5]
+    assert [e for i, e in enumerate(entries) if i not in lost] == [e for i, e in enumerate(clean_entries) if i not in lost]
+    for entry in (entries[i] for i in lost):
         assert set(entry) == set(clean_entries[0])
         assert entry["match"] is False
         assert entry["gate"] == "error: BrokenProcessPool: a worker died"
@@ -434,6 +439,55 @@ def test_verify_range_without_nonzero_n_exit_two(capsys):
 def test_sweep_matches_golden_file(capsys):
     report = cli.run_sweep(4, [-3, -2, -1, 1, 2, 3])
     assert cli._dumps(report) == GOLDEN.read_text()
+
+
+def test_pooled_sweep_gives_the_serial_report(monkeypatch):
+    n_values = [-4, -3, -2, -1, 1, 2, 3, 4]
+    monkeypatch.setenv("MTFLOER_THREADS", "1")
+    serial = cli._dumps(cli.run_sweep(5, n_values))
+    monkeypatch.setenv("MTFLOER_THREADS", "2")
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+    assert cli._worker_count() == 2
+    assert cli._dumps(cli.run_sweep(5, n_values)) == serial
+
+
+def test_each_surface_page_is_built_once_a_sweep_and_dies_with_it(capsys, monkeypatch):
+    monkeypatch.setenv("MTFLOER_THREADS", "1")
+    built = []
+    real = knot_model.build_surface_page
+
+    def counted(spec, pd_sign=1):
+        page = real(spec, pd_sign)
+        built.append((knot_model.surface_key(spec), weakref.ref(page)))
+        return page
+
+    monkeypatch.setattr(knot_model, "build_surface_page", counted)
+    n_values = [-3, -2, -1, 1, 2, 3]
+    keys = sorted({(g, k, n > 0) for g in range(2, 5) for k in range(1, g) for n in n_values})
+    for _ in range(2):
+        # once per (g, |k|, handedness) in each call, none carried from the call before
+        built.clear()
+        assert all(entry["match"] for entry in cli.run_sweep(4, n_values)["entries"])
+        assert sorted(key for key, _ in built) == keys
+        assert all(page() is None for _, page in built)
+    # compute builds its own page, every time
+    built.clear()
+    for _ in range(2):
+        assert run_main(capsys, "compute", "--g", "4", "--n", "2", "--k", "1")[0] == 0
+    assert [key for key, _ in built] == [(4, 1, True)] * 2
+
+
+def test_the_process_pool_is_imported_only_when_a_sweep_starts_workers():
+    script = (
+        "import contextlib, io, sys\n"
+        "import mtfloer.cli\n"
+        "assert 'concurrent.futures' not in sys.modules, 'on import'\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert mtfloer.cli.main(['compute', '--g', '4', '--n', '2', '--k', '1']) == 0\n"
+        "assert 'concurrent.futures' not in sys.modules, 'by compute'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- tables ---------------------------------------------------------------------------

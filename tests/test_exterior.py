@@ -181,6 +181,29 @@ def test_e_half_examples():
     assert e_half((2, 3)) == "E+"
 
 
+def scanning_e_half(mono):
+    """The half by scanning the whole monomial for a1 and b1: the definition ``e_half`` shortcuts."""
+    return "E-" if (0 in mono) + (1 in mono) == 1 else "E+"
+
+
+def test_e_half_reads_the_first_two_symbols_as_the_scan_would():
+    for genus in range(1, 6):
+        for size in range(2 * genus + 1):
+            for mono in monomials(range(2 * genus), size):
+                assert e_half(mono) == scanning_e_half(mono), mono
+
+
+@given(
+    st.booleans(),
+    st.booleans(),
+    st.integers(2, 300).flatmap(lambda genus: st.sets(st.integers(2, 2 * genus - 1))),
+)
+def test_e_half_matches_the_scan_up_to_genus_300(a1, b1, rest):
+    # a1 and b1 drawn apart, so every block of the genus-1 part turns up
+    mono = (0,) * a1 + (1,) * b1 + tuple(sorted(rest))
+    assert e_half(mono) == scanning_e_half(mono)
+
+
 @pytest.mark.parametrize("genus", [2, 3])
 def test_e_half_splits_evenly(genus):
     halves = {"E-": 0, "E+": 0}

@@ -195,6 +195,25 @@ def test_three_dimensional_projective_space():
     assert h == GradedGroup.of({0: (1, []), 1: (0, [2]), 3: (1, [])})
 
 
+def test_with_cycles_adds_free_cycles_and_works_the_factors_out_once(monkeypatch):
+    # RP^2 on two copies of its cells: the boundary out of degree 2 is twice a 2 x 2 identity
+    strips = {2: [(0, 2, [(0, 2)])]}
+    base = FreeComplex({0: 2, 1: 2, 2: 2}, strips)
+    calls = []
+    real = mtfloer.homology._invariant_factors
+    monkeypatch.setattr(mtfloer.homology, "_invariant_factors", lambda given: calls.append(given) or real(given))
+    wide = base.with_cycles({0: 1, 2: 3, 5: 0})
+    narrow = base.with_cycles({1: 1})
+    assert (wide.sizes, narrow.sizes, base.sizes) == ({0: 3, 1: 2, 2: 5}, {0: 2, 1: 3, 2: 2}, {0: 2, 1: 2, 2: 2})
+    assert wide.homology() == GradedGroup.of({0: (3, []), 1: (0, [2, 2]), 2: (3, [])})
+    assert narrow.homology() == GradedGroup.of({0: (2, []), 1: (1, [2, 2])})
+    assert base.homology() == GradedGroup.of({0: (2, []), 1: (0, [2, 2])})
+    assert calls == [strips[2]]
+    # the same groups as the complexes built whole
+    assert wide.homology() == FreeComplex(wide.sizes, strips).homology()
+    assert narrow.homology() == FreeComplex(narrow.sizes, strips).homology()
+
+
 def test_empty_complex():
     cx = FreeComplex({})
     assert cx.homology().is_zero()

@@ -191,11 +191,13 @@ def colex_unrank(rank, size):
 
 
 def unrank_run(genus, run, index):
-    """The generator at ``index`` in a run: a circle monomial by its colex rank, a
-    surface monomial by its block (none, a1, b1, both) and the colex rank of its rest."""
-    tag, size, p, c, bit = run
+    """The generator at ``index`` in a run: a circle monomial by its label, in the run's
+    order, and its colex rank; a surface monomial by its block (none, a1, b1, both) and
+    the colex rank of its rest."""
+    tag, size, p, labels, bit = run
     if tag == CIRCLES:
-        return (CIRCLES, colex_unrank(index, size), p, c, bit)
+        copy, rank = divmod(index, comb(2 * genus - 2, size))
+        return (CIRCLES, colex_unrank(rank, size), p, labels[copy], bit)
     for block in ((), (0,), (1,), (0, 1)):
         length = comb(2 * genus - 2, size - len(block)) if size >= len(block) else 0
         if index < length:
@@ -212,8 +214,8 @@ def unranked(genus, *parts):
         for deg, runs in part.items():
             gens = by_degree.setdefault(deg, [])
             for run in runs:
-                tag, size = run[:2]
-                length = comb(2 * genus if tag == SURFACE else 2 * genus - 2, size)
+                tag, size, _, labels, _ = run
+                length = len(labels) * comb(2 * genus if tag == SURFACE else 2 * genus - 2, size)
                 gens.extend(unrank_run(genus, run, i) for i in range(length))
     return by_degree
 
@@ -305,7 +307,7 @@ def test_region_size_at_g3():
 def test_region_size_bound_is_enforced(monkeypatch):
     # the region at g=2, |n|=1, k=1 is one surface generator and no circles;
     # a size-0 circle run at g=2 holds C(2, 0) = 1 generator
-    padding = {0: [(CIRCLES, 0, 1, c, 0) for c in range(49)]}
+    padding = {0: [(CIRCLES, 0, 1, (c,), 0) for c in range(49)]}
     monkeypatch.setattr(knot_model, "_circle_runs", lambda spec, labels: padding)
     with pytest.raises(GateFailure, match="region has 50 generators, but its count is 1"):
         build_e1_region(Params(2, 1, 1))
@@ -351,9 +353,10 @@ def test_region_size_refuses_one_missing_generator(monkeypatch):
     full = knot_model._circle_runs
 
     def one_short(spec, labels):
-        # at g=3, k=1 every circle run is the one size-4 monomial, C(4, 4) = 1
+        # at g=3, k=1 every circle run is the one size-4 monomial, C(4, 4) = 1, on each label
         by_degree = full(spec, labels)
-        by_degree[min(by_degree)].pop()
+        tag, size, p, on, bit = by_degree[min(by_degree)].pop()
+        by_degree[min(by_degree)].append((tag, size, p, on[1:], bit))
         return by_degree
 
     monkeypatch.setattr(knot_model, "_circle_runs", one_short)
@@ -428,7 +431,9 @@ def test_run_count_counts_the_runs(genus):
         for k in range(1, genus):
             spec = Params(genus, n, k)
             parts = (knot_model._surface_runs(genus, k), knot_model._circle_runs(spec, range(1, abs(n) + 1)))
-            assert knot_model.run_count(spec) == sum(len(runs) for part in parts for runs in part.values()), spec
+            # a circle run is counted once per label
+            counted = sum(len(run[3]) for part in parts for runs in part.values() for run in runs)
+            assert knot_model.run_count(spec) == counted, spec
 
 
 @pytest.mark.parametrize("spec", REGIONS, ids=region_id)
@@ -540,7 +545,7 @@ def test_tower_check_refuses_each_run_out_of_place(spec):
     extra = tower_runs(spec)
     # one U-power past the region: the p-range one too long at the top size
     last = 2 * spec.g - spec.g - spec.abs_k
-    extra.setdefault(spec.g - 2 * (last + 1), []).append((SURFACE, 2 * spec.g, last + 1, 0, 0))
+    extra.setdefault(spec.g - 2 * (last + 1), []).append((SURFACE, 2 * spec.g, last + 1, knot_model.SURFACE_LABELS, 0))
     # every run of the top size one U-power up, each in its own degree: the right count, the wrong powers
     shifted = {}
     for deg, runs in tower_runs(spec).items():

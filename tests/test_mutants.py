@@ -279,7 +279,7 @@ def test_contraction_kept_past_the_truncation_fails_the_complex_check(monkeypatc
 def test_fixed_part_without_eps_fails_the_page_one_gate(monkeypatch):
     assert sweep_failures(monkeypatch) == []
     plant_source(
-        monkeypatch, knot_model.build_e2_symbolic, "circles_cohomology(2, spec.eps_n)", "circles_cohomology(2, 0)"
+        monkeypatch, knot_model._fixed_part, "circles_cohomology(2, spec.eps_n)", "circles_cohomology(2, 0)"
     )
     failures = sweep_failures(monkeypatch)
     assert failures
@@ -306,6 +306,49 @@ def test_closed_form_label_rank_off_by_one_fails_only_the_final_comparison(monke
     assert all(gate == "passed" for _, gate in failures)
     # the label rank multiplies |n| - 1 sphere families, which |n| = 1 lacks
     assert all(abs(n) >= 2 for (_, n, _), _ in failures)
+
+
+def handedness_dropped(spec):
+    """The surface key without the twist's handedness: left and right twists share a page."""
+    return spec.g, spec.abs_k
+
+
+def test_surface_key_without_handedness_fails_the_page_one_gate(monkeypatch):
+    assert sweep_failures(monkeypatch) == []
+    # the sweep groups by the key and the oracle looks the page up by it
+    assert bind_everywhere(monkeypatch, knot_model.surface_key, handedness_dropped) == ["mtfloer.cli", "mtfloer.knot_model"]
+    failures = sweep_failures(monkeypatch)
+    assert failures
+    assert all(gate.startswith("failed: page-one gate failed") for _, gate in failures)
+    # a group's first triple, n = -3, builds the page: the right twists get the left twists' page
+    assert all(n > 0 for (_, n, _), _ in failures)
+
+
+def label_moved(spec, gen):
+    """The page-two arrow onto the next circle label."""
+    return [((tag, mono, p, c + 1, bit), coeff) for (tag, mono, p, c, bit), coeff in REAL_D2(spec, gen)]
+
+
+def last_label_moved(spec, gen):
+    """The page-two arrow, but out of the last label onto the first that page two moves, label 2."""
+    return [
+        ((tag, mono, p, 2 if c == spec.abs_n else c, bit), coeff) for (tag, mono, p, c, bit), coeff in REAL_D2(spec, gen)
+    ]
+
+
+# page two has arrows from g = 4 on, and labels to move when |n| >= 2; the last label
+# differs from the first only when |n| >= 3, and then only the last generator's image sees it
+@pytest.mark.parametrize("mutant, failing", [(label_moved, (-3, -2, 2, 3)), (last_label_moved, (-3, 3))])
+def test_page_two_label_moved_fails_the_builder_check(monkeypatch, mutant, failing):
+    assert sweep_failures(monkeypatch) == []
+    monkeypatch.setattr(knot_model, "_d2_image", mutant)
+    failures = sweep_failures(monkeypatch)
+    assert failures
+    assert all(
+        re.fullmatch(r"error: NotAComplex: differential at degree -?\d+ sends .* which changes the label: not a shifted identity", gate)
+        for _, gate in failures
+    )
+    assert [triple for triple, _ in failures] == [(4, n, 1) for n in failing]
 
 
 # -- mutants of the strips ------------------------------------------------------
@@ -339,7 +382,7 @@ def test_last_monomial_moved_off_its_rank_fails_the_builder_check(monkeypatch):
     # only the last monomial sees it: with that question dropped, the first ones speak for every block
     plant_source(
         monkeypatch, knot_model._ranked_page,
-        "if length > 1 and targets(deg, run, block, last) != hit:",
+        "if length > 1 and targets(deg, run, labels[-1], block, last) != hit:",
         "if False:",
     )
     assert sweep_failures(monkeypatch) == []
@@ -349,10 +392,11 @@ def test_strip_length_off_by_one_fails_the_range_check_or_the_page_one_gate(monk
     assert sweep_failures(monkeypatch) == []
     plant_source(monkeypatch, knot_model._ranked_page, "(offset + start, length, hit)", "(offset + start, length + 1, hit)")
     failures = sweep_failures(monkeypatch)
-    # every region with a boundary has a block that ends its degree, and a strip past it is refused
+    # every surface complex with a boundary has a block that ends its degree, and a strip one past it
+    # is refused: the surface complex is checked alone, before the circle counts are added
     assert len(failures) == 18
     assert all(
-        re.fullmatch(r"error: NotAComplex: differential at degree -?\d+ has (row|column) 1, but degree -?\d+ has 1 generators", gate)
+        re.fullmatch(r"error: NotAComplex: differential at degree -?\d+ has (row|column) (\d+), but degree -?\d+ has \2 generators", gate)
         for _, gate in failures
     )
     monkeypatch.undo()
