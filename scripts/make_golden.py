@@ -6,11 +6,17 @@ output format; rerun this after any deliberate format change and commit the
 result.
 """
 
+import sys
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# this checkout's package, whether or not one is installed
+if str(ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(ROOT / "src"))
 
 from mtfloer.cli import _dumps, run_sweep
 
-OUT = Path(__file__).resolve().parent.parent / "golden" / "sweep_g4_n3.json"
+OUT = ROOT / "golden" / "sweep_g4_n3.json"
 
 
 def main() -> None:

@@ -32,12 +32,12 @@ from .params import Params
 SCHEMA = "1"
 
 # The most runs (``knot_model.run_count``) in an oracle region that compute
-# and verify start, counted at |k| = 1, where the region of a genus and
-# twist is largest, and the most runs in X(g, g - 1) that `xgd --homology`
-# builds.  A run's cost grows with g, its monomials' length, so the count
-# is taken where it caps g too.  On 2 CPUs the costliest admitted inputs
-# take 6.0 s / 71 MB (compute --g 259 --n -1 --k 1) and 21.8 s / 125 MB
-# (xgd --g 446 --d 445 --homology, four blocks in every run).
+# and verify start, counted at |k| = 1, where a genus's region is largest,
+# and in X(g, g - 1) that `xgd --homology` builds.  A circle run holds every
+# label, so n does not count; a run's cost grows with g, so the bound caps g
+# (g <= 259).  On 2 CPUs the costliest admitted inputs take 6.0 s / 71 MB
+# (compute --g 259 --n -1 --k 1) and 21.8 s / 125 MB (xgd --g 446 --d 445
+# --homology, four blocks in every run).
 MAX_RUNS = 100_000
 
 
@@ -186,10 +186,10 @@ def _comparison_rows(
 
 
 def _refuse_oversized(triples: Sequence[tuple[int, int, int]]) -> None:
-    """Refuse a run before it builds anything if the region of one of its (g, n) at |k| = 1 passes ``MAX_RUNS``."""
-    for g, n, k in triples:
-        if not Params(g, n, k).vanishes_by_adjunction and (runs := run_count(Params(g, n, 1))) > MAX_RUNS:
-            raise BadParams(f"the region at g={g} n={n} |k|=1 has {runs} runs, more than {MAX_RUNS}")
+    """Refuse a run before it builds anything if the largest genus that builds a region passes ``MAX_RUNS`` at |k| = 1."""
+    built = [g for g, n, k in triples if not Params(g, n, k).vanishes_by_adjunction]
+    if built and (runs := run_count(Params(g := max(built), 1, 1))) > MAX_RUNS:
+        raise BadParams(f"the region at g={g} |k|=1 has {runs} runs, more than {MAX_RUNS}")
 
 
 # -- compute ----------------------------------------------------------------

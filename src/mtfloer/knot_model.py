@@ -1,4 +1,4 @@
-"""Model knot-complex pages for separating-twist mapping tori.
+"""Knot-complex region pages for separating-twist mapping tori.
 
 The mapping torus of the n-th power of a right-handed Dehn twist along a
 genus-1 separating circle in a genus-g surface is 0-surgery on a knot in a
@@ -13,9 +13,11 @@ differs after that.  Everything is computed over the integers; the
 symbolic page-two bookkeeping is cross-checked against the computed
 page-one homology by a rank gate that aborts the run on any discrepancy.
 
-Gradings: complexes carry the raw region ("model") grading; reported
-results are shifted by +2 into the symmetric-product ("X") convention,
-under which comparisons to the closed form are exact.
+Gradings: every page is built in the symmetric-product ("X") grading the
+results are reported in, under which comparisons to the closed form are
+exact.  ``_surface_runs`` and ``_circle_runs`` write each run's degree, and
+nothing shifts it afterwards: a surface generator (monomial, p) sits where
+the tower element (monomial, U^(p-1)) of X(g, d) does.
 
 No generator is ever built: each degree is a fixed sequence of runs.  A
 SURFACE run ``(SURFACE, size, p, (0,), 0)`` is every genus-g monomial of
@@ -34,15 +36,16 @@ block of the degree below.  One builder, ``_ranked_page``, turns runs
 into strips for page one, page two and X(g, d); ``_d1_image`` and
 ``_d2_image`` stay the only definitions of the two differentials, each
 asked of a block's first and last generators.  A page costs time in its
-runs, not in its generators.  The tower check compares the surface runs'
-shapes with X(g, d)'s.
+runs, not in its generators.
 
-The surface summand depends on (g, |k|, handedness) only
-(``surface_key``): its runs, tower check, strips, invariant factors and
-page two's fixed part make one ``SurfacePage``, which a sweep builds once
-and hands to every triple that shares it.  Page one is that surface
-complex plus the circle generators, which no arrow leaves or hits:
-counted cycles, one count per degree, after the surface runs.
+The surface summand of the region at level k is the truncated tower
+X(g, d), d = g - 1 - |k|, and ``build_x_complex`` is its one builder: its
+runs pass the tower check, which compares their shapes with X(g, d)'s.  It
+depends on (g, |k|, handedness) only (``surface_key``): that complex, its
+invariant factors and page two's fixed part make one ``SurfacePage``, which
+a sweep builds once and hands to every triple that shares it.  Page one is
+that surface complex plus the circle generators, which no arrow leaves or
+hits: counted cycles, one count per degree, after the surface runs.
 """
 
 from __future__ import annotations
@@ -74,9 +77,9 @@ CIRCLES = "circles"
 SURFACE_LABELS = (0,)
 
 
-def active_half(n: int) -> str:
-    """Half of the exterior splitting the page-one differential acts on."""
-    return "E-" if n > 0 else "E+"
+def active_half(left: bool) -> str:
+    """Half of the exterior splitting the page-one differential acts on, for a left or a right twist."""
+    return "E+" if left else "E-"
 
 
 @dataclass(frozen=True)
@@ -90,17 +93,15 @@ class HomologyResult:
     g: int
     n: int
     k: int
-    grading_convention: str = "X"
 
 
 @dataclass(frozen=True)
 class E2Page:
     """Page two of the region computation.
 
-    ``fixed`` is the part no later differential touches (X-convention
-    grading).  ``d2_complex`` is the page-two differential over the model
-    grading; its generators are the circle-summand generators that
-    differential can move.
+    ``fixed`` is the part no later differential touches.  ``d2_complex``
+    is the page-two differential; its generators are the circle-summand
+    generators that differential can move.
     """
 
     fixed: GradedGroup
@@ -112,10 +113,11 @@ class SurfacePage:
     """What both pages take from the surface summand, for one ``surface_key``.
 
     ``complex`` is the surface summand under the page-one differential,
-    over the model grading, with its tower, range and d^2 = 0 checks done;
-    page one widens it by the circle counts (``FreeComplex.with_cycles``),
-    so every page one built on it shares one computation of its invariant
-    factors.  ``fixed`` is page two's fixed part (X-convention grading).
+    X(g, d) from ``build_x_complex`` with its tower, range and d^2 = 0
+    checks done; page one widens it by the circle counts
+    (``FreeComplex.with_cycles``), so every page one built on it shares one
+    computation of its invariant factors.  ``fixed`` is page two's fixed
+    part.
     """
 
     complex: FreeComplex
@@ -129,21 +131,22 @@ BLOCKS: tuple[Monomial, ...] = ((), (0,), (1,), (0, 1))
 
 
 def _surface_runs(genus: int, k: int) -> dict[int, list[tuple]]:
-    """The surface runs of the region {i < 0, j >= k}, grouped by model degree F - 2p.
+    """The surface runs of the region {i < 0, j >= k}, grouped by degree F - 2(p - 1).
 
     A run ``(SURFACE, size, p, (0,), 0)`` is every genus-``genus`` monomial
     of one size s at one U-power p; F = s - genus, and p runs over 1 .. F - k.
+    Its degree is the grading of the tower element (monomial, U^(p-1)).
     """
     by_degree: dict[int, list[tuple]] = {}
     for size in range(max(genus + k + 1, 0), 2 * genus + 1):
         F = size - genus
         for p in range(1, F - k + 1):
-            by_degree.setdefault(F - 2 * p, []).append((SURFACE, size, p, SURFACE_LABELS, 0))
+            by_degree.setdefault(F - 2 * (p - 1), []).append((SURFACE, size, p, SURFACE_LABELS, 0))
     return by_degree
 
 
 def _circle_runs(spec: Params, labels: Sequence[int]) -> dict[int, list[tuple]]:
-    """The circle runs on ``labels``, grouped by model degree F + eps + eps_n - 2p.
+    """The circle runs on ``labels``, grouped by degree F + eps + eps_n - 2(p - 1).
 
     A run ``(CIRCLES, size, p, labels, eps)`` is every genus-(g-1) monomial
     (symbol indices 2..2g-1) of one size s at one U-power and eps, once for
@@ -157,7 +160,7 @@ def _circle_runs(spec: Params, labels: Sequence[int]) -> dict[int, list[tuple]]:
         F = size - (spec.g - 1)
         for bit in (0, 1):
             for p in range(1, F - spec.abs_k + 1):
-                deg = F + bit + spec.eps_n - 2 * p
+                deg = F + bit + spec.eps_n - 2 * (p - 1)
                 by_degree.setdefault(deg, []).append((CIRCLES, size, p, labels, bit))
     return by_degree
 
@@ -220,7 +223,7 @@ Image = Callable[[tuple, int, Monomial], list[tuple[tuple, int, Monomial, int]]]
 
 
 def _ranked_page(genus: int, runs: dict[int, list[tuple]], image: Image) -> tuple[dict[int, int], dict[int, list]]:
-    """The sizes and boundary strips of a page of runs, over the model grading.
+    """The sizes and boundary strips of a page of runs, each degree as the runs are grouped.
 
     ``image`` is asked of each nonempty block's first and last generators:
     the first monomial of the run's first label and the last monomial of
@@ -302,10 +305,45 @@ def _d1_image(
     return out
 
 
-def _surface_page(
-    genus: int, d: int, runs: dict[int, list[tuple]], half: str, pd_sign: int
-) -> tuple[dict[int, int], dict[int, list]]:
-    """The ranked page of surface runs under ``_d1_image``: contraction drops a1 and wedging adds b1."""
+def _check_tower(genus: int, d: int, surface: dict[int, list[tuple]]) -> None:
+    """Refuse surface runs that are not the truncated tower X(g, d) in disguise.
+
+    The surface generator (monomial, p) in degree deg must be the tower
+    element (monomial, u = p - 1), of grading deg.  Each run's degree is
+    checked against the tower grading.  A run holds every monomial of its
+    size, and so does X(g, d) at each codegree i <= d, with u = 0 .. d - i;
+    so the runs are the tower exactly when they have the sizes 2g - i and,
+    at each, the U-powers p = 1 .. d - i + 1, each once.  That compares run
+    shapes only: no monomial is enumerated.
+    """
+    mismatch = GateFailure(f"region/tower basis mismatch at g={genus} d={d}")
+    powers: dict[int, list[int]] = {}
+    symbols = tuple(range(2 * genus))  # sliced for each run's grading, never rebuilt
+    for deg, runs in surface.items():
+        for _, size, p, _, _ in runs:
+            if XBasisElement(genus, symbols[:size], p - 1).grading != deg:
+                raise mismatch
+            powers.setdefault(size, []).append(p)
+    tower = {2 * genus - i: list(range(1, d - i + 2)) for i in range(min(d, 2 * genus) + 1)}
+    if {size: sorted(ps) for size, ps in powers.items()} != tower:
+        raise mismatch
+
+
+def build_x_complex(genus: int, d: int, left: bool = False, pd_sign: int = 1) -> FreeComplex:
+    """The truncated tower module X(g, d) as a complex under the page-one differential.
+
+    X(g, d) is the surface summand of the region at level k = g - 1 - d:
+    its surface runs, once they pass the tower check, are ranked under
+    ``_d1_image``, where contraction drops a1 and wedging adds b1.  ``left``
+    selects the left-handed-twist convention, which supports the
+    differential on the other half of the exterior splitting.
+    """
+    if genus < 2:
+        raise BadGenus(f"genus {genus} < 2")
+    check_x_params(genus, d)
+    runs = _surface_runs(genus, genus - 1 - d)
+    _check_tower(genus, d, runs)
+    half = active_half(left)
 
     def image(run: tuple, label: int, mono: Monomial) -> list[tuple[tuple, int, Monomial, int]]:
         return [
@@ -313,24 +351,9 @@ def _surface_page(
             for target, u, coeff in _d1_image(mono, run[2] - 1, genus, d, half, pd_sign)
         ]
 
-    return _ranked_page(genus, runs, image)
-
-
-def build_x_complex(genus: int, d: int, left: bool = False, pd_sign: int = 1) -> FreeComplex:
-    """The truncated tower module X(g, d) as a complex under the page-one differential.
-
-    Gradings are the module's own (X-convention).  X(g, d) is the surface
-    summand of the region at level k = g - 1 - d, so its complex is that
-    summand's ranked page, shifted by +2.  ``left`` selects the
-    left-handed-twist convention, which supports the differential on the
-    other half of the exterior splitting.
-    """
-    if genus < 2:
-        raise BadGenus(f"genus {genus} < 2")
-    check_x_params(genus, d)
-    half = "E+" if left else "E-"
-    sizes, strips = _surface_page(genus, d, _surface_runs(genus, genus - 1 - d), half, pd_sign)
-    return FreeComplex({deg + 2: n for deg, n in sizes.items()}, {deg + 2: s for deg, s in strips.items()})
+    sizes, strips = _ranked_page(genus, runs, image)
+    del runs  # not held while the complex checks its strips: at g = 446 the runs take 9 MB
+    return FreeComplex(sizes, strips)
 
 
 # -- region pipeline -------------------------------------------------------
@@ -362,42 +385,17 @@ def region_size(spec: Params) -> int:
 
 
 def run_count(spec: Params) -> int:
-    """The number of page-one runs, each circle run counted once per label, without listing them.
+    """The number of page-one runs, without listing them.
 
     With m = g - |k|, the surface has m(m + 1)/2 runs, one per size and
-    U-power, and the circles have m(m - 1), one per size, U-power and eps,
-    each on |n| labels: |n| m(m - 1) counted.
+    U-power, and the circles have m(m - 1), one per size, U-power and eps;
+    a circle run holds every label, so the count does not depend on n.
 
-    >>> run_count(Params(10, 3000, 1)), run_count(Params(30, 300, 1)), run_count(Params(200, 3, 1))
-    (216045, 244035, 138106)
+    >>> run_count(Params(10, 3000, 1)), run_count(Params(30, -300, 1)), run_count(Params(200, 3, 1))
+    (117, 1247, 59302)
     """
     m = spec.g - spec.abs_k
-    return m * (m + 1) // 2 + spec.abs_n * m * (m - 1)
-
-
-def _check_tower(spec: Params, surface: dict[int, list[tuple]]) -> None:
-    """Refuse a surface summand that is not the truncated tower X(g, d) in disguise.
-
-    The surface generator (monomial, p) in model degree deg must be the
-    tower element (monomial, u = p - 1) of grading deg + 2.  Each run's
-    degree is checked against the tower grading.  A run holds every
-    monomial of its size, and so does X(g, d) at each codegree i <= d, with
-    u = 0 .. d - i; so the region is the tower exactly when its runs have
-    the sizes 2g - i and, at each, the U-powers p = 1 .. d - i + 1, each
-    once.  That compares run shapes only: no monomial is enumerated.
-    """
-    g, d = spec.g, spec.d
-    mismatch = GateFailure(f"region/tower basis mismatch at {spec}")
-    powers: dict[int, list[int]] = {}
-    symbols = tuple(range(2 * g))  # sliced for each run's grading, never rebuilt
-    for deg, runs in surface.items():
-        for _, size, p, _, _ in runs:
-            if XBasisElement(g, symbols[:size], p - 1).grading != deg + 2:
-                raise mismatch
-            powers.setdefault(size, []).append(p)
-    tower = {2 * g - i: list(range(1, d - i + 2)) for i in range(min(d, 2 * g) + 1)}
-    if {size: sorted(ps) for size, ps in powers.items()} != tower:
-        raise mismatch
+    return m * (m + 1) // 2 + m * (m - 1)
 
 
 def surface_key(spec: Params) -> tuple[int, int, bool]:
@@ -408,17 +406,13 @@ def surface_key(spec: Params) -> tuple[int, int, bool]:
 def build_surface_page(spec: Params, pd_sign: int = 1) -> SurfacePage:
     """The surface summand's page and page two's fixed part, shared by every triple of ``surface_key(spec)``.
 
-    The surface runs pass the tower check, their strips become a complex
-    (which checks their range and d^2 = 0), and the page keeps both.
+    The surface summand is X(g, d), on the half of a left twist when n < 0.
     """
-    surface = _surface_runs(spec.g, spec.abs_k)
-    _check_tower(spec, surface)
-    sizes, strips = _surface_page(spec.g, spec.d, surface, active_half(spec.n), pd_sign)
-    return SurfacePage(FreeComplex(sizes, strips), _fixed_part(spec))
+    return SurfacePage(build_x_complex(spec.g, spec.d, left=spec.n < 0, pd_sign=pd_sign), _fixed_part(spec))
 
 
 def build_e1_region(spec: Params, pd_sign: int = 1, surface: SurfacePage | None = None) -> FreeComplex:
-    """Page one of the region {i < 0, j >= k}, over the model grading.
+    """Page one of the region {i < 0, j >= k}.
 
     Page one is the surface complex plus counted circle cycles.  Each degree
     lists its surface runs, then its circle runs.  SURFACE generators in the
@@ -448,7 +442,7 @@ def _d2_image(spec: Params, gen: tuple) -> list[tuple[tuple, int]]:
 
 
 def _fixed_part(spec: Params) -> GradedGroup:
-    """Page two's fixed part: the page-one homology of the surface summand with one circle copy (X-convention)."""
+    """Page two's fixed part: the page-one homology of the surface summand with one circle copy."""
     g, d = spec.g, spec.d
     fixed = x_ranks(g - 1, d - 1).tensor(circles_cohomology(2, spec.eps_n))
     return fixed + GradedGroup.free({g - d: comb(2 * g - 2, d)})
@@ -490,7 +484,7 @@ def _torsion_text(torsion: tuple[int, ...]) -> str:
 def _degree_differences(computed: GradedGroup, symbolic: GradedGroup) -> str:
     """The degrees where two groups differ, each with both ranks and torsion."""
     return "; ".join(
-        f"model degree {d}: computed rank {computed.rank(d)} torsion {_torsion_text(computed.torsion(d))}, "
+        f"degree {d}: computed rank {computed.rank(d)} torsion {_torsion_text(computed.torsion(d))}, "
         f"symbolic rank {symbolic.rank(d)} torsion {_torsion_text(symbolic.torsion(d))}"
         for d in sorted(set(computed.degrees()) | set(symbolic.degrees()))
         if (computed.rank(d), computed.torsion(d)) != (symbolic.rank(d), symbolic.torsion(d))
@@ -507,27 +501,24 @@ def run_d1(spec: Params, page1: FreeComplex, e2: E2Page | None = None) -> Homolo
     if e2 is None:
         e2 = build_e2_symbolic(spec)
     computed = page1.homology()
-    expected = e2.fixed.shift(-2) + GradedGroup.free(e2.d2_complex.sizes)
+    expected = e2.fixed + GradedGroup.free(e2.d2_complex.sizes)
     if computed != expected:
         raise GateFailure(
             f"page-one gate failed at g={spec.g} n={spec.n} k={spec.k}: "
             + _degree_differences(computed, expected)
         )
-    return HomologyResult(
-        computed.shift(2), "oracle", "E2", "passed", spec.g, spec.n, spec.k
-    )
+    return HomologyResult(computed, "oracle", "E2", "passed", spec.g, spec.n, spec.k)
 
 
 def run_d2(spec: Params, e2: E2Page) -> HomologyResult:
-    """Homology of the page-two complex, plus the fixed part, in X-convention."""
+    """Homology of the page-two complex, plus the fixed part."""
     survivors = e2.d2_complex.homology()
     if not survivors.is_free():
         torsion = ", ".join(f"{d} ({_torsion_text(t)})" for d, _, t in survivors.entries if t)
         raise GateFailure(
-            f"page-two homology has torsion at g={spec.g} n={spec.n} k={spec.k} in model degrees {torsion}"
+            f"page-two homology has torsion at g={spec.g} n={spec.n} k={spec.k} in degrees {torsion}"
         )
-    group = e2.fixed + survivors.shift(2)
-    return HomologyResult(group, "oracle", "final", "passed", spec.g, spec.n, spec.k)
+    return HomologyResult(e2.fixed + survivors, "oracle", "final", "passed", spec.g, spec.n, spec.k)
 
 
 def oracle_hfplus(
@@ -544,8 +535,8 @@ def oracle_hfplus(
     The region depends on |k| only (conjugation invariance); the result
     reports k as given.  Levels with |k| >= g, where the group vanishes by
     adjunction, are refused: the region is empty there.  The result is
-    torsion-free in the X-convention grading; torsion anywhere, a gate
-    mismatch, or an Euler-characteristic drift is a hard failure.
+    torsion-free; torsion anywhere, a gate mismatch, or an
+    Euler-characteristic drift is a hard failure.
 
     ``shared`` is a dict the caller keeps across calls with one
     ``pd_sign``: the surface page is taken from it by ``surface_key``, or
@@ -663,7 +654,7 @@ def collapse_hfk(n: int) -> GradedGroup:
     the circle classes never move.
     """
     eps_n = eps(n)
-    half = active_half(n)
+    half = active_half(n < 0)
     # the circle classes first, then the genus-1 monomials, which are the blocks
     sizes = {eps_n: abs(n), eps_n + 1: abs(n)}
     index: dict[Monomial, int] = {}

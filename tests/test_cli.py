@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import weakref
@@ -139,22 +140,32 @@ def test_compute_refuses_too_many_runs_before_enumerating(capsys, monkeypatch):
     monkeypatch.setattr(knot_model, "_surface_runs", _no_enumeration)
     code, out, err = run_main(capsys, "compute", "--g", "260", "--n", "1", "--k", "1")
     assert (code, out) == (2, "")
-    assert err == "error: the region at g=260 n=1 |k|=1 has 100492 runs, more than 100000\n"
+    assert err == "error: the region at g=260 |k|=1 has 100492 runs, more than 100000\n"
     # the count is taken at |k| = 1, so a level near g with few runs of long monomials is refused too
     code, out, err = run_main(capsys, "compute", "--g", "260", "--n", "1", "--k", "-258", "--method", "oracle")
     assert (code, out) == (2, "")
-    assert err == "error: the region at g=260 n=1 |k|=1 has 100492 runs, more than 100000\n"
-    code, out, err = run_main(capsys, "compute", "--g", "30", "--n", "-300", "--k", "29")
+    assert err == "error: the region at g=260 |k|=1 has 100492 runs, more than 100000\n"
+    # and at any n: a circle run holds every label
+    code, out, err = run_main(capsys, "compute", "--g", "260", "--n", "-300", "--k", "259", "--method", "oracle")
     assert (code, out) == (2, "")
-    assert err == "error: the region at g=30 n=-300 |k|=1 has 244035 runs, more than 100000\n"
+    assert err == "error: the region at g=260 |k|=1 has 100492 runs, more than 100000\n"
     # the closed form and a vanishing level build no region, so the bound does not apply
     assert run_main(capsys, "compute", "--g", "260", "--n", "1", "--k", "1", "--method", "closed")[0] == 0
     assert run_main(capsys, "compute", "--g", "260", "--n", "1", "--k", "260")[0] == 0
 
 
+def test_run_bound_does_not_grow_with_the_twist(capsys):
+    # the count, like the cost, does not see |n|: a large twist runs where a small one does
+    assert knot_model.run_count(Params(30, -300, 1)) == knot_model.run_count(Params(30, 1, 1)) == 1247
+    code, out, err = run_main(capsys, "compute", "--g", "30", "--n", "-300", "--k", "29", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["match"] is True
+
+
 def test_run_bound_is_a_constant_not_an_option(capsys):
     assert cli.MAX_RUNS == 100_000
-    assert knot_model.run_count(Params(259, -1, 1)) <= cli.MAX_RUNS < knot_model.run_count(Params(260, -1, 1))
+    for n in (-1, 3, -10**6):
+        assert knot_model.run_count(Params(259, n, 1)) <= cli.MAX_RUNS < knot_model.run_count(Params(260, n, 1))
     with pytest.raises(SystemExit) as refused:
         cli.main(["compute", "--g", "3", "--n", "2", "--k", "1", "--max-generators", "12"])
     assert refused.value.code == 2
@@ -162,17 +173,17 @@ def test_run_bound_is_a_constant_not_an_option(capsys):
 
 
 def test_compute_at_the_run_bound_runs(capsys, monkeypatch):
-    # the region at g=3, |n|=2, |k|=1 has 3 surface runs and 4 circle runs
-    monkeypatch.setattr(cli, "MAX_RUNS", 7)
+    # the region at g=3, |k|=1 has 3 surface runs and 2 circle runs
+    monkeypatch.setattr(cli, "MAX_RUNS", 5)
     code, out, err = run_main(capsys, "compute", "--g", "3", "--n", "-2", "--k", "2")
     assert (code, err) == (0, "")
-    monkeypatch.setattr(cli, "MAX_RUNS", 6)
+    monkeypatch.setattr(cli, "MAX_RUNS", 4)
     code, out, err = run_main(capsys, "compute", "--g", "3", "--n", "-2", "--k", "2")
-    assert (code, out, err) == (2, "", "error: the region at g=3 n=-2 |k|=1 has 7 runs, more than 6\n")
+    assert (code, out, err) == (2, "", "error: the region at g=3 |k|=1 has 5 runs, more than 4\n")
 
 
 def test_compute_at_g60_is_admitted_and_matches(capsys):
-    assert knot_model.run_count(Params(60, 3, 1)) == 12036
+    assert knot_model.run_count(Params(60, 3, 1)) == 5192
     code, out, err = run_main(capsys, "compute", "--g", "60", "--n", "3", "--k", "1", "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out)["match"] is True
@@ -208,15 +219,16 @@ def test_verify_refuses_too_many_runs_before_any_triple(capsys, monkeypatch, tmp
     monkeypatch.setenv("MTFLOER_THREADS", "1")
     monkeypatch.setattr(knot_model, "_surface_runs", _no_enumeration)
     monkeypatch.setattr(cli, "_verify_group", lambda task: pytest.fail(f"group {task[0]} started"))
-    # only g = 4, n = +-3 of the grid has more than 20 runs at |k| = 1: 6 + 3 * 6
-    monkeypatch.setattr(cli, "MAX_RUNS", 20)
+    # the bound is crossed by genus: g = 4 has 6 + 6 runs at |k| = 1, g = 3 has 3 + 2, whatever n
+    monkeypatch.setattr(cli, "MAX_RUNS", 11)
     target = tmp_path / "r.json"
     code, out, err = run_main(capsys, "verify", "--g-max", "4", "--n", "-3..3", "--emit", str(target))
     assert (code, out) == (2, "")
-    assert err == "error: the region at g=4 n=-3 |k|=1 has 24 runs, more than 20\n"
+    assert err == "error: the region at g=4 |k|=1 has 12 runs, more than 11\n"
     assert not target.exists()
-    with pytest.raises(BadParams, match="g=4 n=-3 [|]k[|]=1 has 24 runs"):
-        cli.run_sweep(4, [-3, 3])
+    with pytest.raises(BadParams, match="g=4 [|]k[|]=1 has 12 runs"):
+        cli.run_sweep(4, [1])
+    cli._refuse_oversized([(3, n, k) for n in (-10**6, 10**6) for k in (1, 2)])
 
 
 def test_verify_default_grid(capsys):
@@ -439,6 +451,18 @@ def test_verify_range_without_nonzero_n_exit_two(capsys):
 def test_sweep_matches_golden_file(capsys):
     report = cli.run_sweep(4, [-3, -2, -1, 1, 2, 3])
     assert cli._dumps(report) == GOLDEN.read_text()
+
+
+def test_make_golden_loads_from_a_checkout_without_pythonpath(tmp_path):
+    # the script puts this checkout's src/ first on sys.path; loaded under another name, it writes nothing
+    script = GOLDEN.parent.parent / "scripts" / "make_golden.py"
+    golden = GOLDEN.read_bytes()
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    code = f"import runpy; names = runpy.run_path({str(script)!r}, run_name='make_golden'); print(names['run_sweep'].__code__.co_filename)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert Path(proc.stdout.strip()) == GOLDEN.parent.parent / "src" / "mtfloer" / "cli.py"
+    assert GOLDEN.read_bytes() == golden
 
 
 def test_pooled_sweep_gives_the_serial_report(monkeypatch):

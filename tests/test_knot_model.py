@@ -65,48 +65,49 @@ def centered_degree(spec, gen):
     return len(gen.monomial) - (spec.g - 1)
 
 
-def model_grading(spec, gen):
-    """Region grading: label grading (with eps and the left-twist shift) minus 2p."""
-    base = centered_degree(spec, gen)
-    if gen.tag == CIRCLES:
-        base += gen.eps + spec.eps_n
-    return base - 2 * gen.p
+def x_grading(spec, gen):
+    """A generator's degree: a surface generator's is its tower element's, (monomial, U^(p-1)) in X(g, d);
+    a circle generator's is its label's grading, with eps and the left-twist shift, minus 2(p - 1)."""
+    if gen.tag == SURFACE:
+        return XBasisElement(spec.g, gen.monomial, gen.p - 1).grading
+    return centered_degree(spec, gen) + gen.eps + spec.eps_n - 2 * (gen.p - 1)
 
 
 # -- the tuple reference ----------------------------------------------------------
 #
-# The region as plain tuples ``(tag, monomial, p, circle, eps)`` grouped by model
+# The region as plain tuples ``(tag, monomial, p, circle, eps)`` grouped by
 # degree, and the assembly that sorts, indexes and images them one by one.  The
 # pipeline ran this before its generators were indexed by rank; it stays here as
 # the reference the ranked pages are checked against.
 
 
 def surface_generators(spec):
-    """The surface generators, grouped by model degree F - 2p."""
+    """The surface generators, grouped by the grading of their tower elements."""
     by_degree = {}
     for size in range(spec.g + spec.abs_k + 1, 2 * spec.g + 1):
         F = size - spec.g
         monos = list(monomials(range(2 * spec.g), size))
         for p in range(1, F - spec.abs_k + 1):
-            by_degree.setdefault(F - 2 * p, []).extend((SURFACE, mono, p, 0, 0) for mono in monos)
+            deg = XBasisElement(spec.g, monos[0], p - 1).grading
+            by_degree.setdefault(deg, []).extend((SURFACE, mono, p, 0, 0) for mono in monos)
     return by_degree
 
 
 def circle_generators(spec, labels):
-    """The circle generators on ``labels``, grouped by model degree F + eps + eps_n - 2p."""
+    """The circle generators on ``labels``, grouped by degree F + eps + eps_n - 2(p - 1)."""
     by_degree = {}
     for size in range(spec.g + spec.abs_k, 2 * spec.g - 1):
         F = size - (spec.g - 1)
         monos = list(monomials(range(2, 2 * spec.g), size))
         for bit in (0, 1):
             for p in range(1, F - spec.abs_k + 1):
-                deg = F + bit + spec.eps_n - 2 * p
+                deg = F + bit + spec.eps_n - 2 * (p - 1)
                 by_degree.setdefault(deg, []).extend((CIRCLES, mono, p, c, bit) for mono in monos for c in labels)
     return by_degree
 
 
 def region_generators(spec):
-    """Every page-one generator, surface and circle, grouped by model degree."""
+    """Every page-one generator, surface and circle, grouped by degree."""
     by_degree = surface_generators(spec)
     for deg, gens in circle_generators(spec, range(1, spec.abs_n + 1)).items():
         by_degree.setdefault(deg, []).extend(gens)
@@ -158,7 +159,7 @@ def assemble_complex(by_degree, image):
 
 def page_one_image(spec, pd_sign=1):
     """The page-one image of one region tuple, through ``_d1_image``."""
-    half = active_half(spec.n)
+    half = active_half(spec.n < 0)
 
     def image(gen):
         tag, mono, p, _, _ = gen
@@ -263,8 +264,8 @@ def test_region_spec_properties():
     assert spec.d == 1
     assert spec.eps_n == -1
     assert spec.abs_n == 3
-    assert active_half(spec.n) == "E+"
-    assert active_half(4) == "E-"
+    assert active_half(spec.n < 0) == "E+"
+    assert active_half(False) == "E-"
     assert Params(4, 3, 2).eps_n == 0
 
 
@@ -280,12 +281,12 @@ def test_generator_gradings():
     spec = Params(3, 2, 1)
     top = PageGenerator(SURFACE, tuple(range(6)), 2)
     assert centered_degree(spec, top) == 3
-    assert model_grading(spec, top) == -1
+    assert x_grading(spec, top) == 1
     circle = PageGenerator(CIRCLES, (2, 3, 4, 5), 1, circle=2, eps=1)
     assert centered_degree(spec, circle) == 2
-    assert model_grading(spec, circle) == 1
+    assert x_grading(spec, circle) == 3
     left = Params(3, -2, 1)
-    assert model_grading(left, circle) == 0
+    assert x_grading(left, circle) == 2
 
 
 # -- page one -------------------------------------------------------------------
@@ -294,20 +295,20 @@ def test_generator_gradings():
 def test_smallest_region_is_one_generator():
     page1 = build_e1_region(Params(2, 1, 1))
     assert page1.total_size() == 1
-    assert page1.degrees() == [0]
+    assert page1.degrees() == [2]
     assert not page1.differentials
 
 
 def test_region_size_at_g3():
     page1 = build_e1_region(Params(3, 2, 1))
     assert page1.total_size() == 12
-    assert {d: page1.size(d) for d in page1.degrees()} == {-1: 1, 0: 8, 1: 3}
+    assert {d: page1.size(d) for d in page1.degrees()} == {1: 1, 2: 8, 3: 3}
 
 
 def test_region_size_bound_is_enforced(monkeypatch):
     # the region at g=2, |n|=1, k=1 is one surface generator and no circles;
     # a size-0 circle run at g=2 holds C(2, 0) = 1 generator
-    padding = {0: [(CIRCLES, 0, 1, (c,), 0) for c in range(49)]}
+    padding = {2: [(CIRCLES, 0, 1, (c,), 0) for c in range(49)]}
     monkeypatch.setattr(knot_model, "_circle_runs", lambda spec, labels: padding)
     with pytest.raises(GateFailure, match="region has 50 generators, but its count is 1"):
         build_e1_region(Params(2, 1, 1))
@@ -326,11 +327,11 @@ def test_region_size_counts_the_enumeration(g):
 
 
 @pytest.mark.parametrize("spec", [Params(g, n, k) for g in range(2, 6) for n in (2, -3) for k in range(1, g)], ids=str)
-def test_enumeration_degrees_are_the_model_grading(spec):
+def test_enumeration_degrees_are_the_x_grading(spec):
     labels = range(1, spec.abs_n + 1)
     for part in (surface_generators(spec), circle_generators(spec, labels)):
         for deg, gens in part.items():
-            assert {model_grading(spec, PageGenerator(*gen)) for gen in gens} == {deg}
+            assert {x_grading(spec, PageGenerator(*gen)) for gen in gens} == {deg}
 
 
 def test_page_generator_is_its_compact_tuple():
@@ -431,8 +432,8 @@ def test_run_count_counts_the_runs(genus):
         for k in range(1, genus):
             spec = Params(genus, n, k)
             parts = (knot_model._surface_runs(genus, k), knot_model._circle_runs(spec, range(1, abs(n) + 1)))
-            # a circle run is counted once per label
-            counted = sum(len(run[3]) for part in parts for runs in part.values() for run in runs)
+            # a circle run holds every label and is counted once
+            counted = sum(len(runs) for part in parts for runs in part.values())
             assert knot_model.run_count(spec) == counted, spec
 
 
@@ -496,7 +497,7 @@ def test_ranked_pages_refuse_a_last_monomial_that_the_first_does_not_speak_for(m
     monkeypatch.setattr(knot_model, "_d1_image", lambda mono, u, *args: [
         (t, v, c if 2 in mono else -c) for t, v, c in real(mono, u, *args)
     ])
-    refusal = "differential at degree 0 sends (0, 3, 4, 5, 6, 7) elsewhere than (0, 2, 3, 4, 5, 6): not a shifted identity"
+    refusal = "differential at degree 2 sends (0, 3, 4, 5, 6, 7) elsewhere than (0, 2, 3, 4, 5, 6): not a shifted identity"
     with pytest.raises(NotAComplex, match=re.escape(refusal)):
         build_e1_region(spec)
     monkeypatch.setattr(knot_model, "_d2_image", lambda spec, gen: [
@@ -532,8 +533,8 @@ def tower_runs(spec):
 
 @pytest.mark.parametrize("spec", [Params(5, 2, 1), Params(5, -3, 2), Params(4, 1, 3)], ids=str)
 def test_tower_check_refuses_each_run_out_of_place(spec):
-    knot_model._check_tower(spec, tower_runs(spec))
-    mismatch = f"region/tower basis mismatch at {spec}"
+    knot_model._check_tower(spec.g, spec.d, tower_runs(spec))
+    mismatch = f"region/tower basis mismatch at g={spec.g} d={spec.d}"
     top = max(tower_runs(spec))
     _, size, p, _, _ = tower_runs(spec)[top][0]
     moved = tower_runs(spec)
@@ -545,7 +546,7 @@ def test_tower_check_refuses_each_run_out_of_place(spec):
     extra = tower_runs(spec)
     # one U-power past the region: the p-range one too long at the top size
     last = 2 * spec.g - spec.g - spec.abs_k
-    extra.setdefault(spec.g - 2 * (last + 1), []).append((SURFACE, 2 * spec.g, last + 1, knot_model.SURFACE_LABELS, 0))
+    extra.setdefault(spec.g - 2 * last, []).append((SURFACE, 2 * spec.g, last + 1, knot_model.SURFACE_LABELS, 0))
     # every run of the top size one U-power up, each in its own degree: the right count, the wrong powers
     shifted = {}
     for deg, runs in tower_runs(spec).items():
@@ -556,7 +557,7 @@ def test_tower_check_refuses_each_run_out_of_place(spec):
             shifted.setdefault(deg, []).append(run)
     for runs in (moved, gap, twice, extra, shifted):
         with pytest.raises(GateFailure, match=re.escape(mismatch)):
-            knot_model._check_tower(spec, runs)
+            knot_model._check_tower(spec.g, spec.d, runs)
 
 
 def test_tower_check_enumerates_no_monomial():
@@ -564,7 +565,7 @@ def test_tower_check_enumerates_no_monomial():
     runs = tower_runs(spec)
     tracemalloc.start()
     try:
-        knot_model._check_tower(spec, runs)
+        knot_model._check_tower(spec.g, spec.d, runs)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -586,7 +587,7 @@ def stream_tower_check(spec, surface):
     powers = {}
     for deg, runs in surface.items():
         for _, size, p, _, _ in runs:
-            if XBasisElement(g, tuple(range(size)), p - 1).grading != deg + 2:
+            if XBasisElement(g, tuple(range(size)), p - 1).grading != deg:
                 return False
             powers.setdefault(size, []).append(p)
     if any(set(ps) != set(range(1, len(ps) + 1)) for ps in powers.values()):
@@ -604,9 +605,9 @@ def stream_tower_check(spec, surface):
 def shape_tower_check(spec, surface):
     """``_check_tower``'s verdict, with its refusal text checked."""
     try:
-        knot_model._check_tower(spec, surface)
+        knot_model._check_tower(spec.g, spec.d, surface)
     except GateFailure as failure:
-        assert str(failure) == f"region/tower basis mismatch at {spec}"
+        assert str(failure) == f"region/tower basis mismatch at g={spec.g} d={spec.d}"
         return False
     return True
 
@@ -656,10 +657,10 @@ def test_x_complex_columns_match_the_reference_assembly(genus):
     for d in range(-1, genus + 1):
         basis = build_X(genus, d).basis
         reference = group_by_degree(basis, lambda x: x.grading)
-        # X(g, d) is the surface summand at level g - 1 - d, two degrees up
+        # X(g, d) is the surface summand at level g - 1 - d
         runs = knot_model._surface_runs(genus, genus - 1 - d)
         ranked = {
-            deg + 2: [XBasisElement(genus, mono, p - 1) for _, mono, p, _, _ in gens]
+            deg: [XBasisElement(genus, mono, p - 1) for _, mono, p, _, _ in gens]
             for deg, gens in unranked(genus, runs).items()
         }
         assert_unranks_onto(ranked, reference)
@@ -799,13 +800,13 @@ def test_run_d1_gate_rejects_wrong_homology():
 def test_run_d1_gate_names_only_the_differing_degree():
     spec = Params(4, 2, 1)
     e2 = build_e2_symbolic(spec)
-    # one extra class at X-degree 3, which is model degree 1
+    # one extra class at degree 3
     off = replace(e2, fixed=e2.fixed + G({3: 1}))
     with pytest.raises(GateFailure) as failure:
         run_d1(spec, build_e1_region(spec), off)
     message = str(failure.value)
     assert message.startswith("page-one gate failed at g=4 n=2 k=1: ")
-    assert re.findall(r"degree (-?\d+)", message) == ["1"]
+    assert re.findall(r"degree (-?\d+)", message) == ["3"]
     assert "computed rank 21 torsion none, symbolic rank 22 torsion none" in message
 
 
@@ -815,7 +816,7 @@ def test_run_d2_torsion_names_its_degree():
     twisted = FreeComplex.from_matrices({4: 1, 5: 1}, {5: IntMatrix.from_rows([[2]])})
     with pytest.raises(GateFailure) as failure:
         run_d2(spec, replace(e2, d2_complex=twisted))
-    assert str(failure.value) == "page-two homology has torsion at g=3 n=1 k=1 in model degrees 4 (Z/2)"
+    assert str(failure.value) == "page-two homology has torsion at g=3 n=1 k=1 in degrees 4 (Z/2)"
 
 
 def test_run_d2_without_active_part_returns_fixed():

@@ -16,7 +16,8 @@ import pytest
 from mtfloer import closed_form, exterior, homology, knot_model
 from mtfloer.cli import run_sweep
 from mtfloer.closed_form import theorem_answer
-from mtfloer.exterior import ExtVector
+from mtfloer.errors import GateFailure
+from mtfloer.exterior import ExtVector, XBasisElement
 from mtfloer.graded import GradedGroup
 from mtfloer.homology import FreeComplex, IntMatrix
 from test_homology import dense_homology, from_columns, thin_block_mismatch
@@ -140,7 +141,7 @@ def surface_p_range_one_too_long(genus, k):
     ]
     for run in extra:
         _, size, p, _, _ = run
-        by_degree.setdefault(size - genus - 2 * p, []).append(run)
+        by_degree.setdefault(XBasisElement(genus, tuple(range(size)), p - 1).grading, []).append(run)
     return by_degree
 
 
@@ -214,18 +215,37 @@ def test_wedge_block_target_off_by_one_fails_the_row_check_and_the_page_one_gate
     assert ranked_column_mismatch(spec) is not None
 
 
-def swapped_half(n):
-    """The active half of the other twist direction."""
-    return "E+" if n > 0 else "E-"
-
-
 def test_active_half_swapped_fails_the_page_one_gate(monkeypatch):
     assert sweep_failures(monkeypatch) == []
-    # build_e1_region reads the half through the module; the sweep runs no other caller
-    monkeypatch.setattr(knot_model, "active_half", swapped_half)
+    # the twist's handedness reaches the surface page only as build_x_complex's ``left``
+    plant_source(monkeypatch, knot_model.build_surface_page, "left=spec.n < 0", "left=spec.n > 0")
     failures = sweep_failures(monkeypatch)
     assert failures
     assert all(gate.startswith("failed: page-one gate failed") for _, gate in failures)
+
+
+def test_surface_run_two_degrees_off_fails_the_tower_check(monkeypatch):
+    assert sweep_failures(monkeypatch) == []
+    # the top surface run, p = 1 at the largest size, two degrees up
+    plant_source(
+        monkeypatch, knot_model._surface_runs, "F - 2 * (p - 1)", "F - 2 * (p - 1) + 2 * (p == 1 and size == 2 * genus)"
+    )
+    failures = sweep_failures(monkeypatch)
+    assert failures
+    assert all(gate.startswith("failed: region/tower basis mismatch") for _, gate in failures)
+    # every X(g, d) is built through the check, xgd's included
+    with pytest.raises(GateFailure, match=re.escape("region/tower basis mismatch at g=3 d=2")):
+        knot_model.build_x_complex(3, 2)
+
+
+def test_circle_run_two_degrees_off_fails_the_page_one_gate(monkeypatch):
+    assert sweep_failures(monkeypatch) == []
+    plant_source(monkeypatch, knot_model._circle_runs, "spec.eps_n - 2 * (p - 1)", "spec.eps_n - 2 * (p - 1) + 2")
+    failures = sweep_failures(monkeypatch)
+    assert all(gate.startswith("failed: page-one gate failed") for _, gate in failures)
+    # a region has circle runs where |k| <= g - 2, and every such triple sees the move
+    expected = [(g, n, k) for g in range(2, 5) for n in (-3, -2, -1, 1, 2, 3) for k in range(1, g - 1)]
+    assert sorted(triple for triple, _ in failures) == sorted(expected)
 
 
 def first_entry(entries):

@@ -3,7 +3,8 @@
 One table drives the parameter type, both routes and the ``compute`` and
 ``verify`` commands.  Each row names what each entry point does there: an
 exception class, ``ZERO`` (the group vanishes by adjunction) or ``GROUP``
-(the group of the conjugate level k = 1 at g = 3, n = 2).
+(the group of the conjugate level k = 1 at g = 3, n = 2).  The rules
+behind the rows are checked again on random (g, n, k) by ``edge_of``.
 """
 
 import csv
@@ -11,6 +12,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mtfloer import cli
 from mtfloer.closed_form import theorem_answer
@@ -34,6 +37,7 @@ EDGES = [
     ("k<0", (3, 2, -1), GROUP, GROUP, GROUP, GROUP),
 ]
 IDS = [row[0] for row in EDGES]
+ROWS = {row[0]: row for row in EDGES}
 
 
 def column(index):
@@ -119,3 +123,59 @@ def test_verify(capsys, argv):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == "" and captured.err.startswith("error:")
+
+
+# -- the rules behind the table, on random triples ----------------------------------------
+
+
+def edge_of(g, n, k):
+    """The id of the EDGES row whose rule (g, n, k) falls under, the first broken rule first."""
+    if g < 2:
+        return "g=1"
+    if n == 0:
+        return "n=0"
+    if k == 0:
+        return "k=0"
+    if abs(k) >= g:
+        return "|k|=g"
+    return "k<0"  # any level inside the genus bound has a group, whatever its sign
+
+
+def outcome_of(outcome, call):
+    """The value of ``call()``, or None once it raised the outcome's exception class."""
+    if isinstance(outcome, type):
+        with pytest.raises(outcome):
+            call()
+        return None
+    return call()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-1, 7), st.integers(-40, 40), st.integers(-9, 9))
+def test_random_triples_follow_the_edge_rules(g, n, k):
+    _, _, rule_params, rule_closed, rule_oracle, _ = ROWS[edge_of(g, n, k)]
+    params = outcome_of(rule_params, lambda: Params(g, n, k))
+    if params is not None:
+        assert params.vanishes_by_adjunction == (rule_params == ZERO)
+    closed = outcome_of(rule_closed, lambda: theorem_answer(g, n, k))
+    if closed is not None:
+        assert closed.is_zero() == (rule_closed == ZERO)
+    result = outcome_of(rule_oracle, lambda: oracle_hfplus(g, n, k))
+    if result is not None:
+        assert rule_oracle == GROUP
+        assert result.group == closed and result.k == k
+
+
+@st.composite
+def small_genus_large_twist(draw):
+    g = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 10**6)) * draw(st.sampled_from((1, -1)))
+    k = draw(st.integers(1, g - 1)) * draw(st.sampled_from((1, -1)))
+    return g, n, k
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_genus_large_twist())
+def test_oracle_matches_the_closed_form_at_any_twist(gnk):
+    # a circle run holds every label, so |n| up to a million costs what |n| = 2 does
+    assert oracle_hfplus(*gnk).group == theorem_answer(*gnk)
