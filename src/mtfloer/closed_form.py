@@ -82,7 +82,8 @@ def surface_complement_cohomology(g: int, n: int) -> GradedGroup:
     """Cohomology of the complement of n parallel separating pushoffs.
 
     Assembled component by component: one punctured torus, one punctured
-    genus-(g-1) surface, and n-1 annuli.
+    genus-(g-1) surface, and n-1 annuli, which together have the
+    cohomology of n-1 circles.
     """
     if g < 2:
         raise BadParams(f"genus {g} < 2")
@@ -90,9 +91,7 @@ def surface_complement_cohomology(g: int, n: int) -> GradedGroup:
         raise BadParams("need at least one pushoff")
     total = GradedGroup.free({0: 1, 1: 2})
     total += GradedGroup.free({0: 1, 1: 2 * (g - 1)})
-    for _ in range(n - 1):
-        total += GradedGroup.free({0: 1, 1: 1})
-    return total
+    return total + circles_cohomology(n - 1)
 
 
 def x_homology_formula(g: int, d: int, left: bool = False) -> GradedGroup:

@@ -485,9 +485,9 @@ class FreeComplex:
     zero coefficients are dropped, and missing degrees are zero.  The
     constructor refuses a strip outside the sizes and checks that
     consecutive boundaries compose to zero: a silently invalid complex is
-    the worst failure mode this package could have.  ``with_cycles`` adds
-    generators that no boundary reaches to a checked complex, without
-    checking or factoring its strips again.
+    the worst failure mode this package could have.  ``with_cycles`` and
+    ``copies`` widen a checked complex without checking it again, and every
+    complex made from one shares one computation of its invariant factors.
     """
 
     def __init__(self, sizes: Mapping[int, int], strips: Mapping[int, Iterable[Strip]] | None = None):
@@ -508,7 +508,7 @@ class FreeComplex:
                     kept.append((source, length, entries))
             if kept:
                 self._strips[d] = kept
-        # each boundary's invariant factors, once with_cycles has worked them out
+        # each boundary's invariant factors, once with_cycles or copies has worked them out
         self._factors: dict[int, list[tuple[int, int]]] | None = None
         for d, upper in self._strips.items():
             if d - 1 in self._strips and not _composes_to_zero(upper, self._strips[d - 1]):
@@ -535,19 +535,36 @@ class FreeComplex:
         """This complex with ``counts[d]`` more generators in each degree d, after its own.
 
         No boundary leaves or hits the new generators, so the strips stay
-        as they are and are not checked again.  Their invariant factors are
-        worked out on the first call and kept: every complex made this way
-        from one complex shares one computation of them.
+        as they are.
         """
-        if self._factors is None:
-            self._factors = self._boundary_factors()
         sizes = dict(self.sizes)
         for d, count in counts.items():
             if count:
                 sizes[d] = self.size(d) + count
-        wider = FreeComplex.__new__(FreeComplex)
-        wider.sizes, wider._strips, wider._factors = sizes, self._strips, self._factors
-        return wider
+        return self._sharing(sizes, 1)
+
+    def copies(self, m: int) -> "FreeComplex":
+        """``m`` copies of this complex side by side, C (x) Z^m: generator i becomes m i .. m i + m - 1.
+
+        Copy j of a strip's columns maps onto copy j of its rows, so each
+        strip's start, length and targets are multiplied by m, and so is
+        each invariant factor's multiplicity: H(C (x) Z^m) = H(C)^m.
+        """
+        if not m:
+            return FreeComplex({})
+        return self._sharing({d: m * count for d, count in self.sizes.items()}, m)
+
+    def _sharing(self, sizes: dict[int, int], m: int) -> "FreeComplex":
+        """A complex on ``sizes`` with m copies of these boundaries and their factors, which are worked out once."""
+        if self._factors is None:
+            self._factors = self._boundary_factors()
+        made = FreeComplex.__new__(FreeComplex)
+        made.sizes, made._strips, made._factors = sizes, self._strips, self._factors
+        if m != 1:
+            made._strips = {d: [(m * s, m * length, [(m * t, c) for t, c in targets]) for s, length, targets in given]
+                            for d, given in self._strips.items()}
+            made._factors = {d: [(x, m * count) for x, count in given] for d, given in self._factors.items()}
+        return made
 
     def degrees(self) -> list[int]:
         return sorted(self.sizes)

@@ -20,32 +20,32 @@ nothing shifts it afterwards: a surface generator (monomial, p) sits where
 the tower element (monomial, U^(p-1)) of X(g, d) does.
 
 No generator is ever built: each degree is a fixed sequence of runs.  A
-SURFACE run ``(SURFACE, size, p, (0,), 0)`` is every genus-g monomial of
-one size at one U-power p >= 1 (column i = -p); a CIRCLES run ``(CIRCLES,
-size, p, labels, eps)`` is every genus-(g-1) monomial (symbols 2..2g-1) of
-one size at one U-power and cohomological bit eps, once for each circle
-label in turn.  A degree's runs sit back to back.  Inside a surface run
-the monomials fall into four blocks by their {a1, b1} part, in the order
-none, a1, b1, both, and inside a block a monomial's index is the colex
-rank of the rest over symbols 2..2g-1 (the combinatorial number system,
-Knuth TAOCP 4A 7.2.1.3); a circle run is one block, the none block of
-each label, back to back.  Contraction drops a1, wedging adds b1 and the
-page-two arrow keeps the monomial and the label, so neither changes:
-every block of a boundary is one strip, a signed, shifted identity onto a
-block of the degree below.  One builder, ``_ranked_page``, turns runs
-into strips for page one, page two and X(g, d); ``_d1_image`` and
-``_d2_image`` stay the only definitions of the two differentials, each
-asked of a block's first and last generators.  A page costs time in its
-runs, not in its generators.
+SURFACE run ``(SURFACE, size, p, 0)`` is every genus-g monomial of one
+size at one U-power p >= 1 (column i = -p); a CIRCLES run ``(CIRCLES,
+size, p, eps)`` is every genus-(g-1) monomial (symbols 2..2g-1) of one
+size at one U-power and cohomological bit eps, on one circle label.  A
+degree's runs sit back to back.  Inside a surface run the monomials fall
+into four blocks by their {a1, b1} part, in the order none, a1, b1, both,
+and inside a block a monomial's index is the colex rank of the rest over
+symbols 2..2g-1 (the combinatorial number system, Knuth TAOCP 4A
+7.2.1.3); a circle run is one block, the none block.  Contraction drops
+a1, wedging adds b1 and the page-two arrow keeps the monomial, so neither
+changes: every block of a boundary is one strip, a signed, shifted
+identity onto a block of the degree below.  One builder, ``_ranked_page``,
+turns runs into strips for X(g, d) and for the circles of one label;
+``_d1_image`` and ``_d2_image`` stay the only definitions of the two
+differentials, each asked of a block's first and last generators.  A page
+costs time in its runs, not in its generators.
 
 The surface summand of the region at level k is the truncated tower
 X(g, d), d = g - 1 - |k|, and ``build_x_complex`` is its one builder: its
 runs pass the tower check, which compares their shapes with X(g, d)'s.  It
-depends on (g, |k|, handedness) only (``surface_key``): that complex, its
-invariant factors and page two's fixed part make one ``SurfacePage``, which
-a sweep builds once and hands to every triple that shares it.  Page one is
-that surface complex plus the circle generators, which no arrow leaves or
-hits: counted cycles, one count per degree, after the surface runs.
+depends on (g, |k|, handedness) only (``surface_key``), and so does one
+circle label's page-two complex: with them it makes one ``SurfacePage``,
+which a sweep builds once and hands to every triple that shares it.  Page
+one is that surface complex plus |n| times the circle generators as
+counted cycles, after the surface runs; page two is |n| - 1 copies of the
+circle complex (``FreeComplex.copies``).
 """
 
 from __future__ import annotations
@@ -73,8 +73,6 @@ from .params import Params, eps
 
 SURFACE = "surface"
 CIRCLES = "circles"
-# a surface run is one copy, labelled 0: no circle
-SURFACE_LABELS = (0,)
 
 
 def active_half(left: bool) -> str:
@@ -110,18 +108,19 @@ class E2Page:
 
 @dataclass(frozen=True)
 class SurfacePage:
-    """What both pages take from the surface summand, for one ``surface_key``.
+    """What both pages take from one ``surface_key``: the surface summand and one circle label.
 
-    ``complex`` is the surface summand under the page-one differential,
-    X(g, d) from ``build_x_complex`` with its tower, range and d^2 = 0
-    checks done; page one widens it by the circle counts
-    (``FreeComplex.with_cycles``), so every page one built on it shares one
-    computation of its invariant factors.  ``fixed`` is page two's fixed
-    part.
+    ``complex`` is X(g, d) from ``build_x_complex``, checked; page one
+    widens it by |n| times the circle counts (``FreeComplex.with_cycles``).
+    ``circles`` is one label's circle generators under the page-two
+    differential, checked; page two is |n| - 1 copies of it
+    (``FreeComplex.copies``).  Each complex's invariant factors are worked
+    out once.  ``below`` is x_ranks(g - 1, d - 1), for page two's fixed part.
     """
 
     complex: FreeComplex
-    fixed: GradedGroup
+    circles: FreeComplex
+    below: GradedGroup
 
 
 # -- runs and ranks --------------------------------------------------------
@@ -133,7 +132,7 @@ BLOCKS: tuple[Monomial, ...] = ((), (0,), (1,), (0, 1))
 def _surface_runs(genus: int, k: int) -> dict[int, list[tuple]]:
     """The surface runs of the region {i < 0, j >= k}, grouped by degree F - 2(p - 1).
 
-    A run ``(SURFACE, size, p, (0,), 0)`` is every genus-``genus`` monomial
+    A run ``(SURFACE, size, p, 0)`` is every genus-``genus`` monomial
     of one size s at one U-power p; F = s - genus, and p runs over 1 .. F - k.
     Its degree is the grading of the tower element (monomial, U^(p-1)).
     """
@@ -141,38 +140,34 @@ def _surface_runs(genus: int, k: int) -> dict[int, list[tuple]]:
     for size in range(max(genus + k + 1, 0), 2 * genus + 1):
         F = size - genus
         for p in range(1, F - k + 1):
-            by_degree.setdefault(F - 2 * (p - 1), []).append((SURFACE, size, p, SURFACE_LABELS, 0))
+            by_degree.setdefault(F - 2 * (p - 1), []).append((SURFACE, size, p, 0))
     return by_degree
 
 
-def _circle_runs(spec: Params, labels: Sequence[int]) -> dict[int, list[tuple]]:
-    """The circle runs on ``labels``, grouped by degree F + eps + eps_n - 2(p - 1).
+def _circle_runs(spec: Params) -> dict[int, list[tuple]]:
+    """The circle runs of one label, grouped by degree F + eps + eps_n - 2(p - 1).
 
-    A run ``(CIRCLES, size, p, labels, eps)`` is every genus-(g-1) monomial
-    (symbol indices 2..2g-1) of one size s at one U-power and eps, once for
-    each label in turn; F = s - (g - 1), and p runs over 1 .. F - |k|.
-    With no label there is no run.
+    A run ``(CIRCLES, size, p, eps)`` is every genus-(g-1) monomial (symbol
+    indices 2..2g-1) of one size s at one U-power and eps; F = s - (g - 1),
+    and p runs over 1 .. F - |k|.  Every label has these runs.
     """
     by_degree: dict[int, list[tuple]] = {}
-    if not labels:
-        return by_degree
     for size in range(spec.g + spec.abs_k, 2 * spec.g - 1):
         F = size - (spec.g - 1)
         for bit in (0, 1):
             for p in range(1, F - spec.abs_k + 1):
                 deg = F + bit + spec.eps_n - 2 * (p - 1)
-                by_degree.setdefault(deg, []).append((CIRCLES, size, p, labels, bit))
+                by_degree.setdefault(deg, []).append((CIRCLES, size, p, bit))
     return by_degree
 
 
 @functools.cache
 def _run_blocks(genus: int, tag: str, size: int) -> dict[Monomial, tuple[int, int]]:
-    """The blocks of one label's copy of a run of one tag and size, in run order: {block: (start, length)}.
+    """The blocks of a run of one tag and size, in run order: {block: (start, length)}.
 
     A surface run has the four ``BLOCKS``; a circle run, whose monomials
-    hold neither a1 nor b1, is one block ``()`` of length C(2g - 2, s) for
-    each label.  Every run of a shape asks for the same blocks, so they are
-    kept.
+    hold neither a1 nor b1, is one block ``()`` of length C(2g - 2, s).
+    Every run of a shape asks for the same blocks, so they are kept.
     """
     blocks, start = {}, 0
     for block in BLOCKS if tag == SURFACE else BLOCKS[:1]:
@@ -180,11 +175,6 @@ def _run_blocks(genus: int, tag: str, size: int) -> dict[Monomial, tuple[int, in
         blocks[block] = (start, comb(2 * genus - 2, rest) if rest >= 0 else 0)
         start += blocks[block][1]
     return blocks
-
-
-def _run_length(genus: int, run: tuple) -> int:
-    """The number of generators in a run: C(2g, s) on the surface, C(2g - 2, s) per label on the circles."""
-    return len(run[3]) * comb(2 * genus if run[0] == SURFACE else 2 * genus - 2, run[1])
 
 
 def _layout(genus: int, runs: dict[int, list[tuple]]) -> tuple[dict[int, int], dict[tuple, tuple[int, int]]]:
@@ -195,7 +185,7 @@ def _layout(genus: int, runs: dict[int, list[tuple]]) -> tuple[dict[int, int], d
         offset = 0
         for run in listed:
             where[run] = (deg, offset)
-            offset += _run_length(genus, run)
+            offset += comb(2 * genus if run[0] == SURFACE else 2 * genus - 2, run[1])
         sizes[deg] = offset
     return sizes, where
 
@@ -206,50 +196,38 @@ def _split(mono: Monomial) -> tuple[Monomial, Monomial]:
     return mono[:cut], mono[cut:]
 
 
-def _target_start(where: dict[tuple, tuple[int, int]], run: tuple, deg: int) -> int:
-    """Where the target run of an arrow out of degree ``deg`` starts, or the refusal if it is not in degree deg - 1."""
-    found = where.get(run)
-    if found is None:
-        raise NotAComplex(f"differential leaves the generator set at degree {deg}")
-    tdeg, start = found
-    if tdeg != deg - 1:
-        raise NotAComplex(f"differential drops grading by {deg - tdeg}, not 1")
-    return start
-
-
-# the differential on one generator (label, monomial) of a run, as
-# (target run, target label, target monomial, coefficient) terms
-Image = Callable[[tuple, int, Monomial], list[tuple[tuple, int, Monomial, int]]]
+# the differential on one generator (monomial) of a run in a degree, as
+# (target run, target monomial, coefficient) terms
+Image = Callable[[int, tuple, Monomial], list[tuple[tuple, Monomial, int]]]
 
 
 def _ranked_page(genus: int, runs: dict[int, list[tuple]], image: Image) -> tuple[dict[int, int], dict[int, list]]:
     """The sizes and boundary strips of a page of runs, each degree as the runs are grouped.
 
-    ``image`` is asked of each nonempty block's first and last generators:
-    the first monomial of the run's first label and the last monomial of
-    its last.  Neither page differential changes the rest or the label, so
-    each term names a target block of a run on the same labels, and the
-    whole source block maps onto it at the same rank: one strip per block.
-    A circle run is one block per label, back to back, so its strip spans
-    every label.  A term outside the runs of the degree below is refused,
-    and so are a term that changes the rest or the label and a last
-    generator whose image differs from the first's.
+    ``image`` is asked of each nonempty block's first and last generators.
+    Neither page differential changes the rest, so each term names a target
+    block, and the whole source block maps onto it at the same rank: one
+    strip per block.  A term outside the runs of the degree below is
+    refused, and so are a term that changes the rest and a last generator
+    whose image differs from the first's.
     """
     sizes, where = _layout(genus, runs)
 
-    def targets(deg: int, run: tuple, label: int, block: Monomial, rest: Monomial) -> list[tuple[int, int]]:
-        """Where ``image`` sends the generator (label, block + rest): (start of its target block, coefficient) pairs."""
+    def targets(deg: int, run: tuple, block: Monomial, rest: Monomial) -> list[tuple[int, int]]:
+        """Where ``image`` sends the generator block + rest: (start of its target block, coefficient) pairs."""
         rows: dict[int, int] = {}
-        for target_run, target_label, target, coeff in image(run, label, block + rest):
+        for target_run, target, coeff in image(deg, run, block + rest):
             target_block, target_rest = _split(target)
             blocks = _run_blocks(genus, target_run[0], target_run[1])
             if target_rest != rest or target_block not in blocks:
                 raise NotAComplex(f"differential at degree {deg} sends {block + rest} to {target}, "
                                   "which changes the rest: not a shifted identity")
-            if target_label != label or target_run[3] != run[3]:
-                raise NotAComplex(f"differential at degree {deg} sends {block + rest} on label {label} to label "
-                                  f"{target_label}, which changes the label: not a shifted identity")
-            row = _target_start(where, target_run, deg) + blocks[target_block][0]
+            tdeg, start = where.get(target_run, (None, 0))
+            if tdeg is None:
+                raise NotAComplex(f"differential leaves the generator set at degree {deg}")
+            if tdeg != deg - 1:
+                raise NotAComplex(f"differential drops grading by {deg - tdeg}, not 1")
+            row = start + blocks[target_block][0]
             rows[row] = rows.get(row, 0) + coeff
         return [(row, coeff) for row, coeff in rows.items() if coeff]
 
@@ -258,15 +236,14 @@ def _ranked_page(genus: int, runs: dict[int, list[tuple]], image: Image) -> tupl
     for deg, listed in runs.items():
         strips = []
         for run in listed:
-            offset, labels = where[run][1], run[3]
+            offset = where[run][1]
             for block, (start, length) in _run_blocks(genus, run[0], run[1]).items():
                 if not length:
                     continue
                 rest = run[1] - len(block)
                 first, last = symbols[2 : 2 + rest], symbols[2 * genus - rest :]
-                hit = targets(deg, run, labels[0], block, first)
-                length *= len(labels)  # only a circle run, one block, has more than one label
-                if length > 1 and targets(deg, run, labels[-1], block, last) != hit:
+                hit = targets(deg, run, block, first)
+                if length > 1 and targets(deg, run, block, last) != hit:
                     raise NotAComplex(
                         f"differential at degree {deg} sends {block + last} elsewhere than {block + first}: "
                         "not a shifted identity"
@@ -320,7 +297,7 @@ def _check_tower(genus: int, d: int, surface: dict[int, list[tuple]]) -> None:
     powers: dict[int, list[int]] = {}
     symbols = tuple(range(2 * genus))  # sliced for each run's grading, never rebuilt
     for deg, runs in surface.items():
-        for _, size, p, _, _ in runs:
+        for _, size, p, _ in runs:
             if XBasisElement(genus, symbols[:size], p - 1).grading != deg:
                 raise mismatch
             powers.setdefault(size, []).append(p)
@@ -345,9 +322,9 @@ def build_x_complex(genus: int, d: int, left: bool = False, pd_sign: int = 1) ->
     _check_tower(genus, d, runs)
     half = active_half(left)
 
-    def image(run: tuple, label: int, mono: Monomial) -> list[tuple[tuple, int, Monomial, int]]:
+    def image(deg: int, run: tuple, mono: Monomial) -> list[tuple[tuple, Monomial, int]]:
         return [
-            ((SURFACE, len(target), u + 1, SURFACE_LABELS, 0), label, target, coeff)
+            ((SURFACE, len(target), u + 1, 0), target, coeff)
             for target, u, coeff in _d1_image(mono, run[2] - 1, genus, d, half, pd_sign)
         ]
 
@@ -359,13 +336,10 @@ def build_x_complex(genus: int, d: int, left: bool = False, pd_sign: int = 1) ->
 # -- region pipeline -------------------------------------------------------
 
 
-def _circle_labels(spec: Params, labels: Sequence[int] | None) -> Sequence[int]:
-    default = range(1, spec.abs_n + 1)  # kept a range: a level with no circle run never lists the labels
-    if labels is None or labels == default:
-        return default
-    if sorted(labels) != sorted(set(labels)) or len(labels) != spec.abs_n:
+def _check_circle_labels(spec: Params, labels: Sequence[int] | None) -> None:
+    """Refuse circle labels other than |n| distinct values; ``None`` means 1 .. |n|, never listed."""
+    if labels is not None and (len(set(labels)) != len(labels) or len(labels) != spec.abs_n):
         raise BadParams(f"need {spec.abs_n} distinct circle labels, got {labels!r}")
-    return tuple(labels)
 
 
 def region_size(spec: Params) -> int:
@@ -385,11 +359,11 @@ def region_size(spec: Params) -> int:
 
 
 def run_count(spec: Params) -> int:
-    """The number of page-one runs, without listing them.
+    """The number of runs the surface page builds, without listing them.
 
     With m = g - |k|, the surface has m(m + 1)/2 runs, one per size and
-    U-power, and the circles have m(m - 1), one per size, U-power and eps;
-    a circle run holds every label, so the count does not depend on n.
+    U-power, and one circle label has m(m - 1), one per size, U-power and
+    eps: the count does not depend on n.
 
     >>> run_count(Params(10, 3000, 1)), run_count(Params(30, -300, 1)), run_count(Params(200, 3, 1))
     (117, 1247, 59302)
@@ -403,36 +377,6 @@ def surface_key(spec: Params) -> tuple[int, int, bool]:
     return spec.g, spec.abs_k, spec.n > 0
 
 
-def build_surface_page(spec: Params, pd_sign: int = 1) -> SurfacePage:
-    """The surface summand's page and page two's fixed part, shared by every triple of ``surface_key(spec)``.
-
-    The surface summand is X(g, d), on the half of a left twist when n < 0.
-    """
-    return SurfacePage(build_x_complex(spec.g, spec.d, left=spec.n < 0, pd_sign=pd_sign), _fixed_part(spec))
-
-
-def build_e1_region(spec: Params, pd_sign: int = 1, surface: SurfacePage | None = None) -> FreeComplex:
-    """Page one of the region {i < 0, j >= k}.
-
-    Page one is the surface complex plus counted circle cycles.  Each degree
-    lists its surface runs, then its circle runs.  SURFACE generators in the
-    active half carry the page-one differential (with image terms leaving
-    the region dropped), and only they get strips.  CIRCLES generators are
-    cycles that no arrow hits: each degree's circle runs are counted and
-    added to its size, after its surface runs, where no strip reaches
-    them.  ``surface`` is the page of ``surface_key(spec)``, built here
-    when not given.
-    """
-    if surface is None:
-        surface = build_surface_page(spec, pd_sign)
-    circles = _layout(spec.g, _circle_runs(spec, range(1, spec.abs_n + 1)))[0]
-    total = surface.complex.total_size() + sum(circles.values())
-    expected_size = region_size(spec)
-    if total != expected_size:
-        raise GateFailure(f"region has {total} generators, but its count is {expected_size} at {spec}")
-    return surface.complex.with_cycles(circles)
-
-
 def _d2_image(spec: Params, gen: tuple) -> list[tuple[tuple, int]]:
     """The page-two arrow out of one circle generator, if its target is in the region."""
     tag, mono, p, c, bit = gen
@@ -441,11 +385,62 @@ def _d2_image(spec: Params, gen: tuple) -> list[tuple[tuple, int]]:
     return []
 
 
-def _fixed_part(spec: Params) -> GradedGroup:
-    """Page two's fixed part: the page-one homology of the surface summand with one circle copy."""
-    g, d = spec.g, spec.d
-    fixed = x_ranks(g - 1, d - 1).tensor(circles_cohomology(2, spec.eps_n))
-    return fixed + GradedGroup.free({g - d: comb(2 * g - 2, d)})
+ASKED_LABEL = 2  # the first label page two moves; every other label is a copy of it
+
+
+def _circle_page(spec: Params) -> FreeComplex:
+    """One circle label's generators under ``_d2_image``, asked as label 2; an arrow onto another label is refused."""
+
+    def image(deg: int, run: tuple, mono: Monomial) -> list[tuple[tuple, Monomial, int]]:
+        tag, _, p, bit = run
+        terms = []
+        for (t, target, tp, label, tbit), coeff in _d2_image(spec, (tag, mono, p, ASKED_LABEL, bit)):
+            if label != ASKED_LABEL:
+                raise NotAComplex(f"differential at degree {deg} sends {mono} on label {ASKED_LABEL} to label "
+                                  f"{label}, which changes the label: not a shifted identity")
+            terms.append(((t, len(target), tp, tbit), target, coeff))
+        return terms
+
+    return FreeComplex(*_ranked_page(spec.g, _circle_runs(spec), image))
+
+
+def build_surface_page(spec: Params, pd_sign: int = 1) -> SurfacePage:
+    """The surface summand's page and one circle label's, shared by every triple of ``surface_key(spec)``.
+
+    The surface summand is X(g, d), on the half of a left twist when n < 0.
+    """
+    x_complex = build_x_complex(spec.g, spec.d, left=spec.n < 0, pd_sign=pd_sign)
+    return SurfacePage(x_complex, _circle_page(spec), x_ranks(spec.g - 1, spec.d - 1))
+
+
+def build_e1_region(spec: Params, pd_sign: int = 1, surface: SurfacePage | None = None) -> FreeComplex:
+    """Page one of the region {i < 0, j >= k}.
+
+    Page one is the surface complex plus counted circle cycles.  SURFACE
+    generators in the active half carry the page-one differential (with
+    image terms leaving the region dropped), and only they get strips.
+    CIRCLES generators are cycles that no arrow hits: each degree gets |n|
+    times one label's circle count, after its surface runs, where no strip
+    reaches them.  ``surface`` is the page of ``surface_key(spec)``, built
+    here when not given.
+    """
+    if surface is None:
+        surface = build_surface_page(spec, pd_sign)
+    circles = {deg: spec.abs_n * count for deg, count in surface.circles.sizes.items()}
+    total = surface.complex.total_size() + sum(circles.values())
+    expected_size = region_size(spec)
+    if total != expected_size:
+        raise GateFailure(f"region has {total} generators, but its count is {expected_size} at {spec}")
+    return surface.complex.with_cycles(circles)
+
+
+def _fixed_part(spec: Params, below: GradedGroup) -> GradedGroup:
+    """Page two's fixed part from ``below`` = x_ranks(g - 1, d - 1): the surface summand with one circle copy.
+
+    The copy sits at this triple's eps: a page handed across handedness fails the page-one gate.
+    """
+    fixed = below.tensor(circles_cohomology(2, spec.eps_n))
+    return fixed + GradedGroup.free({spec.g - spec.d: comb(2 * spec.g - 2, spec.d)})
 
 
 def build_e2_symbolic(
@@ -457,24 +452,19 @@ def build_e2_symbolic(
     """Page two, assembled symbolically.
 
     The fixed part is the page-one homology of the surface summand together
-    with one circle copy, taken from ``surface`` when given; the remaining
-    ``|n| - 1`` circle copies stay subject to the page-two differential,
-    which sends (label, c, eps=0, p) to (label, c, eps=1, p+1) whenever the
-    target is still in the region.  Those copies sit inside each run, so a
-    run is one strip whatever |n| is.
+    with one circle copy; the remaining ``|n| - 1`` circle copies stay
+    subject to the page-two differential, which sends (label, c, eps=0, p)
+    to (label, c, eps=1, p+1) whenever the target is still in the region:
+    |n| - 1 copies of ``surface.circles``, whatever ``circle_labels`` say.
+    ``surface`` is the page of ``surface_key(spec)``, built when not given.
 
     ``corrupt_d2`` (a test hook) drops every page-two arrow.
     """
-    labels = _circle_labels(spec, circle_labels)
-    fixed = _fixed_part(spec) if surface is None else surface.fixed
-
-    def image(run: tuple, label: int, mono: Monomial) -> list[tuple[tuple, int, Monomial, int]]:
-        tag, _, p, on, bit = run
-        terms = _d2_image(spec, (tag, mono, p, label, bit))
-        return [((t, len(target), tp, on, tbit), tc, target, coeff) for (t, target, tp, tc, tbit), coeff in terms]
-
-    sizes, strips = _ranked_page(spec.g, _circle_runs(spec, labels[1:]), image)
-    return E2Page(fixed, FreeComplex(sizes, {} if corrupt_d2 else strips))
+    _check_circle_labels(spec, circle_labels)
+    if surface is None:
+        surface = build_surface_page(spec)
+    active = surface.circles.copies(spec.abs_n - 1)
+    return E2Page(_fixed_part(spec, surface.below), FreeComplex(active.sizes) if corrupt_d2 else active)
 
 
 def _torsion_text(torsion: tuple[int, ...]) -> str:
@@ -541,38 +531,31 @@ def oracle_hfplus(
     ``shared`` is a dict the caller keeps across calls with one
     ``pd_sign``: the surface page is taken from it by ``surface_key``, or
     built and put in it.  Without it, every page is built here.
+    ``circle_labels`` are checked, and reach nothing else: page two is
+    |n| - 1 copies of one label's page, whichever labels they carry.
     """
     spec = Params(g, n, k)
     if spec.vanishes_by_adjunction:
         raise BadParams(f"spin-c level |k|={spec.abs_k} exceeds g-1={g - 1}")
-    # the labels reach page two only; refuse bad ones before either page is built
-    labels = _circle_labels(spec, circle_labels)
+    _check_circle_labels(spec, circle_labels)
+    shared = {} if shared is None else shared
     # The pages are tuples, lists and dicts of ints and form no reference
     # cycles, so the cyclic collector has nothing to find in them; paused,
     # it stops rescanning their containers as they are built.  They die
-    # with _run_pages's frame or with ``shared``, and form no cycle there.
+    # with this frame or with ``shared``, and form no cycle there.
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return _run_pages(spec, pd_sign, labels, corrupt_d2, shared)
+        key = surface_key(spec)
+        if key not in shared:
+            shared[key] = build_surface_page(spec, pd_sign)
+        page1 = build_e1_region(spec, pd_sign, shared[key])
+        e2 = build_e2_symbolic(spec, None, corrupt_d2, shared[key])
+        run_d1(spec, page1, e2)
+        result = run_d2(spec, e2)
     finally:
         if collecting:
             gc.enable()
-
-
-def _run_pages(
-    spec: Params, pd_sign: int, labels: Sequence[int], corrupt_d2: bool, shared: dict[tuple, SurfacePage] | None
-) -> HomologyResult:
-    """Build and reduce both pages, and check what comes out."""
-    shared = {} if shared is None else shared
-    key = surface_key(spec)
-    if key not in shared:
-        shared[key] = build_surface_page(spec, pd_sign)
-    surface = shared[key]
-    page1 = build_e1_region(spec, pd_sign, surface)
-    e2 = build_e2_symbolic(spec, labels, corrupt_d2, surface)
-    run_d1(spec, page1, e2)
-    result = run_d2(spec, e2)
     where = f"at g={spec.g} n={spec.n} k={spec.k}"
     if not result.group.is_free():
         raise GateFailure(f"oracle output has torsion {where}")

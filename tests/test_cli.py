@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mtfloer import cli, knot_model
+from mtfloer import cli, homology, knot_model
 from mtfloer.errors import BadParams, NotAComplex
 from mtfloer.params import Params
 
@@ -483,17 +484,30 @@ def test_each_surface_page_is_built_once_a_sweep_and_dies_with_it(capsys, monkey
     def counted(spec, pd_sign=1):
         page = real(spec, pd_sign)
         built.append((knot_model.surface_key(spec), weakref.ref(page)))
+        calls.update({"boundaries": len(page.complex._strips) + len(page.circles._strips)})
         return page
 
     monkeypatch.setattr(knot_model, "build_surface_page", counted)
-    n_values = [-3, -2, -1, 1, 2, 3]
-    keys = sorted({(g, k, n > 0) for g in range(2, 5) for k in range(1, g) for n in n_values})
+    calls = Counter()
+    for owner, name in [(knot_model, "_ranked_page"), (knot_model, "_layout"), (knot_model, "_circle_runs"),
+                        (homology, "_invariant_factors")]:
+        monkeypatch.setattr(owner, name, lambda *args, _name=name, _real=getattr(owner, name): calls.update([_name]) or _real(*args))
+    # the benchmark's sweep grid: 120 triples in 20 groups
+    n_values = [n for n in range(-6, 7) if n]
+    keys = sorted({(g, k, n > 0) for g in range(2, 6) for k in range(1, g) for n in n_values})
+    assert len(keys) == 20
     for _ in range(2):
         # once per (g, |k|, handedness) in each call, none carried from the call before
         built.clear()
-        assert all(entry["match"] for entry in cli.run_sweep(4, n_values)["entries"])
+        calls.clear()
+        entries = cli.run_sweep(5, n_values)["entries"]
+        assert len(entries) == 120 and all(entry["match"] for entry in entries)
         assert sorted(key for key, _ in built) == keys
         assert all(page() is None for _, page in built)
+        # each page ranks, lays out and reduces X(g, d) and one label's circle page, each boundary
+        # once; page two is built once a group, and no triple lays out a run or works out a factor
+        boundaries = calls.pop("boundaries")
+        assert calls == {"_ranked_page": 40, "_layout": 40, "_circle_runs": 20, "_invariant_factors": boundaries}
     # compute builds its own page, every time
     built.clear()
     for _ in range(2):
@@ -652,6 +666,17 @@ def test_corollary_left_twist(capsys):
     assert payload["match"] is True
     assert payload["reference_kind"] == "complement"
     assert payload["shift"] == 1
+
+
+def test_corollary_left_twist_takes_no_time_per_annulus(capsys):
+    # the n - 1 annuli of the complement are one summand: a trillion of them cost nothing
+    n = -10**12
+    code, out, err = run_main(capsys, "corollary", "--g", "3", "--n", str(n), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["match"] is True
+    ranks = {row["degree"]: row["rank"] for row in payload["reference"]["degrees"]}
+    assert ranks == {0: abs(n) + 1, 1: 2 * 3 + abs(n) - 1}
 
 
 def test_corollary_text(capsys):

@@ -1,5 +1,6 @@
 import importlib.util
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -212,6 +213,41 @@ def test_with_cycles_adds_free_cycles_and_works_the_factors_out_once(monkeypatch
     # the same groups as the complexes built whole
     assert wide.homology() == FreeComplex(wide.sizes, strips).homology()
     assert narrow.homology() == FreeComplex(narrow.sizes, strips).homology()
+
+
+@st.composite
+def complexes_with_torsion(draw) -> FreeComplex:
+    """A complex 2 -> 1 -> 0 over a shuffled block diagonal with torsion blocks and blocks of
+    two or more rows and columns, or one boundary of misaligned strips."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    d1 = permuted_block_diagonal(rng, [random_block(rng) for _ in range(rng.randint(1, 5))])
+    if draw(st.booleans()) or not d1.rows or not d1.cols:
+        targets, sources, strips = draw(strip_boundaries())
+        return FreeComplex({0: targets, 1: sources}, {1: strips})
+    return complex_over(rng, d1, rng.randint(1, 5))
+
+
+@given(complexes_with_torsion(), st.sampled_from([0, 1, 3]))
+def test_copies_are_the_complex_tensored_with_a_free_module(cx, m):
+    one = cx.homology()
+    calls = []
+    real = mtfloer.homology._invariant_factors
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(mtfloer.homology, "_invariant_factors", lambda given: calls.append(given) or real(given))
+        many, again = cx.copies(m), cx.copies(m)
+        assert many.homology() == again.homology() == sum([one] * m, GradedGroup.zero())
+    # the factors of the one copy are worked out once and shared; the copies' are never worked out
+    assert calls == (list(cx._strips.values()) if m else [])
+    assert many.homology() == dense_homology(many)
+    assert many.sizes == {d: m * count for d, count in cx.sizes.items() if m}
+    assert many.euler_characteristic() == m * cx.euler_characteristic() == many.homology().euler_characteristic()
+    # read generator m i + j as copy j of generator i: the boundary is m copies of the one, block by block
+    for d in cx.degrees():
+        one, dense = cx.differential(d), many.differential(d)
+        assert dense.shape == (m * one.rows, m * one.cols)
+        for row, col in product(range(dense.rows), range(dense.cols)):
+            (r, i), (c, j) = divmod(row, m), divmod(col, m)
+            assert dense.data[row][col] == (one.data[r][c] if i == j else 0)
 
 
 def test_empty_complex():

@@ -191,13 +191,13 @@ def colex_unrank(rank, size):
     return tuple(reversed(symbols))
 
 
-def unrank_run(genus, run, index):
-    """The generator at ``index`` in a run: a circle monomial by its label, in the run's
-    order, and its colex rank; a surface monomial by its block (none, a1, b1, both) and
-    the colex rank of its rest."""
-    tag, size, p, labels, bit = run
+def unrank_run(genus, run, index, labels):
+    """The generator at ``index`` in a run: a circle monomial by its colex rank and, as
+    ``FreeComplex.copies`` lays them out, its copy, one per label in the order given; a
+    surface monomial by its block (none, a1, b1, both) and the colex rank of its rest."""
+    tag, size, p, bit = run
     if tag == CIRCLES:
-        copy, rank = divmod(index, comb(2 * genus - 2, size))
+        rank, copy = divmod(index, len(labels))
         return (CIRCLES, colex_unrank(rank, size), p, labels[copy], bit)
     for block in ((), (0,), (1,), (0, 1)):
         length = comb(2 * genus - 2, size - len(block)) if size >= len(block) else 0
@@ -207,17 +207,17 @@ def unrank_run(genus, run, index):
     raise IndexError(f"index past the end of run {run}")
 
 
-def unranked(genus, *parts):
+def unranked(genus, *parts, labels=()):
     """Every generator of a ranked page, by degree and index: each degree lists the
-    runs of ``parts`` in turn, back to back."""
+    runs of ``parts`` in turn, back to back, a circle run once for each of ``labels``."""
     by_degree = {}
     for part in parts:
         for deg, runs in part.items():
             gens = by_degree.setdefault(deg, [])
             for run in runs:
-                tag, size, _, labels, _ = run
-                length = len(labels) * comb(2 * genus if tag == SURFACE else 2 * genus - 2, size)
-                gens.extend(unrank_run(genus, run, i) for i in range(length))
+                tag, size, _, _ = run
+                length = comb(2 * genus, size) if tag == SURFACE else len(labels) * comb(2 * genus - 2, size)
+                gens.extend(unrank_run(genus, run, i, labels) for i in range(length))
     return by_degree
 
 
@@ -308,8 +308,8 @@ def test_region_size_at_g3():
 def test_region_size_bound_is_enforced(monkeypatch):
     # the region at g=2, |n|=1, k=1 is one surface generator and no circles;
     # a size-0 circle run at g=2 holds C(2, 0) = 1 generator
-    padding = {2: [(CIRCLES, 0, 1, (c,), 0) for c in range(49)]}
-    monkeypatch.setattr(knot_model, "_circle_runs", lambda spec, labels: padding)
+    padding = {2: [(CIRCLES, 0, p, 0) for p in range(1, 50)]}
+    monkeypatch.setattr(knot_model, "_circle_runs", lambda spec: padding)
     with pytest.raises(GateFailure, match="region has 50 generators, but its count is 1"):
         build_e1_region(Params(2, 1, 1))
 
@@ -350,18 +350,17 @@ def test_region_size_pinned_values():
 
 def test_region_size_refuses_one_missing_generator(monkeypatch):
     # the old bound, (2^(2g) + 2|n| 2^(2g-2)) g, let a short region through
-    spec = Params(3, 2, 1)
+    spec = Params(3, 1, 1)
     full = knot_model._circle_runs
 
-    def one_short(spec, labels):
-        # at g=3, k=1 every circle run is the one size-4 monomial, C(4, 4) = 1, on each label
-        by_degree = full(spec, labels)
-        tag, size, p, on, bit = by_degree[min(by_degree)].pop()
-        by_degree[min(by_degree)].append((tag, size, p, on[1:], bit))
+    def one_short(spec):
+        # at g=3, k=1 every circle run is the one size-4 monomial, C(4, 4) = 1, and |n| = 1 label has it
+        by_degree = full(spec)
+        by_degree[min(by_degree)].pop()
         return by_degree
 
     monkeypatch.setattr(knot_model, "_circle_runs", one_short)
-    with pytest.raises(GateFailure, match="region has 11 generators, but its count is 12"):
+    with pytest.raises(GateFailure, match="region has 9 generators, but its count is 10"):
         build_e1_region(spec)
 
 
@@ -391,23 +390,22 @@ RANKED = REGIONS + [Params(g, n, k) for g in (6, 7) for n in (1, -1, 2, -2, 3, -
 @pytest.mark.parametrize("spec", RANKED, ids=region_id)
 def test_ranked_pages_unrank_onto_the_tuple_reference(spec):
     labels = range(1, spec.abs_n + 1)
-    page_one = unranked(spec.g, knot_model._surface_runs(spec.g, spec.abs_k), knot_model._circle_runs(spec, labels))
+    page_one = unranked(spec.g, knot_model._surface_runs(spec.g, spec.abs_k), knot_model._circle_runs(spec), labels=labels)
     assert_unranks_onto(page_one, region_generators(spec))
-    # page two keeps the labels in the order given, sorted or not
-    for movable in (labels[1:], labels[:0:-1]):
-        assert_unranks_onto(unranked(spec.g, knot_model._circle_runs(spec, movable)), page_two_generators(spec))
+    assert_unranks_onto(unranked(spec.g, knot_model._circle_runs(spec), labels=labels[1:]), page_two_generators(spec))
 
 
 @pytest.mark.parametrize("spec", RANKED, ids=region_id)
 def test_ranked_columns_match_the_reference_assembly(spec):
     labels = range(1, spec.abs_n + 1)
     reference = region_generators(spec)
-    page_one = unranked(spec.g, knot_model._surface_runs(spec.g, spec.abs_k), knot_model._circle_runs(spec, labels))
+    page_one = unranked(spec.g, knot_model._surface_runs(spec.g, spec.abs_k), knot_model._circle_runs(spec), labels=labels)
     assert_columns_match(
         build_e1_region(spec), page_one, from_columns(*assemble_complex(reference, page_one_image(spec))), reference
     )
+    # page two is |n| - 1 copies of one label's page: generator i's copies are (|n| - 1) i .. (|n| - 1) i + |n| - 2
     reference = page_two_generators(spec)
-    page_two = unranked(spec.g, knot_model._circle_runs(spec, labels[1:]))
+    page_two = unranked(spec.g, knot_model._circle_runs(spec), labels=labels[1:])
     reference_cx = from_columns(*assemble_complex(reference, lambda gen: knot_model._d2_image(spec, gen)))
     assert_columns_match(build_e2_symbolic(spec).d2_complex, page_two, reference_cx, reference)
 
@@ -431,8 +429,8 @@ def test_run_count_counts_the_runs(genus):
     for n in (1, -1, 2, -3, 6):
         for k in range(1, genus):
             spec = Params(genus, n, k)
-            parts = (knot_model._surface_runs(genus, k), knot_model._circle_runs(spec, range(1, abs(n) + 1)))
-            # a circle run holds every label and is counted once
+            parts = (knot_model._surface_runs(genus, k), knot_model._circle_runs(spec))
+            # the circle runs are one label's: every other label is a copy
             counted = sum(len(runs) for part in parts for runs in part.values())
             assert knot_model.run_count(spec) == counted, spec
 
@@ -447,14 +445,13 @@ def test_page_one_image_is_asked_only_of_surface_generators(monkeypatch, spec):
         return real(mono, u, *args)
 
     monkeypatch.setattr(knot_model, "_d1_image", recording)
-    monkeypatch.setattr(knot_model, "_d2_image", lambda *args: pytest.fail("page two asked"))
     build_e1_region(spec)
     # once per (surface run, nonempty block) of the block's first monomial, once more of its
     # last one when the block has two or more, and never of a circle
     expected = [
         (block + symbols, p - 1)
         for runs in knot_model._surface_runs(spec.g, spec.abs_k).values()
-        for _, size, p, _, _ in runs
+        for _, size, p, _ in runs
         for block in knot_model.BLOCKS
         if 0 <= (rest := size - len(block)) <= 2 * spec.g - 2
         for symbols in {tuple(range(2, 2 + rest)), tuple(range(2 * spec.g - rest, 2 * spec.g))}
@@ -500,6 +497,8 @@ def test_ranked_pages_refuse_a_last_monomial_that_the_first_does_not_speak_for(m
     refusal = "differential at degree 2 sends (0, 3, 4, 5, 6, 7) elsewhere than (0, 2, 3, 4, 5, 6): not a shifted identity"
     with pytest.raises(NotAComplex, match=re.escape(refusal)):
         build_e1_region(spec)
+    # page two is built on the surface page, so the surface's differential goes back first
+    monkeypatch.undo()
     monkeypatch.setattr(knot_model, "_d2_image", lambda spec, gen: [
         ((gen[0], gen[1], gen[2] + 1, gen[3], 1), 1 if 2 in gen[1] else 2)
     ] if gen[4] == 0 and gen[2] + 1 <= len(gen[1]) - (spec.g - 1) - spec.abs_k else [])
@@ -519,6 +518,7 @@ def test_ranked_pages_refuse_a_target_outside_the_degree_below(monkeypatch):
     monkeypatch.setattr(knot_model, "_d1_image", lambda mono, u, *args: [(mono, u + 9, 1)])
     with pytest.raises(NotAComplex, match="leaves the generator set at degree"):
         build_e1_region(spec)
+    monkeypatch.undo()
     monkeypatch.setattr(knot_model, "_d2_image", lambda spec, gen: [((gen[0], gen[1], gen[2], gen[3], 1 - gen[4]), 1)])
     with pytest.raises(NotAComplex, match="drops grading by -1, not 1"):
         build_e2_symbolic(spec)
@@ -536,7 +536,7 @@ def test_tower_check_refuses_each_run_out_of_place(spec):
     knot_model._check_tower(spec.g, spec.d, tower_runs(spec))
     mismatch = f"region/tower basis mismatch at g={spec.g} d={spec.d}"
     top = max(tower_runs(spec))
-    _, size, p, _, _ = tower_runs(spec)[top][0]
+    _, size, p, _ = tower_runs(spec)[top][0]
     moved = tower_runs(spec)
     moved[top + 2] = [moved[top].pop(0)]
     gap = tower_runs(spec)
@@ -546,14 +546,14 @@ def test_tower_check_refuses_each_run_out_of_place(spec):
     extra = tower_runs(spec)
     # one U-power past the region: the p-range one too long at the top size
     last = 2 * spec.g - spec.g - spec.abs_k
-    extra.setdefault(spec.g - 2 * last, []).append((SURFACE, 2 * spec.g, last + 1, knot_model.SURFACE_LABELS, 0))
+    extra.setdefault(spec.g - 2 * last, []).append((SURFACE, 2 * spec.g, last + 1, 0))
     # every run of the top size one U-power up, each in its own degree: the right count, the wrong powers
     shifted = {}
     for deg, runs in tower_runs(spec).items():
         for run in runs:
-            tag, size, p, c, bit = run
+            tag, size, p, bit = run
             if size == 2 * spec.g:
-                run, deg = (tag, size, p + 1, c, bit), deg - 2
+                run, deg = (tag, size, p + 1, bit), deg - 2
             shifted.setdefault(deg, []).append(run)
     for runs in (moved, gap, twice, extra, shifted):
         with pytest.raises(GateFailure, match=re.escape(mismatch)):
@@ -586,7 +586,7 @@ def stream_tower_check(spec, surface):
     g = spec.g
     powers = {}
     for deg, runs in surface.items():
-        for _, size, p, _, _ in runs:
+        for _, size, p, _ in runs:
             if XBasisElement(g, tuple(range(size)), p - 1).grading != deg:
                 return False
             powers.setdefault(size, []).append(p)
@@ -620,12 +620,12 @@ def single_run_perturbations(runs):
     """
     for deg, listed in runs.items():
         for i, run in enumerate(listed):
-            tag, size, p, c, bit = run
+            tag, size, p, bit = run
             dropped = {d: [r for j, r in enumerate(rs) if (d, j) != (deg, i)] for d, rs in runs.items()}
             yield dropped
             yield {**runs, deg: listed + [run]}
-            for new in (run, (tag, size, p + 1, c, bit), (tag, size, p - 1, c, bit),
-                        (tag, size + 1, p, c, bit), (tag, size - 1, p, c, bit)):
+            for new in (run, (tag, size, p + 1, bit), (tag, size, p - 1, bit),
+                        (tag, size + 1, p, bit), (tag, size - 1, p, bit)):
                 for move in (-2, 0, 1):
                     if (new, move) != (run, 0):
                         out = {d: list(rs) for d, rs in dropped.items()}
@@ -720,9 +720,9 @@ def test_default_circle_labels_are_never_listed():
     finally:
         tracemalloc.stop()
     assert peak < 100_000
-    # given labels are checked, and kept as given
-    assert knot_model._circle_labels(Params(3, 3, 1), [3, 1, 2]) == (3, 1, 2)
-    assert knot_model._circle_labels(Params(3, 3, 1), None) == range(1, 4)
+    # given labels are checked, in any order
+    for labels in ([3, 1, 2], None, range(1, 4)):
+        knot_model._check_circle_labels(Params(3, 3, 1), labels)
 
 
 def test_region_rejects_bad_circle_labels(monkeypatch):

@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from mtfloer import closed_form, exterior, homology, knot_model
+from mtfloer import cli, closed_form, exterior, homology, knot_model
 from mtfloer.cli import run_sweep
 from mtfloer.closed_form import theorem_answer
 from mtfloer.errors import GateFailure
@@ -105,10 +105,10 @@ def test_dropped_sign_at_the_d1_call_site_breaks_the_extvector_pin(monkeypatch):
 def ranked_column_mismatch(spec):
     """The failure of the page-one column comparison with the tuple reference at ``spec``, or None."""
     reference = region_generators(spec)
-    runs = (knot_model._surface_runs(spec.g, spec.abs_k), knot_model._circle_runs(spec, range(1, spec.abs_n + 1)))
+    ranked = unranked(spec.g, knot_model._surface_runs(spec.g, spec.abs_k), knot_model._circle_runs(spec), labels=range(1, spec.abs_n + 1))
     reference_cx = from_columns(*assemble_complex(reference, page_one_image(spec)))
     try:
-        assert_columns_match(knot_model.build_e1_region(spec), unranked(spec.g, *runs), reference_cx, reference)
+        assert_columns_match(knot_model.build_e1_region(spec), ranked, reference_cx, reference)
     except AssertionError as failure:
         return failure
     return None
@@ -134,20 +134,20 @@ def surface_p_range_one_too_long(genus, k):
     """The surface runs with U-powers p = 1 .. F - k + 1."""
     by_degree = REAL_SURFACE(genus, k)
     extra = [
-        (tag, size, p + 1, c, bit)
+        (tag, size, p + 1, bit)
         for runs in by_degree.values()
-        for tag, size, p, c, bit in runs
+        for tag, size, p, bit in runs
         if p == size - genus - k
     ]
     for run in extra:
-        _, size, p, _, _ = run
+        _, size, p, _ = run
         by_degree.setdefault(XBasisElement(genus, tuple(range(size)), p - 1).grading, []).append(run)
     return by_degree
 
 
-def circle_sizes_one_short(spec, labels):
+def circle_sizes_one_short(spec):
     """The circle runs with label sizes g + |k| + 1 .. 2g - 2."""
-    by_degree = REAL_CIRCLES(spec, labels)
+    by_degree = REAL_CIRCLES(spec)
     return {deg: [run for run in runs if run[1] != spec.g + spec.abs_k] for deg, runs in by_degree.items()}
 
 
@@ -173,8 +173,9 @@ def test_circle_size_range_off_by_one_fails_the_count(monkeypatch):
     assert all(gate.startswith("failed: region has") for _, gate in failures)
     # with the count check out of the way, the page-one gate catches it
     def mutant_count(spec):
-        parts = (REAL_SURFACE(spec.g, spec.abs_k), circle_sizes_one_short(spec, range(1, spec.abs_n + 1)))
-        return sum(knot_model._run_length(spec.g, run) for part in parts for runs in part.values() for run in runs)
+        # the surface runs once, the circle runs once for each of the |n| labels
+        surface, circles = (knot_model._layout(spec.g, runs)[0] for runs in (REAL_SURFACE(spec.g, spec.abs_k), circle_sizes_one_short(spec)))
+        return sum(surface.values()) + spec.abs_n * sum(circles.values())
 
     monkeypatch.setattr(knot_model, "region_size", mutant_count)
     failures = sweep_failures(monkeypatch)
@@ -356,19 +357,28 @@ def last_label_moved(spec, gen):
     ]
 
 
-# page two has arrows from g = 4 on, and labels to move when |n| >= 2; the last label
-# differs from the first only when |n| >= 3, and then only the last generator's image sees it
-@pytest.mark.parametrize("mutant, failing", [(label_moved, (-3, -2, 2, 3)), (last_label_moved, (-3, 3))])
-def test_page_two_label_moved_fails_the_builder_check(monkeypatch, mutant, failing):
+def test_page_two_label_moved_fails_the_builder_check(monkeypatch):
     assert sweep_failures(monkeypatch) == []
-    monkeypatch.setattr(knot_model, "_d2_image", mutant)
+    monkeypatch.setattr(knot_model, "_d2_image", label_moved)
     failures = sweep_failures(monkeypatch)
-    assert failures
     assert all(
         re.fullmatch(r"error: NotAComplex: differential at degree -?\d+ sends .* which changes the label: not a shifted identity", gate)
         for _, gate in failures
     )
-    assert [triple for triple, _ in failures] == [(4, n, 1) for n in failing]
+    # page two has arrows from g = 4 on; the circle page is built for the surface key, whatever |n| is,
+    # so every triple of a key with arrows sees the move
+    assert [triple for triple, _ in failures] == [(4, n, 1) for n in (-3, -2, -1, 1, 2, 3)]
+
+
+def test_last_label_moved_is_an_equivalent_mutant(monkeypatch):
+    monkeypatch.setenv("MTFLOER_THREADS", "1")
+    n_values = [-3, -2, -1, 1, 2, 3]
+    report = cli._dumps(run_sweep(4, n_values))
+    # the arrow is asked about label 2 only, which this mutant moves nowhere: it cannot change the output
+    spec, gen = Params(4, 3, 1), (knot_model.CIRCLES, (2, 3, 4, 5, 6, 7), 1, knot_model.ASKED_LABEL, 0)
+    assert REAL_D2(spec, gen) and last_label_moved(spec, gen) == REAL_D2(spec, gen)
+    monkeypatch.setattr(knot_model, "_d2_image", last_label_moved)
+    assert cli._dumps(run_sweep(4, n_values)) == report
 
 
 # -- mutants of the strips ------------------------------------------------------
@@ -402,7 +412,7 @@ def test_last_monomial_moved_off_its_rank_fails_the_builder_check(monkeypatch):
     # only the last monomial sees it: with that question dropped, the first ones speak for every block
     plant_source(
         monkeypatch, knot_model._ranked_page,
-        "if length > 1 and targets(deg, run, labels[-1], block, last) != hit:",
+        "if length > 1 and targets(deg, run, block, last) != hit:",
         "if False:",
     )
     assert sweep_failures(monkeypatch) == []
