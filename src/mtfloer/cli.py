@@ -11,7 +11,7 @@ import os
 import re
 import sys
 import time
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .closed_form import (
     corollary_answer,
@@ -35,7 +35,7 @@ SCHEMA = "1"
 # and verify start, counted at |k| = 1, where a genus's region is largest,
 # and in X(g, g - 1) that `xgd --homology` builds.  A circle run holds every
 # label, so n does not count; a run's cost grows with g, so the bound caps g
-# (g <= 259).  On 2 CPUs the costliest admitted inputs take 6.0 s / 71 MB
+# (g <= 259).  On 2 CPUs the costliest admitted inputs take 4.0-4.5 s / 68 MB
 # (compute --g 259 --n -1 --k 1) and 21.8 s / 125 MB (xgd --g 446 --d 445
 # --homology, four blocks in every run).
 MAX_RUNS = 100_000
@@ -47,42 +47,56 @@ MAX_RUNS = 100_000
 class Output(NamedTuple):
     """What a command computed, in every form ``main`` can print it.
 
-    ``payload`` is printed as JSON, the rows that ``rows()`` returns as CSV
+    ``payload`` is printed as JSON, the rows that ``rows()`` yields as CSV
     and the lines that ``lines()`` returns as the table; each of the two is
-    built only when its format is asked for.  ``failure`` goes to stderr
-    and makes the exit code 3.  ``verify`` has no table format: its
-    ``lines()`` hold the summary that ``--emit`` prints in place of the
-    report.
+    built only when its format is asked for, and the rows one at a time as
+    they are written.  ``failure`` goes to stderr and makes the exit code 3.
+    ``verify`` has no table format: its ``lines()`` hold the summary that
+    ``--emit`` prints in place of the report.
     """
 
     payload: object = None
     lines: Callable[[], Sequence[str]] = tuple
-    rows: Callable[[], Sequence[list]] = tuple
+    rows: Callable[[], Iterable[list]] = tuple
     failure: str | None = None
 
 
 _quote = json.encoder.encode_basestring_ascii
 _INF = float("inf")
+# The pending JSON parts go to the sink after a list item once they pass
+# this many, so the writer holds about one report entry, whatever the
+# report's length.
+_FLUSH_PARTS = 256
+_CSV_HEADER = ["g", "n", "k", "degree", "rank_oracle", "rank_closed", "match"]
 
 
-def _dumps(obj) -> str:
-    """The bytes of ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline.
+def _dump(obj, write: Callable[[str], object]) -> None:
+    """Write ``json.dumps(obj, indent=2, sort_keys=True)`` plus a newline to ``write``, as it goes.
 
     With ``indent`` set, ``json.dumps`` runs the pure-Python generator
-    encoder; this writer appends to one list and joins once.  It takes
-    dicts with str keys, lists, tuples, str, int, float, bool and None, by
-    exact type; any other value raises TypeError, as does a non-str key.
+    encoder; this writer collects parts in one list and hands them to
+    ``write`` a few hundred at a time.  It takes dicts with str keys,
+    lists, tuples, str, int, float, bool and None, by exact type; any
+    other value raises TypeError, as does a non-str key, once the text
+    before it has been written.
     """
     parts: list[str] = []
     try:
-        _write(obj, parts, "\n")
+        _write(obj, parts, "\n", write)
     except RecursionError:
         raise ValueError("circular or too deeply nested value") from None
     parts.append("\n")
-    return "".join(parts)
+    write("".join(parts))
 
 
-def _write(obj, parts: list[str], newline: str) -> None:
+def _dumps(obj) -> str:
+    """The text ``_dump`` writes, as one string."""
+    buf = io.StringIO()
+    _dump(obj, buf.write)
+    return buf.getvalue()
+
+
+def _write(obj, parts: list[str], newline: str, write: Callable[[str], object]) -> None:
     """Append the JSON text of ``obj``; ``newline`` is the line break plus the current indent."""
     kind = type(obj)
     if kind is str:
@@ -98,8 +112,16 @@ def _write(obj, parts: list[str], newline: str) -> None:
         for key in sorted(obj):
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            parts += (opener, _quote(key), ": ")
-            _write(obj[key], parts, inner)
+            value = obj[key]
+            # the report's degree, rank and gate leaves, without a call each
+            leaf = type(value)
+            if leaf is int:
+                parts += (opener, _quote(key), ": ", int.__repr__(value))
+            elif leaf is str:
+                parts += (opener, _quote(key), ": ", _quote(value))
+            else:
+                parts += (opener, _quote(key), ": ")
+                _write(value, parts, inner, write)
             opener = "," + inner
         parts.append(newline + "}")
     elif kind is list or kind is tuple:
@@ -110,8 +132,11 @@ def _write(obj, parts: list[str], newline: str) -> None:
         opener = "[" + inner
         for item in obj:
             parts.append(opener)
-            _write(item, parts, inner)
+            _write(item, parts, inner, write)
             opener = "," + inner
+            if len(parts) > _FLUSH_PARTS:
+                write("".join(parts))
+                parts.clear()
         parts.append(newline + "]")
     elif obj is None:
         parts.append("null")
@@ -132,20 +157,16 @@ def _write(obj, parts: list[str], newline: str) -> None:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _csv_text(rows: Sequence[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["g", "n", "k", "degree", "rank_oracle", "rank_closed", "match"])
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _render(out: Output, fmt: str) -> str:
+def _render(out: Output, fmt: str, stream: TextIO) -> None:
+    """Write ``out`` to ``stream`` in ``fmt``; JSON and CSV go out as they are made, never held whole."""
     if fmt == "json":
-        return _dumps(out.payload)
-    if fmt == "csv":
-        return _csv_text(out.rows())
-    return "".join(line + "\n" for line in out.lines())
+        _dump(out.payload, stream.write)
+    elif fmt == "csv":
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(_CSV_HEADER)
+        writer.writerows(out.rows())
+    else:
+        stream.write("".join(line + "\n" for line in out.lines()))
 
 
 def _group_lines(group: GradedGroup, indent: str = "") -> list[str]:
@@ -407,14 +428,13 @@ def _group_or_none(obj: dict | None) -> GradedGroup | None:
     return None if obj is None else GradedGroup.from_json_dict(obj)
 
 
-def _verify_rows(entries: list[dict]) -> list[list]:
-    rows = []
+def _verify_rows(entries: list[dict]) -> Iterator[list]:
+    """The CSV rows of the report, made one entry at a time as they are written."""
     for entry in entries:
         params = entry["params"]
         triple = (params["g"], params["n"], params["k"])
         oracle, closed = _group_or_none(entry["oracle"]), _group_or_none(entry["closed"])
-        rows.extend(_comparison_rows(triple, oracle, closed, entry["match"]))
-    return rows
+        yield from _comparison_rows(triple, oracle, closed, entry["match"])
 
 
 def cmd_verify(args) -> Output:
@@ -437,7 +457,7 @@ def cmd_verify(args) -> Output:
     if not args.emit:
         return out
     with open(args.emit, "w") as handle:
-        handle.write(_render(out, args.format))
+        _render(out, args.format, handle)
     good = sum(1 for entry in entries if entry["match"])
     summary = f"verify: {good}/{len(entries)} triples match; report written to {args.emit}"
     return Output(lines=lambda: [summary], failure=failure)
@@ -619,7 +639,7 @@ def main(argv=None) -> int:
         print(f"gate failure: {exc}", file=sys.stderr)
         return 3
     # verify --emit has written its report; stdout gets the summary line
-    sys.stdout.write(_render(out, "table" if getattr(args, "emit", None) else args.format))
+    _render(out, "table" if getattr(args, "emit", None) else args.format, sys.stdout)
     if out.failure:
         print(out.failure, file=sys.stderr)
         return 3

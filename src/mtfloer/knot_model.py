@@ -45,7 +45,8 @@ circle label's page-two complex: with them it makes one ``SurfacePage``,
 which a sweep builds once and hands to every triple that shares it.  Page
 one is that surface complex plus |n| times the circle generators as
 counted cycles, after the surface runs; page two is |n| - 1 copies of the
-circle complex (``FreeComplex.copies``).
+circle complex (``FreeComplex.copies``), which is ranked only once a
+triple with |n| >= 2 asks for it.
 """
 
 from __future__ import annotations
@@ -111,16 +112,24 @@ class SurfacePage:
     """What both pages take from one ``surface_key``: the surface summand and one circle label.
 
     ``complex`` is X(g, d) from ``build_x_complex``, checked; page one
-    widens it by |n| times the circle counts (``FreeComplex.with_cycles``).
-    ``circles`` is one label's circle generators under the page-two
-    differential, checked; page two is |n| - 1 copies of it
-    (``FreeComplex.copies``).  Each complex's invariant factors are worked
-    out once.  ``below`` is x_ranks(g - 1, d - 1), for page two's fixed part.
+    widens it by |n| times ``circle_sizes``, one label's circle count per
+    degree (``FreeComplex.with_cycles``).  ``circles`` is that label's
+    generators under the page-two differential, checked; page two is
+    |n| - 1 copies of it (``FreeComplex.copies``).  It is ranked when a
+    triple with |n| >= 2 first asks for it, for ``spec``, the triple the
+    page was built for, and kept for the rest of the group.  Each
+    complex's invariant factors are worked out once.  ``below`` is
+    x_ranks(g - 1, d - 1), for page two's fixed part.
     """
 
     complex: FreeComplex
-    circles: FreeComplex
+    circle_sizes: dict[int, int]
     below: GradedGroup
+    spec: Params
+
+    @functools.cached_property
+    def circles(self) -> FreeComplex:
+        return _circle_page(self.spec)
 
 
 # -- runs and ranks --------------------------------------------------------
@@ -405,12 +414,15 @@ def _circle_page(spec: Params) -> FreeComplex:
 
 
 def build_surface_page(spec: Params, pd_sign: int = 1) -> SurfacePage:
-    """The surface summand's page and one circle label's, shared by every triple of ``surface_key(spec)``.
+    """The surface summand's page and one circle label's counts, shared by every triple of ``surface_key(spec)``.
 
     The surface summand is X(g, d), on the half of a left twist when n < 0.
+    The circle counts come from the run layout; the label's page-two
+    complex is ranked only when a triple first asks for ``circles``.
     """
     x_complex = build_x_complex(spec.g, spec.d, left=spec.n < 0, pd_sign=pd_sign)
-    return SurfacePage(x_complex, _circle_page(spec), x_ranks(spec.g - 1, spec.d - 1))
+    circle_sizes = _layout(spec.g, _circle_runs(spec))[0]
+    return SurfacePage(x_complex, circle_sizes, x_ranks(spec.g - 1, spec.d - 1), spec)
 
 
 def build_e1_region(spec: Params, pd_sign: int = 1, surface: SurfacePage | None = None) -> FreeComplex:
@@ -426,7 +438,7 @@ def build_e1_region(spec: Params, pd_sign: int = 1, surface: SurfacePage | None 
     """
     if surface is None:
         surface = build_surface_page(spec, pd_sign)
-    circles = {deg: spec.abs_n * count for deg, count in surface.circles.sizes.items()}
+    circles = {deg: spec.abs_n * count for deg, count in surface.circle_sizes.items()}
     total = surface.complex.total_size() + sum(circles.values())
     expected_size = region_size(spec)
     if total != expected_size:
@@ -463,7 +475,8 @@ def build_e2_symbolic(
     _check_circle_labels(spec, circle_labels)
     if surface is None:
         surface = build_surface_page(spec)
-    active = surface.circles.copies(spec.abs_n - 1)
+    # |n| = 1 has no copy, and never ranks the circle page
+    active = surface.circles.copies(spec.abs_n - 1) if spec.abs_n > 1 else FreeComplex({})
     return E2Page(_fixed_part(spec, surface.below), FreeComplex(active.sizes) if corrupt_d2 else active)
 
 

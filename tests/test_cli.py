@@ -1,7 +1,10 @@
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from collections import Counter
 from concurrent.futures.process import BrokenProcessPool
@@ -484,10 +487,16 @@ def test_each_surface_page_is_built_once_a_sweep_and_dies_with_it(capsys, monkey
     def counted(spec, pd_sign=1):
         page = real(spec, pd_sign)
         built.append((knot_model.surface_key(spec), weakref.ref(page)))
-        calls.update({"boundaries": len(page.complex._strips) + len(page.circles._strips)})
+        calls.update({"boundaries": len(page.complex._strips)})
         return page
 
+    def counted_circles(spec, _real=knot_model._circle_page):
+        circles = _real(spec)
+        calls.update({"_circle_page": 1, "boundaries": len(circles._strips)})
+        return circles
+
     monkeypatch.setattr(knot_model, "build_surface_page", counted)
+    monkeypatch.setattr(knot_model, "_circle_page", counted_circles)
     calls = Counter()
     for owner, name in [(knot_model, "_ranked_page"), (knot_model, "_layout"), (knot_model, "_circle_runs"),
                         (homology, "_invariant_factors")]:
@@ -505,14 +514,29 @@ def test_each_surface_page_is_built_once_a_sweep_and_dies_with_it(capsys, monkey
         assert sorted(key for key, _ in built) == keys
         assert all(page() is None for _, page in built)
         # each page ranks, lays out and reduces X(g, d) and one label's circle page, each boundary
-        # once; page two is built once a group, and no triple lays out a run or works out a factor
+        # once, and lays out the circle runs once more for page one's counts; every group has a
+        # triple with |n| >= 2, so page two is ranked once a group, and no triple lays out a run or
+        # works out a factor
         boundaries = calls.pop("boundaries")
-        assert calls == {"_ranked_page": 40, "_layout": 40, "_circle_runs": 20, "_invariant_factors": boundaries}
+        assert calls == {
+            "_ranked_page": 40, "_layout": 60, "_circle_runs": 40, "_circle_page": 20, "_invariant_factors": boundaries
+        }
     # compute builds its own page, every time
     built.clear()
     for _ in range(2):
         assert run_main(capsys, "compute", "--g", "4", "--n", "2", "--k", "1")[0] == 0
     assert [key for key, _ in built] == [(4, 1, True)] * 2
+
+
+def test_a_lone_twist_never_ranks_the_circle_page(capsys, monkeypatch):
+    # |n| = 1 has no page-two copy: page one takes the circle counts from the run layout
+    def unwanted(spec):
+        raise AssertionError(f"the circle page was ranked for {spec}")
+
+    monkeypatch.setattr(knot_model, "_circle_page", unwanted)
+    for n in ("1", "-1"):
+        code, out, err = run_main(capsys, "compute", "--g", "8", "--n", n, "--k", "1", "--format", "json")
+        assert (code, err, json.loads(out)["match"]) == (0, "", True), n
 
 
 def test_the_process_pool_is_imported_only_when_a_sweep_starts_workers():
@@ -912,21 +936,122 @@ DUMPS_ARGV = [argv for argv, _ in EXACT_JSON] + [
 ]
 
 
-def test_writer_matches_json_dumps_on_every_command(capsys, monkeypatch):
-    real = cli._dumps
-    checked = []
+def _captured_payloads(monkeypatch) -> list:
+    """The payload of each JSON report written from now on, captured where the writer is handed it."""
+    real = cli._dump
+    payloads = []
 
-    def compared(obj):
-        text = real(obj)
-        checked.append(text == _json_text(obj))
-        return text
+    def captured(obj, write):
+        payloads.append(obj)
+        real(obj, write)
 
+    monkeypatch.setattr(cli, "_dump", captured)
+    return payloads
+
+
+def _csv_reference(payload) -> str:
+    """The CSV of a compute or verify payload, written out from its JSON groups by hand."""
+    if "entries" in payload:
+        items = [(entry["params"], entry["oracle"], entry["closed"], entry["match"]) for entry in payload["entries"]]
+    elif "match" in payload:
+        items = [(payload, payload["oracle"], payload["closed"], payload["match"])]
+    elif payload["pipeline"] == "closed":
+        items = [(payload, None, payload, None)]
+    else:
+        items = [(payload, payload, None, None)]
+    lines = ["g,n,k,degree,rank_oracle,rank_closed,match"]
+    for params, *groups, match in items:
+        ranks = [None if group is None else {d["degree"]: d["rank"] for d in group["degrees"]} for group in groups]
+        for degree in sorted({d for found in ranks if found for d in found}):
+            cells = ["" if found is None else str(found.get(degree, 0)) for found in ranks]
+            lines.append(",".join([str(params[key]) for key in "gnk"] + [str(degree), *cells, "" if match is None else str(match).lower()]))
+    return "".join(line + "\n" for line in lines)
+
+
+def test_writer_matches_json_dumps_on_every_command(capsys, monkeypatch, tmp_path):
+    # the bytes each command writes, on stdout and under --emit, against the payload it was handed
     monkeypatch.setenv("MTFLOER_THREADS", "1")
-    monkeypatch.setattr(cli, "_dumps", compared)
+    payloads = _captured_payloads(monkeypatch)
     for argv in DUMPS_ARGV:
-        code, _, err = run_main(capsys, *argv, "--format", "json")
+        code, out, err = run_main(capsys, *argv, "--format", "json")
         assert (code, err) == (0, ""), argv
-    assert checked == [True] * len(DUMPS_ARGV)
+        assert len(payloads) == 1 and out == _json_text(payloads.pop()), argv
+        if argv[0] == "verify":
+            report = tmp_path / "report.json"
+            code, out, err = run_main(capsys, *argv, "--format", "json", "--emit", str(report))
+            assert (code, err) == (0, "") and out.endswith(f"report written to {report}\n"), argv
+            assert len(payloads) == 1 and report.read_text() == _json_text(payloads.pop()), argv
+
+
+def test_streamed_csv_matches_the_rows_of_the_json_payload_on_every_command(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("MTFLOER_THREADS", "1")
+    payloads = _captured_payloads(monkeypatch)
+    checked = 0
+    for argv in DUMPS_ARGV:
+        if argv[0] not in ("compute", "verify"):
+            continue
+        # wall times differ from run to run, but no CSV cell holds one
+        assert run_main(capsys, *argv, "--format", "json")[0] == 0
+        expected = _csv_reference(payloads.pop())
+        assert run_main(capsys, *argv, "--format", "csv") == (0, expected, ""), argv
+        if argv[0] == "verify":
+            report = tmp_path / "report.csv"
+            code, _, err = run_main(capsys, *argv, "--format", "csv", "--emit", str(report))
+            assert (code, err, report.read_text()) == (0, "", expected), argv
+        checked += 1
+    assert payloads == [] and checked == 8
+
+
+@pytest.fixture(scope="module")
+def verify_g6_report():
+    """The report of serial verify --g-max 6 --n -6..6."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("MTFLOER_THREADS", "1")
+        return cli.run_sweep(6, [n for n in range(-6, 7) if n])
+
+
+def test_the_json_writer_holds_a_small_share_of_the_report(verify_g6_report):
+    # the finished report is held; writing it to a stream that keeps only a digest takes little more
+    digest, written = hashlib.sha256(), []
+
+    class Sink:
+        def write(self, text):
+            digest.update(text.encode())
+            written.append(len(text))
+
+    tracemalloc.start()
+    try:
+        cli._render(cli.Output(verify_g6_report), "json", Sink())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected = _json_text(verify_g6_report)
+    assert (digest.hexdigest(), sum(written)) == (hashlib.sha256(expected.encode()).hexdigest(), len(expected))
+    assert len(written) > 10
+    assert peak < len(expected) / 4, (peak, len(expected))
+
+
+def test_the_csv_writer_writes_each_row_as_it_is_made(verify_g6_report):
+    # csv.writer's fixed record buffer (128 KiB on CPython) and the interpreter's tuple free lists
+    # outweigh a small report under tracemalloc, so the streaming itself is pinned: each row is
+    # made only once every row before it has been written
+    made, written, ahead = 0, [], []
+
+    def rows():
+        nonlocal made
+        for row in cli._verify_rows(verify_g6_report["entries"]):
+            made += 1
+            yield row
+
+    class Sink:
+        def write(self, text):
+            ahead.append(made - len(written))
+            written.append(text)
+
+    cli._render(cli.Output(verify_g6_report, rows=rows), "csv", Sink())
+    assert "".join(written) == _csv_reference(verify_g6_report)
+    assert len(written) == made + 1 > 500
+    assert ahead == [0] * len(written)
 
 
 JSON_SCALARS = (

@@ -425,6 +425,15 @@ def test_x_complex_strip_homology_matches_the_element_columns(genus):
 
 
 @pytest.mark.parametrize("genus", range(2, 9))
+def test_circle_counts_from_the_layout_are_the_circle_page_sizes(genus):
+    # page one takes one label's circle counts from the run layout, without ranking the page
+    for k in [k for k in range(1 - genus, genus) if k]:
+        for n in (1, -1):
+            spec = Params(genus, n, k)
+            assert knot_model._layout(genus, knot_model._circle_runs(spec))[0] == knot_model._circle_page(spec).sizes, spec
+
+
+@pytest.mark.parametrize("genus", range(2, 9))
 def test_run_count_counts_the_runs(genus):
     for n in (1, -1, 2, -3, 6):
         for k in range(1, genus):
