@@ -31,7 +31,6 @@ from .exterior import (
     XBasisElement,
     build_X,
     e_half,
-    sym_betti,
     x_ranks,
 )
 from .graded import (
@@ -107,7 +106,6 @@ __all__ = [
     "smith_normal_form",
     "surface_complement_cohomology",
     "surface_rel_cohomology",
-    "sym_betti",
     "theorem_answer",
     "torsion_chain",
     "x_homology_formula",

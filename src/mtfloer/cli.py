@@ -11,6 +11,7 @@ import os
 import re
 import sys
 import time
+from math import floor, log10
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .closed_form import (
@@ -26,7 +27,7 @@ from .closed_form import (
 from .errors import BadParams, GateFailure, UnknownTable
 from .exterior import x_ranks
 from .graded import GradedGroup
-from .knot_model import FilteredGroup, build_x_complex, oracle_hfplus, reference_tables, run_count, surface_key
+from .knot_model import FilteredGroup, build_x_complex, oracle_hfplus, reference_tables, run_count, surface_key, x_run_count
 from .params import Params
 
 SCHEMA = "1"
@@ -39,6 +40,12 @@ SCHEMA = "1"
 # (compute --g 259 --n -1 --k 1) and 21.8 s / 125 MB (xgd --g 446 --d 445
 # --homology, four blocks in every run).
 MAX_RUNS = 100_000
+
+# The most degrees that tables prints of a tower table (slots 0 .. --top) and
+# that xgd without --homology prints (degrees g - 2d .. g), refused before
+# the group is built: each grows linearly, and on 2 CPUs 10^5 tower slots
+# take 0.38 s / 58 MB.
+MAX_DEGREES = 100_000
 
 
 # -- output -------------------------------------------------------------------
@@ -213,12 +220,34 @@ def _refuse_oversized(triples: Sequence[tuple[int, int, int]]) -> None:
         raise BadParams(f"the region at g={g} |k|=1 has {runs} runs, more than {MAX_RUNS}")
 
 
+def _refuse_unprintable(g: int, d: int, n: int = 1) -> None:
+    """Refuse, before any rank is computed, ranks with more digits than Python prints.
+
+    ``str`` and ``int.__repr__`` refuse an int of more than
+    ``sys.get_int_max_str_digits()`` digits (0: no limit).  Every rank that
+    compute, verify and xgd print at genus g, tower depth d and twist power n
+    is at most |n| min(4^g, (2g + 1)^(d + 1)): a rank of X(g, d) is a sum of
+    C(2g, r) over r <= d of one parity, at most 2^(2g - 1) and (2g + 1)^d,
+    and the theorem's group adds at one degree four such ranks of the tower
+    one genus down, one C(2g - 2, d) and 2(|n| - 1) more.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or g < 1:  # no limit, or a genus the command refuses itself
+        return
+    digits = floor(log10(abs(n)) + min(g * log10(4), (d + 1) * log10(2 * g + 1))) + 1
+    if digits > limit:
+        raise BadParams(f"the ranks at g={g} d={d} |n|={abs(n)} may have {digits} digits; Python prints at most "
+                        f"{limit} (PYTHONINTMAXSTRDIGITS sets the limit, 0 lifts it)")
+
+
 # -- compute ----------------------------------------------------------------
 
 
 def cmd_compute(args) -> Output:
     g, n, k = args.g, args.n, args.k
-    vanishes = Params(g, n, k).vanishes_by_adjunction
+    spec = Params(g, n, k)
+    _refuse_unprintable(g, spec.d, n)
+    vanishes = spec.vanishes_by_adjunction
     oracle = closed = oracle_json = closed_json = None
     if args.method in ("oracle", "both"):
         _refuse_oversized([(g, n, k)])
@@ -439,6 +468,7 @@ def _verify_rows(entries: list[dict]) -> Iterator[list]:
 
 def cmd_verify(args) -> Output:
     n_values = _parse_n_range(args.n)
+    _refuse_unprintable(args.g_max, args.g_max - 2, max(map(abs, n_values)))
     if args.emit:
         folder = os.path.dirname(args.emit) or "."
         if not os.path.isdir(folder):
@@ -467,9 +497,12 @@ def cmd_verify(args) -> Output:
 
 
 def cmd_tables(args) -> Output:
+    tower = args.name in ("hfplus_Z", "hfplus_Mn")
+    if tower and args.top + 1 > MAX_DEGREES:
+        raise BadParams(f"{args.name} up to slot {args.top} has {args.top + 1} degrees, more than {MAX_DEGREES}")
     table = reference_tables(args.name, args.n, top=args.top)
     payload = {"table": args.name, "n": args.n}
-    if args.name in ("hfplus_Z", "hfplus_Mn"):
+    if tower:
         payload["top"] = args.top
     payload.update(table.to_json_dict())
 
@@ -487,15 +520,15 @@ def cmd_tables(args) -> Output:
 
 
 def cmd_xgd(args) -> Output:
+    _refuse_unprintable(args.g, args.d)
     payload = {"g": args.g, "d": args.d, "left": args.left, "homology": args.homology}
     title = "X module"
     failure = None
     if args.homology:
         # the closed form for the same page refuses a (g, d) outside its
-        # domain; it and the run check run before any page is built.  X(g, g - 1)
-        # has one run per size 2g - i and U-power u <= g - 1 - i: g(g + 1)/2
+        # domain; it and the run check, at X(g, g - 1), run before any page is built
         formula = x_homology_formula(args.g, args.d, left=args.left)
-        if (runs := args.g * (args.g + 1) // 2) > MAX_RUNS:
+        if (runs := x_run_count(args.g - 1)) > MAX_RUNS:
             raise BadParams(f"X(g={args.g}, d={args.g - 1}) has {runs} runs, more than {MAX_RUNS}")
         group = build_x_complex(args.g, args.d, left=args.left).homology()
         # a mismatch here is a library bug
@@ -504,6 +537,8 @@ def cmd_xgd(args) -> Output:
         if not payload["matches_formula"]:
             failure = f"xgd: homology/formula mismatch at g={args.g} d={args.d}"
     else:
+        if 2 * args.d + 1 > MAX_DEGREES:
+            raise BadParams(f"X(g={args.g}, d={args.d}) has {2 * args.d + 1} degrees, more than {MAX_DEGREES}")
         group = x_ranks(args.g, args.d)
     payload.update(group.to_json_dict())
 

@@ -186,6 +186,12 @@ def _run_blocks(genus: int, tag: str, size: int) -> dict[Monomial, tuple[int, in
     return blocks
 
 
+@functools.cache
+def _run_length(genus: int, tag: str, size: int) -> int:
+    """A run's length, its blocks' total: C(2g, s) on the surface (Vandermonde's identity), C(2g - 2, s) on a circle."""
+    return sum(length for _, length in _run_blocks(genus, tag, size).values())
+
+
 def _layout(genus: int, runs: dict[int, list[tuple]]) -> tuple[dict[int, int], dict[tuple, tuple[int, int]]]:
     """Each degree's size and each run's (degree, offset): a degree's runs sit back to back, as listed."""
     sizes: dict[int, int] = {}
@@ -194,7 +200,7 @@ def _layout(genus: int, runs: dict[int, list[tuple]]) -> tuple[dict[int, int], d
         offset = 0
         for run in listed:
             where[run] = (deg, offset)
-            offset += comb(2 * genus if run[0] == SURFACE else 2 * genus - 2, run[1])
+            offset += _run_length(genus, run[0], run[1])
         sizes[deg] = offset
     return sizes, where
 
@@ -367,18 +373,27 @@ def region_size(spec: Params) -> int:
     return surface + 2 * spec.abs_n * circles
 
 
+def x_run_count(d: int) -> int:
+    """The number of runs of X(g, d) for d <= 2g: one per codegree i <= d and U-power u <= d - i.
+
+    >>> x_run_count(-1), x_run_count(0), x_run_count(2)
+    (0, 1, 6)
+    """
+    return (d + 1) * (d + 2) // 2
+
+
 def run_count(spec: Params) -> int:
     """The number of runs the surface page builds, without listing them.
 
-    With m = g - |k|, the surface has m(m + 1)/2 runs, one per size and
-    U-power, and one circle label has m(m - 1), one per size, U-power and
-    eps: the count does not depend on n.
+    The surface is X(g, d); with m = g - |k| = d + 1, one circle label has
+    m(m - 1) runs, one per size, U-power and eps: the count does not
+    depend on n.
 
     >>> run_count(Params(10, 3000, 1)), run_count(Params(30, -300, 1)), run_count(Params(200, 3, 1))
     (117, 1247, 59302)
     """
-    m = spec.g - spec.abs_k
-    return m * (m + 1) // 2 + m * (m - 1)
+    m = spec.d + 1
+    return x_run_count(spec.d) + m * (m - 1)
 
 
 def surface_key(spec: Params) -> tuple[int, int, bool]:

@@ -15,6 +15,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mtfloer import cli, homology, knot_model
+from mtfloer.closed_form import theorem_answer
+from mtfloer.exterior import x_ranks
 from mtfloer.errors import BadParams, NotAComplex
 from mtfloer.params import Params
 
@@ -214,6 +216,55 @@ def test_ranks_past_two_to_the_63_print_exactly(capsys):
     assert code == 0
     assert out.count(f"     2  {BIG_RANK}  -\n") == 2  # the oracle's and the closed form's
     assert out.endswith("match: true\n")
+
+
+def _no_ranks(*args, **kwargs):
+    raise AssertionError(f"ranks computed at {args}")
+
+
+def test_unprintable_ranks_are_refused_before_any_rank(capsys, monkeypatch):
+    for name in ("theorem_answer", "oracle_hfplus", "x_ranks", "x_homology_formula", "run_sweep"):
+        monkeypatch.setattr(cli, name, _no_ranks)
+    for argv, shown in [
+        (["compute", "--method", "closed", "--g", "7200", "--n", "1", "--k", "1"], "g=7200 d=7198 |n|=1 may have 4335"),
+        (["compute", "--g", "7200", "--n", "-5", "--k", "1"], "g=7200 d=7198 |n|=5 may have 4336"),
+        (["xgd", "--g", "7200", "--d", "7199"], "g=7200 d=7199 |n|=1 may have 4335"),
+        (["xgd", "--g", "7200", "--d", "7199", "--homology"], "g=7200 d=7199 |n|=1 may have 4335"),
+        (["verify", "--g-max", "7200", "--n", "1"], "g=7200 d=7198 |n|=1 may have 4335"),
+    ]:
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == (f"error: the ranks at {shown} digits; Python prints at most 4300 "
+                       "(PYTHONINTMAXSTRDIGITS sets the limit, 0 lifts it)\n"), argv
+
+
+def test_printable_ranks_are_admitted(capsys, monkeypatch):
+    # a shallow tower keeps every rank short at any genus
+    code, out, err = run_main(capsys, "compute", "--method", "closed", "--g", "100000", "--n", "1", "--k", "99998",
+                              "--format", "json")
+    assert (code, err) == (0, "")
+    assert [row["rank"] for row in json.loads(out)["degrees"]] == [200000, 2]
+    assert run_main(capsys, "xgd", "--g", "100000", "--d", "2")[0] == 0
+    # the limit is the interpreter's: 0 lifts it, and so does an interpreter without one
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    cli._refuse_unprintable(7200, 7199)
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    cli._refuse_unprintable(7200, 7199)
+
+
+def test_the_digit_bound_holds_every_printed_rank(monkeypatch):
+    # with the limit one digit below the longest rank, the bound must refuse
+    def longest(group):
+        return max(len(str(rank)) for _, rank, _ in group.entries)
+
+    for g in range(2, 41):
+        cases = [((g, d, 1), x_ranks(g, d)) for d in range(0, g + 3)]
+        cases += [((g, g - 1 - k, n), theorem_answer(g, n, k)) for n in (1, -1, 3, -7) for k in range(1, g)]
+        for (genus, d, n), group in cases:
+            monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: longest(group) - 1)
+            if longest(group) > 1:
+                with pytest.raises(BadParams, match="may have"):
+                    cli._refuse_unprintable(genus, d, n)
 
 
 # -- verify --------------------------------------------------------------------------
@@ -591,6 +642,20 @@ def test_tables_filtered_text(capsys):
     assert "filtration j=1:" in out
 
 
+def test_tower_tables_are_bounded_before_they_are_built(capsys, monkeypatch):
+    assert cli.MAX_DEGREES == 100_000
+    monkeypatch.setattr(cli, "reference_tables", _no_ranks)
+    for name in ("hfplus_Z", "hfplus_Mn"):
+        code, out, err = run_main(capsys, "tables", name, "--n", "1", "--top", "1000000")
+        assert (code, out, err) == (2, "", f"error: {name} up to slot 1000000 has 1000001 degrees, more than 100000\n")
+    monkeypatch.undo()
+    # the bound counts slots 0 .. top; the other tables take no top
+    monkeypatch.setattr(cli, "MAX_DEGREES", 7)
+    assert run_main(capsys, "tables", "hfplus_Mn", "--n", "1", "--top", "6")[0] == 0
+    assert run_main(capsys, "tables", "hfplus_Mn", "--n", "1", "--top", "7")[0] == 2
+    assert run_main(capsys, "tables", "hfk_Mn", "--n", "2", "--top", "1000000")[0] == 0
+
+
 def test_tables_bad_params(capsys):
     code, out, err = run_main(capsys, "tables", "hfk_M1", "--n", "2")
     assert code == 2
@@ -635,6 +700,17 @@ def test_xgd_left_text(capsys):
     assert code == 0
     assert out.startswith("homology of (X, d1) at g=2, d=1 (left)")
     assert "matches formula: true" in out
+
+
+def test_xgd_degrees_are_bounded_before_the_ranks(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "x_ranks", _no_ranks)
+    code, out, err = run_main(capsys, "xgd", "--g", "2", "--d", "50000")
+    assert (code, out, err) == (2, "", "error: X(g=2, d=50000) has 100001 degrees, more than 100000\n")
+    monkeypatch.undo()
+    # X(g, d) sits in the 2d + 1 degrees g - 2d .. g
+    monkeypatch.setattr(cli, "MAX_DEGREES", 7)
+    assert run_main(capsys, "xgd", "--g", "2", "--d", "3")[0] == 0
+    assert run_main(capsys, "xgd", "--g", "2", "--d", "4")[0] == 2
 
 
 def test_xgd_bad_genus(capsys):

@@ -1,7 +1,10 @@
+from math import comb
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mtfloer import exterior
 from mtfloer.errors import BadParams, GenusMismatch
 from mtfloer.exterior import (
     ExtVector,
@@ -9,7 +12,6 @@ from mtfloer.exterior import (
     build_X,
     e_half,
     monomials,
-    sym_betti,
     x_ranks,
 )
 from mtfloer.graded import GradedGroup
@@ -256,6 +258,26 @@ def test_basis_element_grading():
     assert XBasisElement(2, (0, 1), 0) < x < XBasisElement(2, (0, 1, 2), 2)
 
 
+def sym_betti(genus, d, j):
+    """Rank of the degree-j part of H*(Sym^d of a genus-g surface), centered.
+
+    The reference count, one degree at a time: Macdonald's generating function
+    sum_d P(Sym^d)(t) q^d = (1 + tq)^{2g} / ((1 - q)(1 - t^2 q)), with the
+    cohomological degree m = g - j recentered about the middle.
+    """
+    if d < 0:
+        return 0
+    m = genus - j
+    if m < 0:
+        return 0
+    total = 0
+    for b in range(m // 2 + 1):
+        r = m - 2 * b
+        if r + b <= d:
+            total += comb(2 * genus, r)
+    return total
+
+
 @pytest.mark.parametrize("genus", [1, 2, 3, 4, 5, 6])
 def test_build_x_matches_symmetric_product_betti(genus):
     # the basis is counted here, apart from x_ranks, so the rank count the
@@ -267,17 +289,37 @@ def test_build_x_matches_symmetric_product_betti(genus):
         assert x_ranks(genus, d) == GradedGroup.free(ranks), (genus, d)
 
 
+def test_x_ranks_match_the_per_degree_reference():
+    for genus in range(1, 61):
+        for d in range(-1, genus + 3):
+            reference = {j: sym_betti(genus, d, j) for j in range(genus - 2 * d, genus + 1)}
+            assert x_ranks(genus, d) == GradedGroup.free(reference), (genus, d)
+
+
+@pytest.mark.parametrize("genus, d", [(1, -1), (1, 0), (5, 3), (9, 20), (40, 39)])
+def test_x_ranks_take_one_binomial_per_prefix_sum(monkeypatch, genus, d):
+    calls = []
+
+    def counted(n, r):
+        calls.append((n, r))
+        return comb(n, r)
+
+    monkeypatch.setattr(exterior, "comb", counted)
+    x_ranks(genus, d)
+    assert len(calls) <= d + 1
+
+
 def test_build_x_symmetric_about_center():
-    for genus in (2, 3):
-        for d in range(genus):
+    for genus in range(1, 13):
+        for d in range(-1, genus + 3):
             graded = x_ranks(genus, d)
             center = genus - d
             for j in graded.degrees():
                 assert graded.rank(j) == graded.rank(2 * center - j)
 
 
-def test_sym_betti_out_of_range():
-    assert sym_betti(2, -1, 0) == 0
-    assert sym_betti(2, 1, 3) == 0
+def test_x_ranks_out_of_range():
+    assert x_ranks(2, -1).is_zero()
+    assert max(x_ranks(2, 1).degrees()) == 2 and x_ranks(2, 1).rank(3) == 0
     with pytest.raises(BadParams):
-        sym_betti(0, 1, 0)
+        x_ranks(0, 1)

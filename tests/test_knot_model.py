@@ -433,6 +433,32 @@ def test_circle_counts_from_the_layout_are_the_circle_page_sizes(genus):
             assert knot_model._layout(genus, knot_model._circle_runs(spec))[0] == knot_model._circle_page(spec).sizes, spec
 
 
+def layout_by_binomials(genus, runs):
+    """``_layout`` with each run's length written as its binomial: C(2g, s) on the surface, C(2g - 2, s) on a circle."""
+    sizes, where = {}, {}
+    for deg, listed in runs.items():
+        offset = 0
+        for run in listed:
+            where[run] = (deg, offset)
+            offset += comb(2 * genus if run[0] == SURFACE else 2 * genus - 2, run[1])
+        sizes[deg] = offset
+    return sizes, where
+
+
+def test_layout_run_lengths_are_the_binomials():
+    # a run's length is the sum of its cached blocks' lengths, C(2g, s) by Vandermonde on the surface
+    knot_model._run_blocks.cache_clear()
+    knot_model._run_length.cache_clear()
+    for genus in range(2, 31):
+        for k in range(-genus - 2, genus):
+            runs = knot_model._surface_runs(genus, k)
+            assert knot_model._layout(genus, runs) == layout_by_binomials(genus, runs), (genus, k)
+            for n in (1, -1):
+                if k:
+                    runs = knot_model._circle_runs(Params(genus, n, k))
+                    assert knot_model._layout(genus, runs) == layout_by_binomials(genus, runs), (genus, n, k)
+
+
 @pytest.mark.parametrize("genus", range(2, 9))
 def test_run_count_counts_the_runs(genus):
     for n in (1, -1, 2, -3, 6):
@@ -442,6 +468,10 @@ def test_run_count_counts_the_runs(genus):
             # the circle runs are one label's: every other label is a copy
             counted = sum(len(runs) for part in parts for runs in part.values())
             assert knot_model.run_count(spec) == counted, spec
+    # X(g, d)'s count, which the run bound of xgd --homology reads at d = g - 1
+    for d in range(-1, 2 * genus + 1):
+        runs = knot_model._surface_runs(genus, genus - 1 - d)
+        assert knot_model.x_run_count(d) == sum(len(listed) for listed in runs.values()), d
 
 
 @pytest.mark.parametrize("spec", REGIONS, ids=region_id)
