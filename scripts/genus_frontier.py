@@ -57,7 +57,8 @@ def counts(g: int) -> tuple[int, int]:
     from mtfloer.knot_model import region_size, run_count
     from mtfloer.params import Params
 
-    return run_count(Params(g, 3, 1)), region_size(Params(g, 3, 1))
+    spec = Params(g, 3, 1)
+    return run_count(spec.d), region_size(spec)
 
 
 def main(argv=None) -> int:

@@ -11,10 +11,12 @@ import os
 import re
 import sys
 import time
+from fractions import Fraction
 from math import floor, log10
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .closed_form import (
+    check_x_homology_params,
     corollary_answer,
     degree_shift,
     degree_shift_argmax,
@@ -213,31 +215,60 @@ def _comparison_rows(
     ]
 
 
-def _refuse_oversized(triples: Sequence[tuple[int, int, int]]) -> None:
-    """Refuse a run before it builds anything if the largest genus that builds a region passes ``MAX_RUNS`` at |k| = 1."""
-    built = [g for g, n, k in triples if not Params(g, n, k).vanishes_by_adjunction]
-    if built and (runs := run_count(Params(g := max(built), 1, 1))) > MAX_RUNS:
+def _refuse_oversized(g: int) -> None:
+    """Refuse a run before it builds anything if the region at genus ``g``, its largest, passes ``MAX_RUNS`` at |k| = 1."""
+    if (runs := run_count(g - 2)) > MAX_RUNS:
         raise BadParams(f"the region at g={g} |k|=1 has {runs} runs, more than {MAX_RUNS}")
+
+
+def _refuse_wide(what: str, count: int) -> None:
+    """Refuse ``what`` before it is built if it has more than ``MAX_DEGREES`` degrees."""
+    if count > MAX_DEGREES:
+        _refuse_long(f"the degree count of {what}", [count])
+        raise BadParams(f"{what} has {count} degrees, more than {MAX_DEGREES}")
+
+
+def _digit_limit() -> int:
+    """The most digits ``str`` and ``int.__repr__`` print of an int: ``sys.get_int_max_str_digits()``, 0 for none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_long(text: str, limit: int) -> BadParams:
+    return BadParams(f"{text}; Python prints at most {limit} (PYTHONINTMAXSTRDIGITS sets the limit, 0 lifts it)")
 
 
 def _refuse_unprintable(g: int, d: int, n: int = 1) -> None:
     """Refuse, before any rank is computed, ranks with more digits than Python prints.
 
-    ``str`` and ``int.__repr__`` refuse an int of more than
-    ``sys.get_int_max_str_digits()`` digits (0: no limit).  Every rank that
-    compute, verify and xgd print at genus g, tower depth d and twist power n
-    is at most |n| min(4^g, (2g + 1)^(d + 1)): a rank of X(g, d) is a sum of
-    C(2g, r) over r <= d of one parity, at most 2^(2g - 1) and (2g + 1)^d,
-    and the theorem's group adds at one degree four such ranks of the tower
-    one genus down, one C(2g - 2, d) and 2(|n| - 1) more.
+    Every rank that compute, verify and xgd print at genus g, tower depth
+    d and twist power n is at most |n| min(4^g, (2g + 1)^(d + 1)): a rank
+    of X(g, d) is a sum of C(2g, r) over r <= d of one parity, at most
+    2^(2g - 1) and (2g + 1)^d, and the theorem's group adds at one degree
+    four such ranks of the tower one genus down, one C(2g - 2, d) and
+    2(|n| - 1) more.  A negative d is a vanishing level, whose group is
+    zero.  The bound's logarithm is summed in floats, and exactly once g
+    or d + 1 is past what a float holds.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit or g < 1:  # no limit, or a genus the command refuses itself
+    limit = _digit_limit()
+    if not limit or g < 1 or d < 0:  # no limit, a genus the command refuses itself, or a zero group
         return
-    digits = floor(log10(abs(n)) + min(g * log10(4), (d + 1) * log10(2 * g + 1))) + 1
-    if digits > limit:
-        raise BadParams(f"the ranks at g={g} d={d} |n|={abs(n)} may have {digits} digits; Python prints at most "
-                        f"{limit} (PYTHONINTMAXSTRDIGITS sets the limit, 0 lifts it)")
+
+    def digits(real: type) -> int:
+        return floor(real(log10(abs(n))) + min(g * real(log10(4)), (d + 1) * real(log10(2 * g + 1)))) + 1
+
+    try:
+        most = digits(float)
+    except OverflowError:
+        most = digits(Fraction)
+    if most > limit:
+        raise _too_long(f"the ranks at g={g} d={d} |n|={abs(n)} may have {most} digits", limit)
+
+
+def _refuse_long(what: str, numbers: Iterable[int]) -> None:
+    """Refuse, before anything is printed, output with a number of more digits than Python prints."""
+    limit = _digit_limit()
+    if limit and any(abs(x) >= 10**limit for x in numbers):
+        raise _too_long(f"{what} has more than {limit} digits", limit)
 
 
 # -- compute ----------------------------------------------------------------
@@ -250,13 +281,13 @@ def cmd_compute(args) -> Output:
     vanishes = spec.vanishes_by_adjunction
     oracle = closed = oracle_json = closed_json = None
     if args.method in ("oracle", "both"):
-        _refuse_oversized([(g, n, k)])
         if vanishes:
             # the group is zero for |k| >= g; report it without running the
             # pipeline, so parameter rectangles never crash
             oracle = GradedGroup.zero()
             oracle_json = _group_record(g, n, k, oracle, "adjunction", vanishes=True)
         else:
+            _refuse_oversized(g)
             result = oracle_hfplus(g, n, k)
             oracle = result.group
             oracle_json = _group_record(g, n, k, oracle, result.pipeline, result.gate, result.page)
@@ -411,18 +442,18 @@ def run_sweep(
 ) -> dict:
     """Oracle-vs-closed comparison over all admissible (g, n, k); order-stable.
 
-    The whole grid is checked against ``MAX_RUNS`` before any triple
-    starts.  The unit of work is a group of the triples that share a
-    surface page (``knot_model.surface_key``), so each page is built once
-    a call and one group's page is held at a time per process; the report
-    lists the triples in (g, n, k) order all the same.  If a worker
+    ``g_max`` is checked against ``MAX_RUNS`` before a triple is listed.
+    The unit of work is a group of the triples that share a surface page
+    (``knot_model.surface_key``), so each page is built once a call and
+    one group's page is held at a time per process; the report lists the
+    triples in (g, n, k) order all the same.  If a worker
     process dies, the entries of the groups already returned are kept and
     every triple of an unfinished group is recorded as failed.
     """
     if g_max < 2:
         raise BadParams(f"g-max {g_max} < 2")
+    _refuse_oversized(g_max)
     triples = [(g, n, k) for g in range(2, g_max + 1) for n in n_values for k in range(1, g)]
-    _refuse_oversized(triples)
     groups: dict[tuple, list[tuple[int, int, int]]] = {}
     for triple in triples:
         groups.setdefault(surface_key(Params(*triple)), []).append(triple)
@@ -498,9 +529,11 @@ def cmd_verify(args) -> Output:
 
 def cmd_tables(args) -> Output:
     tower = args.name in ("hfplus_Z", "hfplus_Mn")
-    if tower and args.top + 1 > MAX_DEGREES:
-        raise BadParams(f"{args.name} up to slot {args.top} has {args.top + 1} degrees, more than {MAX_DEGREES}")
+    if tower:
+        _refuse_wide(f"{args.name} up to slot {args.top}", args.top + 1)
     table = reference_tables(args.name, args.n, top=args.top)
+    groups = [group for _, group in table.levels] if isinstance(table, FilteredGroup) else [table]
+    _refuse_long(f"a rank of {args.name}", (rank for group in groups for _, rank, _ in group.entries))
     payload = {"table": args.name, "n": args.n}
     if tower:
         payload["top"] = args.top
@@ -525,11 +558,11 @@ def cmd_xgd(args) -> Output:
     title = "X module"
     failure = None
     if args.homology:
-        # the closed form for the same page refuses a (g, d) outside its
-        # domain; it and the run check, at X(g, g - 1), run before any page is built
-        formula = x_homology_formula(args.g, args.d, left=args.left)
+        # the formula's domain, then the run bound at X(g, g - 1), before any rank or page
+        check_x_homology_params(args.g, args.d)
         if (runs := x_run_count(args.g - 1)) > MAX_RUNS:
             raise BadParams(f"X(g={args.g}, d={args.g - 1}) has {runs} runs, more than {MAX_RUNS}")
+        formula = x_homology_formula(args.g, args.d, left=args.left)
         group = build_x_complex(args.g, args.d, left=args.left).homology()
         # a mismatch here is a library bug
         payload["matches_formula"] = group == formula
@@ -537,8 +570,7 @@ def cmd_xgd(args) -> Output:
         if not payload["matches_formula"]:
             failure = f"xgd: homology/formula mismatch at g={args.g} d={args.d}"
     else:
-        if 2 * args.d + 1 > MAX_DEGREES:
-            raise BadParams(f"X(g={args.g}, d={args.d}) has {2 * args.d + 1} degrees, more than {MAX_DEGREES}")
+        _refuse_wide(f"X(g={args.g}, d={args.d})", 2 * args.d + 1)
         group = x_ranks(args.g, args.d)
     payload.update(group.to_json_dict())
 
@@ -569,6 +601,8 @@ def cmd_corollary(args) -> Output:
         report = reference.compare_up_to_shift(theorem)
         match = theorem == corollary and report.equal
         shift = report.shift
+    groups = (theorem, corollary, reference)
+    _refuse_long("a rank of the k=g-2 groups", (rank for group in groups for _, rank, _ in group.entries))
     payload = {
         "g": g,
         "n": n,
@@ -595,6 +629,7 @@ def cmd_corollary(args) -> Output:
 
 def cmd_degshift(args) -> Output:
     value = degree_shift(args.n, args.k, args.x)
+    _refuse_long("the degree shift", (value.numerator, value.denominator))
     argmax = degree_shift_argmax(args.n, args.k)
     payload = {
         "n": args.n,

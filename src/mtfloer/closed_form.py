@@ -94,16 +94,21 @@ def surface_complement_cohomology(g: int, n: int) -> GradedGroup:
     return total + circles_cohomology(n - 1)
 
 
+def check_x_homology_params(g: int, d: int) -> None:
+    """Refuse a (g, d) outside the domain of :func:`x_homology_formula`: g >= 2 and 0 <= d <= g-1."""
+    if g < 2:
+        raise BadParams(f"genus {g} < 2")
+    if not 0 <= d <= g - 1:
+        raise BadParams(f"need 0 <= d <= g-1, got d={d}")
+
+
 def x_homology_formula(g: int, d: int, left: bool = False) -> GradedGroup:
     """Closed form for the page-one homology of the truncated tower X(g, d).
 
     A smaller tower tensored with the cohomology of one circle (shifted by
     -1 in the left-handed convention) plus one exterior class at degree g-d.
     """
-    if g < 2:
-        raise BadParams(f"genus {g} < 2")
-    if not 0 <= d <= g - 1:
-        raise BadParams(f"need 0 <= d <= g-1, got d={d}")
+    check_x_homology_params(g, d)
     eps = -1 if left else 0
     return x_ranks(g - 1, d - 1).tensor(circles_cohomology(1, eps)) + GradedGroup.free(
         {g - d: comb(2 * g - 2, d)}

@@ -29,6 +29,7 @@ hold each piece once; the test suite runs with this on.
 
 from __future__ import annotations
 
+import functools
 import os
 from bisect import bisect_left, bisect_right
 from math import gcd
@@ -508,8 +509,6 @@ class FreeComplex:
                     kept.append((source, length, entries))
             if kept:
                 self._strips[d] = kept
-        # each boundary's invariant factors, once with_cycles or copies has worked them out
-        self._factors: dict[int, list[tuple[int, int]]] | None = None
         for d, upper in self._strips.items():
             if d - 1 in self._strips and not _composes_to_zero(upper, self._strips[d - 1]):
                 raise NotAComplex(f"boundary squared is nonzero from degree {d}")
@@ -556,8 +555,6 @@ class FreeComplex:
 
     def _sharing(self, sizes: dict[int, int], m: int) -> "FreeComplex":
         """A complex on ``sizes`` with m copies of these boundaries and their factors, which are worked out once."""
-        if self._factors is None:
-            self._factors = self._boundary_factors()
         made = FreeComplex.__new__(FreeComplex)
         made.sizes, made._strips, made._factors = sizes, self._strips, self._factors
         if m != 1:
@@ -592,8 +589,9 @@ class FreeComplex:
     def euler_characteristic(self) -> int:
         return sum(count if d % 2 == 0 else -count for d, count in self.sizes.items())
 
-    def _boundary_factors(self) -> dict[int, list[tuple[int, int]]]:
-        """Each boundary's nonzero invariant factors, by degree, as (factor, multiplicity) pairs."""
+    @functools.cached_property
+    def _factors(self) -> dict[int, list[tuple[int, int]]]:
+        """Each boundary's nonzero invariant factors, by degree, as (factor, multiplicity) pairs, worked out once."""
         return {d: _invariant_factors(strips) for d, strips in self._strips.items()}
 
     def homology(self) -> GradedGroup:
@@ -608,7 +606,7 @@ class FreeComplex:
         merged back into one divisibility chain (a Z/2 block and a Z/3
         block give Z/6).
         """
-        factors = self._boundary_factors() if self._factors is None else self._factors
+        factors = self._factors
         result: dict[int, tuple[int, tuple[int, ...]]] = {}
         for d in self.degrees():
             incoming = factors.get(d + 1, ())

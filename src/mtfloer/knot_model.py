@@ -351,12 +351,6 @@ def build_x_complex(genus: int, d: int, left: bool = False, pd_sign: int = 1) ->
 # -- region pipeline -------------------------------------------------------
 
 
-def _check_circle_labels(spec: Params, labels: Sequence[int] | None) -> None:
-    """Refuse circle labels other than |n| distinct values; ``None`` means 1 .. |n|, never listed."""
-    if labels is not None and (len(set(labels)) != len(labels) or len(labels) != spec.abs_n):
-        raise BadParams(f"need {spec.abs_n} distinct circle labels, got {labels!r}")
-
-
 def region_size(spec: Params) -> int:
     """The number of region generators, counted without enumerating them.
 
@@ -382,18 +376,18 @@ def x_run_count(d: int) -> int:
     return (d + 1) * (d + 2) // 2
 
 
-def run_count(spec: Params) -> int:
-    """The number of runs the surface page builds, without listing them.
+def run_count(d: int) -> int:
+    """The number of runs the surface page at depth d = g - 1 - |k| builds, without listing them.
 
     The surface is X(g, d); with m = g - |k| = d + 1, one circle label has
-    m(m - 1) runs, one per size, U-power and eps: the count does not
-    depend on n.
+    m(m - 1) runs, one per size, U-power and eps: the count depends on
+    neither n nor g apart from d.
 
-    >>> run_count(Params(10, 3000, 1)), run_count(Params(30, -300, 1)), run_count(Params(200, 3, 1))
+    >>> run_count(8), run_count(28), run_count(198)
     (117, 1247, 59302)
     """
-    m = spec.d + 1
-    return x_run_count(spec.d) + m * (m - 1)
+    m = d + 1
+    return x_run_count(d) + m * (m - 1)
 
 
 def surface_key(spec: Params) -> tuple[int, int, bool]:
@@ -440,7 +434,7 @@ def build_surface_page(spec: Params, pd_sign: int = 1) -> SurfacePage:
     return SurfacePage(x_complex, circle_sizes, x_ranks(spec.g - 1, spec.d - 1), spec)
 
 
-def build_e1_region(spec: Params, pd_sign: int = 1, surface: SurfacePage | None = None) -> FreeComplex:
+def build_e1_region(spec: Params, surface: SurfacePage | None = None) -> FreeComplex:
     """Page one of the region {i < 0, j >= k}.
 
     Page one is the surface complex plus counted circle cycles.  SURFACE
@@ -452,7 +446,7 @@ def build_e1_region(spec: Params, pd_sign: int = 1, surface: SurfacePage | None 
     here when not given.
     """
     if surface is None:
-        surface = build_surface_page(spec, pd_sign)
+        surface = build_surface_page(spec)
     circles = {deg: spec.abs_n * count for deg, count in surface.circle_sizes.items()}
     total = surface.complex.total_size() + sum(circles.values())
     expected_size = region_size(spec)
@@ -470,24 +464,18 @@ def _fixed_part(spec: Params, below: GradedGroup) -> GradedGroup:
     return fixed + GradedGroup.free({spec.g - spec.d: comb(2 * spec.g - 2, spec.d)})
 
 
-def build_e2_symbolic(
-    spec: Params,
-    circle_labels: Sequence[int] | None = None,
-    corrupt_d2: bool = False,
-    surface: SurfacePage | None = None,
-) -> E2Page:
+def build_e2_symbolic(spec: Params, corrupt_d2: bool = False, surface: SurfacePage | None = None) -> E2Page:
     """Page two, assembled symbolically.
 
     The fixed part is the page-one homology of the surface summand together
     with one circle copy; the remaining ``|n| - 1`` circle copies stay
     subject to the page-two differential, which sends (label, c, eps=0, p)
     to (label, c, eps=1, p+1) whenever the target is still in the region:
-    |n| - 1 copies of ``surface.circles``, whatever ``circle_labels`` say.
+    |n| - 1 copies of ``surface.circles``, one per label after the first.
     ``surface`` is the page of ``surface_key(spec)``, built when not given.
 
     ``corrupt_d2`` (a test hook) drops every page-two arrow.
     """
-    _check_circle_labels(spec, circle_labels)
     if surface is None:
         surface = build_surface_page(spec)
     # |n| = 1 has no copy, and never ranks the circle page
@@ -559,13 +547,15 @@ def oracle_hfplus(
     ``shared`` is a dict the caller keeps across calls with one
     ``pd_sign``: the surface page is taken from it by ``surface_key``, or
     built and put in it.  Without it, every page is built here.
-    ``circle_labels`` are checked, and reach nothing else: page two is
-    |n| - 1 copies of one label's page, whichever labels they carry.
+    ``circle_labels``, |n| distinct values, are checked, and reach nothing
+    else: page two is |n| - 1 copies of one label's page, whichever labels
+    they carry; ``None`` means 1 .. |n|, never listed.
     """
     spec = Params(g, n, k)
     if spec.vanishes_by_adjunction:
         raise BadParams(f"spin-c level |k|={spec.abs_k} exceeds g-1={g - 1}")
-    _check_circle_labels(spec, circle_labels)
+    if circle_labels is not None and not len(set(circle_labels)) == len(circle_labels) == spec.abs_n:
+        raise BadParams(f"need {spec.abs_n} distinct circle labels, got {circle_labels!r}")
     shared = {} if shared is None else shared
     # The pages are tuples, lists and dicts of ints and form no reference
     # cycles, so the cyclic collector has nothing to find in them; paused,
@@ -577,8 +567,8 @@ def oracle_hfplus(
         key = surface_key(spec)
         if key not in shared:
             shared[key] = build_surface_page(spec, pd_sign)
-        page1 = build_e1_region(spec, pd_sign, shared[key])
-        e2 = build_e2_symbolic(spec, None, corrupt_d2, shared[key])
+        page1 = build_e1_region(spec, shared[key])
+        e2 = build_e2_symbolic(spec, corrupt_d2, shared[key])
         run_d1(spec, page1, e2)
         result = run_d2(spec, e2)
     finally:

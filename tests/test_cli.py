@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mtfloer import cli, homology, knot_model
+from mtfloer import cli, closed_form, homology, knot_model
 from mtfloer.closed_form import theorem_answer
 from mtfloer.exterior import x_ranks
 from mtfloer.errors import BadParams, NotAComplex
@@ -162,7 +162,7 @@ def test_compute_refuses_too_many_runs_before_enumerating(capsys, monkeypatch):
 
 def test_run_bound_does_not_grow_with_the_twist(capsys):
     # the count, like the cost, does not see |n|: a large twist runs where a small one does
-    assert knot_model.run_count(Params(30, -300, 1)) == knot_model.run_count(Params(30, 1, 1)) == 1247
+    assert knot_model.run_count(Params(30, -300, 1).d) == knot_model.run_count(Params(30, 1, 1).d) == 1247
     code, out, err = run_main(capsys, "compute", "--g", "30", "--n", "-300", "--k", "29", "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out)["match"] is True
@@ -170,8 +170,7 @@ def test_run_bound_does_not_grow_with_the_twist(capsys):
 
 def test_run_bound_is_a_constant_not_an_option(capsys):
     assert cli.MAX_RUNS == 100_000
-    for n in (-1, 3, -10**6):
-        assert knot_model.run_count(Params(259, n, 1)) <= cli.MAX_RUNS < knot_model.run_count(Params(260, n, 1))
+    assert knot_model.run_count(257) <= cli.MAX_RUNS < knot_model.run_count(258)
     with pytest.raises(SystemExit) as refused:
         cli.main(["compute", "--g", "3", "--n", "2", "--k", "1", "--max-generators", "12"])
     assert refused.value.code == 2
@@ -189,7 +188,7 @@ def test_compute_at_the_run_bound_runs(capsys, monkeypatch):
 
 
 def test_compute_at_g60_is_admitted_and_matches(capsys):
-    assert knot_model.run_count(Params(60, 3, 1)) == 5192
+    assert knot_model.run_count(Params(60, 3, 1).d) == 5192
     code, out, err = run_main(capsys, "compute", "--g", "60", "--n", "3", "--k", "1", "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out)["match"] is True
@@ -283,7 +282,19 @@ def test_verify_refuses_too_many_runs_before_any_triple(capsys, monkeypatch, tmp
     assert not target.exists()
     with pytest.raises(BadParams, match="g=4 [|]k[|]=1 has 12 runs"):
         cli.run_sweep(4, [1])
-    cli._refuse_oversized([(3, n, k) for n in (-10**6, 10**6) for k in (1, 2)])
+    cli._refuse_oversized(3)
+
+
+def test_verify_refuses_by_g_max_before_listing_the_grid():
+    # the grid up to g = 2000 holds about 2 million triples; the bound reads g_max alone
+    tracemalloc.start()
+    try:
+        with pytest.raises(BadParams, match="the region at g=2000 [|]k[|]=1 has 5993002 runs, more than 100000"):
+            cli.run_sweep(2000, [1])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_verify_default_grid(capsys):
@@ -732,6 +743,18 @@ def test_xgd_homology_refuses_before_building_the_module(capsys, monkeypatch):
     assert (code, out, err) == (2, "", "error: X(g=447, d=446) has 100128 runs, more than 100000\n")
 
 
+def test_xgd_homology_refuses_before_any_rank(capsys, monkeypatch):
+    for module in (cli, closed_form):
+        monkeypatch.setattr(module, "x_ranks", _no_ranks)
+    monkeypatch.setattr(cli, "build_x_complex", _no_x_basis)
+    code, out, err = run_main(capsys, "xgd", "--g", "5000", "--d", "4999", "--homology")
+    assert (code, out, err) == (2, "", "error: X(g=5000, d=4999) has 12502500 runs, more than 100000\n")
+    code, out, err = run_main(capsys, "xgd", "--g", "5000", "--d", "6000", "--homology")
+    assert (code, out, err) == (2, "", "error: need 0 <= d <= g-1, got d=6000\n")
+    code, out, err = run_main(capsys, "xgd", "--g", "1", "--d", "0", "--homology")
+    assert (code, out, err) == (2, "", "error: genus 1 < 2\n")
+
+
 def test_xgd_homology_at_the_run_bound_runs(capsys, monkeypatch):
     # X(2, 1), the largest tower of genus 2, has 3 runs
     monkeypatch.setattr(cli, "MAX_RUNS", 3)
@@ -813,6 +836,82 @@ def test_degshift_text_and_negative_x(capsys):
 def test_degshift_bad_level(capsys):
     code, out, err = run_main(capsys, "degshift", "--n", "2", "--k", "2")
     assert code == 2
+
+
+# -- numbers Python cannot print ---------------------------------------------------------------
+
+NINES = 10**4300 - 1  # the longest int the default limit parses and prints
+REFUSED_TAIL = "; Python prints at most 4300 (PYTHONINTMAXSTRDIGITS sets the limit, 0 lifts it)\n"
+
+
+def test_cheap_commands_refuse_what_they_cannot_print(capsys):
+    for argv, what in [
+        (["degshift", "--n", "3", "--k", "1", "--x", str(10**3000 - 1)], "the degree shift"),
+        (["tables", "hfplus_Mn", "--n", str(NINES), "--top", "0"], "a rank of hfplus_Mn"),
+        (["tables", "hfk_Mn", "--n", str(NINES)], "a rank of hfk_Mn"),
+        (["tables", "hfk_Mn", "--n", str(-NINES), "--format", "json"], "a rank of hfk_Mn"),
+        (["corollary", "--g", "3", "--n", str(NINES)], "a rank of the k=g-2 groups"),
+        (["tables", "hfplus_Z", "--n", "1", "--top", str(NINES)],
+         f"the degree count of hfplus_Z up to slot {NINES}"),
+        (["xgd", "--g", "3", "--d", str(NINES)], f"the degree count of X(g=3, d={NINES})"),
+    ]:
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {what} has more than 4300 digits{REFUSED_TAIL}"), argv[:2]
+    # one digit less prints
+    code, out, err = run_main(capsys, "tables", "hfk_Mn", "--n", str(10**4300 - 3), "--format", "json")
+    assert (code, err) == (0, "")
+    assert f'"rank": {10**4300 - 1},' in out
+
+
+def test_the_digit_bound_is_safe_past_the_floats(capsys):
+    # g and d + 1 past a float: the bound is summed exactly, to the same digits
+    with pytest.raises(BadParams, match=f"g={10**400} d=10 [|]n[|]=1 may have 4404 digits"):
+        cli._refuse_unprintable(10**400, 10)
+    cli._refuse_unprintable(10**400, 2)
+    cli._refuse_unprintable(3, 10**400)
+    # a negative d is a vanishing level: nothing to print
+    cli._refuse_unprintable(10**400, -10**400, 10**4000)
+    for argv in (["compute", "--g", str(NINES), "--n", "1", "--k", "1"], ["verify", "--g-max", str(NINES)],
+                 ["xgd", "--g", str(NINES), "--d", "3"]):
+        code, out, err = run_main(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith(f"error: the ranks at g={NINES} d=") and err.endswith(REFUSED_TAIL)
+    assert run_main(capsys, "compute", "--method", "closed", "--g", "1000", "--n", "1", "--k", "1")[0] == 0
+    code, out, err = run_main(capsys, "xgd", "--g", str(10**400), "--d", "2", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["degrees"][-1] == {"degree": 10**400, "rank": 1, "torsion": []}
+    code, out, err = run_main(capsys, "compute", "--g", "3", "--n", "1", "--k", str(-NINES), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["match"] is True
+
+
+# each single-integer option of every command, with the other options at valid values
+INT_OPTIONS = [
+    (["compute", "--g", "3", "--n", "2", "--k", "1"], ("--g", "--n", "--k")),
+    (["compute", "--g", "3", "--n", "2", "--k", "1", "--method", "closed"], ("--g", "--n", "--k")),
+    (["verify", "--g-max", "3", "--n", "2"], ("--g-max", "--n")),
+    (["tables", "hfplus_Mn", "--n", "2", "--top", "2"], ("--n", "--top")),
+    (["tables", "hfk_Mn", "--n", "2", "--top", "2"], ("--n", "--top")),
+    (["xgd", "--g", "3", "--d", "1"], ("--g", "--d")),
+    (["xgd", "--g", "3", "--d", "1", "--homology"], ("--g", "--d")),
+    (["corollary", "--g", "3", "--n", "2"], ("--g", "--n")),
+    (["degshift", "--n", "3", "--k", "1", "--x", "2"], ("--n", "--k", "--x")),
+]
+
+
+@pytest.mark.parametrize("argv, options", INT_OPTIONS, ids=[" ".join(argv) for argv, _ in INT_OPTIONS])
+def test_every_integer_option_prints_or_refuses_at_any_length(capsys, monkeypatch, argv, options):
+    monkeypatch.setenv("MTFLOER_THREADS", "1")
+    for option in options:
+        for value in (10**400 - 1, -(10**400 - 1), NINES, -NINES):
+            given = list(argv)
+            given[given.index(option) + 1] = str(value)
+            for fmt in ("json", "table"):
+                code, out, err = run_main(capsys, *given, "--format", fmt if argv[0] != "verify" else "json")
+                assert code in (0, 2), (given[:2], option, value)
+                if code == 2:
+                    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (option, value)
+                else:
+                    assert out and err == "", (option, value)
 
 
 # -- exact bytes of every command and format -----------------------------------------------

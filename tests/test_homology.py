@@ -215,6 +215,30 @@ def test_with_cycles_adds_free_cycles_and_works_the_factors_out_once(monkeypatch
     assert narrow.homology() == FreeComplex(narrow.sizes, strips).homology()
 
 
+def test_factors_are_worked_out_once_per_boundary_across_homology_and_the_widened_complexes(monkeypatch):
+    # RP^2's cells, then a Z/3 pair two degrees up: two boundaries to factor
+    strips = {2: [(0, 1, [(0, 2)])], 4: [(0, 1, [(0, 3)])]}
+    sizes = {0: 1, 1: 1, 2: 1, 3: 1, 4: 1}
+    one = GradedGroup.of({0: (1, []), 1: (0, [2]), 3: (0, [3])})
+    calls = []
+    real = mtfloer.homology._invariant_factors
+    monkeypatch.setattr(mtfloer.homology, "_invariant_factors", lambda given: calls.append(given) or real(given))
+    # homology first, then the widened complexes
+    cx = FreeComplex(sizes, strips)
+    assert cx.homology() == one
+    assert cx.with_cycles({1: 2}).homology() == GradedGroup.of({0: (1, []), 1: (2, [2]), 3: (0, [3])})
+    assert cx.copies(3).homology() == cx.copies(3).copies(1).homology() == one + one + one
+    assert cx.homology() == one
+    assert sorted(calls) == sorted(strips.values())
+    # widened first: the factors are worked out on the way, and the complex's own homology reads them
+    calls.clear()
+    cx = FreeComplex(sizes, strips)
+    assert cx.copies(2).homology() == one + one
+    assert cx.with_cycles({0: 1}).homology().rank(0) == 2
+    assert cx.homology() == one
+    assert sorted(calls) == sorted(strips.values())
+
+
 @st.composite
 def complexes_with_torsion(draw) -> FreeComplex:
     """A complex 2 -> 1 -> 0 over a shuffled block diagonal with torsion blocks and blocks of
@@ -236,8 +260,8 @@ def test_copies_are_the_complex_tensored_with_a_free_module(cx, m):
         patched.setattr(mtfloer.homology, "_invariant_factors", lambda given: calls.append(given) or real(given))
         many, again = cx.copies(m), cx.copies(m)
         assert many.homology() == again.homology() == sum([one] * m, GradedGroup.zero())
-    # the factors of the one copy are worked out once and shared; the copies' are never worked out
-    assert calls == (list(cx._strips.values()) if m else [])
+    # the one copy's homology has worked its factors out, and the copies are handed them scaled
+    assert calls == []
     assert many.homology() == dense_homology(many)
     assert many.sizes == {d: m * count for d, count in cx.sizes.items() if m}
     assert many.euler_characteristic() == m * cx.euler_characteristic() == many.homology().euler_characteristic()

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import re
 import tracemalloc
 from dataclasses import replace
@@ -467,7 +468,7 @@ def test_run_count_counts_the_runs(genus):
             parts = (knot_model._surface_runs(genus, k), knot_model._circle_runs(spec))
             # the circle runs are one label's: every other label is a copy
             counted = sum(len(runs) for part in parts for runs in part.values())
-            assert knot_model.run_count(spec) == counted, spec
+            assert knot_model.run_count(spec.d) == counted, spec
     # X(g, d)'s count, which the run bound of xgd --homology reads at d = g - 1
     for d in range(-1, 2 * genus + 1):
         runs = knot_model._surface_runs(genus, genus - 1 - d)
@@ -761,19 +762,19 @@ def test_default_circle_labels_are_never_listed():
     assert peak < 100_000
     # given labels are checked, in any order
     for labels in ([3, 1, 2], None, range(1, 4)):
-        knot_model._check_circle_labels(Params(3, 3, 1), labels)
+        assert oracle_hfplus(3, 3, 1, circle_labels=labels).group == theorem_answer(3, 3, 1)
 
 
 def test_region_rejects_bad_circle_labels(monkeypatch):
-    spec = Params(3, 2, 1)
-    for labels in ([1, 1], [1]):
-        with pytest.raises(BadParams, match="need 2 distinct circle labels"):
-            build_e2_symbolic(spec, circle_labels=labels)
+    # the page builders take no labels: page two is |n| - 1 copies of one label's page
+    for builder in (build_e1_region, build_e2_symbolic):
+        assert "circle_labels" not in inspect.signature(builder).parameters
+        assert "pd_sign" not in inspect.signature(builder).parameters
     # the oracle refuses them before either page is built
     unbuilt = lambda *args: pytest.fail("a page was built")
     monkeypatch.setattr(knot_model, "build_e1_region", unbuilt)
     monkeypatch.setattr(knot_model, "build_e2_symbolic", unbuilt)
-    for labels in ([1, 1], [1]):
+    for labels in ([1, 1], [1], [1, 2, 3]):
         with pytest.raises(BadParams, match="need 2 distinct circle labels"):
             oracle_hfplus(3, 2, 1, circle_labels=labels)
 
