@@ -43,6 +43,13 @@ SCHEMA = "1"
 # --homology, four blocks in every run).
 MAX_RUNS = 100_000
 
+# The most triples that verify sweeps, counted from g-max and the n range
+# before either is listed.  Every entry is held until the sweep ends, so
+# memory grows with the count: on 2 CPUs a serial sweep of 100,000 triples
+# at g = 2 (--n 1..100000) takes 7.8-8.5 s / 186 MB, and one of 16,000
+# triples at g <= 5 takes 1.7-2.2 s / 55 MB.
+MAX_TRIPLES = 100_000
+
 # The most degrees that tables prints of a tower table (slots 0 .. --top) and
 # that xgd without --homology prints (degrees g - 2d .. g), refused before
 # the group is built: each grows linearly, and on 2 CPUs 10^5 tower slots
@@ -202,15 +209,15 @@ def _group_record(
     return out
 
 
-def _comparison_rows(
-    triple: tuple[int, int, int], oracle: GradedGroup | None, closed: GradedGroup | None, match: bool | None
-) -> list[list]:
-    """One CSV row per degree of either group; a missing group leaves its cells empty."""
-    groups = (oracle, closed)
-    degrees = sorted({d for group in groups if group is not None for d in group.degrees()})
+def _comparison_rows(triple: tuple[int, int, int], oracle: dict | None, closed: dict | None, match: bool | None) -> list[list]:
+    """One CSV row per degree of either group record (``to_json_dict``); a missing group leaves its cells empty."""
+    ranks = [
+        None if group is None else {row["degree"]: row["rank"] for row in group["degrees"]} for group in (oracle, closed)
+    ]
+    degrees = sorted({d for by_degree in ranks if by_degree is not None for d in by_degree})
     match_cell = "" if match is None else str(match).lower()
     return [
-        [*triple, d, *("" if group is None else group.rank(d) for group in groups), match_cell]
+        [*triple, d, *("" if by_degree is None else by_degree.get(d, 0) for by_degree in ranks), match_cell]
         for d in degrees
     ]
 
@@ -219,6 +226,20 @@ def _refuse_oversized(g: int) -> None:
     """Refuse a run before it builds anything if the region at genus ``g``, its largest, passes ``MAX_RUNS`` at |k| = 1."""
     if (runs := run_count(g - 2)) > MAX_RUNS:
         raise BadParams(f"the region at g={g} |k|=1 has {runs} runs, more than {MAX_RUNS}")
+
+
+def _refuse_grid(g_max: int, n_count: int) -> None:
+    """Refuse a sweep before it lists a triple: g-max below 2, past ``MAX_RUNS``, or a grid of more than ``MAX_TRIPLES``.
+
+    The grid holds g - 1 levels k at each genus g = 2 .. g-max for each of
+    the ``n_count`` twist powers.
+    """
+    if g_max < 2:
+        raise BadParams(f"g-max {g_max} < 2")
+    _refuse_oversized(g_max)
+    if (triples := n_count * g_max * (g_max - 1) // 2) > MAX_TRIPLES:
+        _refuse_long("the triple count of the grid", [triples])
+        raise BadParams(f"the grid up to g={g_max} has {triples} triples, more than {MAX_TRIPLES}")
 
 
 def _refuse_wide(what: str, count: int) -> None:
@@ -245,16 +266,17 @@ def _refuse_unprintable(g: int, d: int, n: int = 1) -> None:
     of X(g, d) is a sum of C(2g, r) over r <= d of one parity, at most
     2^(2g - 1) and (2g + 1)^d, and the theorem's group adds at one degree
     four such ranks of the tower one genus down, one C(2g - 2, d) and
-    2(|n| - 1) more.  A negative d is a vanishing level, whose group is
-    zero.  The bound's logarithm is summed in floats, and exactly once g
-    or d + 1 is past what a float holds.
+    2(|n| - 1) more.  At d = 0 every rank is C(2g - 2, 0) = 1, which n
+    does not reach, so |n| is charged from d = 1 on.  A negative d is a
+    vanishing level, whose group is zero.  The bound's logarithm is summed
+    in floats, and exactly once g or d + 1 is past what a float holds.
     """
     limit = _digit_limit()
     if not limit or g < 1 or d < 0:  # no limit, a genus the command refuses itself, or a zero group
         return
 
     def digits(real: type) -> int:
-        return floor(real(log10(abs(n))) + min(g * real(log10(4)), (d + 1) * real(log10(2 * g + 1)))) + 1
+        return floor(real(log10(abs(n) if d else 1)) + min(g * real(log10(4)), (d + 1) * real(log10(2 * g + 1)))) + 1
 
     try:
         most = digits(float)
@@ -322,30 +344,27 @@ def cmd_compute(args) -> Output:
         return out
 
     failure = f"compute: oracle/closed mismatch at g={g} n={n} k={k}" if match is False else None
-    return Output(payload, lines, lambda: _comparison_rows((g, n, k), oracle, closed, match), failure)
+    return Output(payload, lines, lambda: _comparison_rows((g, n, k), oracle_json, closed_json, match), failure)
 
 
 # -- verify -------------------------------------------------------------------
 
 
-def _parse_n_range(text: str) -> list[int]:
-    """Parse '-2..2' (inclusive, 0 skipped) or a single integer."""
+def _parse_n_range(text: str) -> tuple[int, int]:
+    """Parse '-2..2' (inclusive, 0 to be skipped) or a single integer N (N..N) into its ends, listing nothing."""
     lo_text, dots, hi_text = text.partition("..")
     try:
         lo = int(lo_text)
         hi = int(hi_text) if dots else lo
     except ValueError:
         raise BadParams(f"--n {text!r} is neither an integer nor a range lo..hi") from None
-    if not dots:
-        if lo == 0:
-            raise BadParams("twist power n must be nonzero")
-        return [lo]
+    if not dots and lo == 0:
+        raise BadParams("twist power n must be nonzero")
     if lo > hi:
         raise BadParams(f"empty n range {text!r}")
-    values = [n for n in range(lo, hi + 1) if n != 0]
-    if not values:
+    if lo == hi == 0:
         raise BadParams(f"n range {text!r} holds no nonzero twist power")
-    return values
+    return lo, hi
 
 
 def _worker_count() -> int:
@@ -442,7 +461,8 @@ def run_sweep(
 ) -> dict:
     """Oracle-vs-closed comparison over all admissible (g, n, k); order-stable.
 
-    ``g_max`` is checked against ``MAX_RUNS`` before a triple is listed.
+    The grid is checked against ``MAX_RUNS`` and ``MAX_TRIPLES`` before a
+    triple is listed.
     The unit of work is a group of the triples that share a surface page
     (``knot_model.surface_key``), so each page is built once a call and
     one group's page is held at a time per process; the report lists the
@@ -450,9 +470,7 @@ def run_sweep(
     process dies, the entries of the groups already returned are kept and
     every triple of an unfinished group is recorded as failed.
     """
-    if g_max < 2:
-        raise BadParams(f"g-max {g_max} < 2")
-    _refuse_oversized(g_max)
+    _refuse_grid(g_max, len(n_values))
     triples = [(g, n, k) for g in range(2, g_max + 1) for n in n_values for k in range(1, g)]
     groups: dict[tuple, list[tuple[int, int, int]]] = {}
     for triple in triples:
@@ -484,28 +502,25 @@ def run_sweep(
     }
 
 
-def _group_or_none(obj: dict | None) -> GradedGroup | None:
-    return None if obj is None else GradedGroup.from_json_dict(obj)
-
-
 def _verify_rows(entries: list[dict]) -> Iterator[list]:
     """The CSV rows of the report, made one entry at a time as they are written."""
     for entry in entries:
         params = entry["params"]
         triple = (params["g"], params["n"], params["k"])
-        oracle, closed = _group_or_none(entry["oracle"]), _group_or_none(entry["closed"])
-        yield from _comparison_rows(triple, oracle, closed, entry["match"])
+        yield from _comparison_rows(triple, entry["oracle"], entry["closed"], entry["match"])
 
 
 def cmd_verify(args) -> Output:
-    n_values = _parse_n_range(args.n)
-    _refuse_unprintable(args.g_max, args.g_max - 2, max(map(abs, n_values)))
+    lo, hi = _parse_n_range(args.n)
+    _refuse_unprintable(args.g_max, args.g_max - 2, max(abs(lo), abs(hi)))
     if args.emit:
         folder = os.path.dirname(args.emit) or "."
         if not os.path.isdir(folder):
             raise BadParams(f"cannot write the report to {args.emit}: no directory {folder}")
         if os.path.isdir(args.emit):
             raise BadParams(f"cannot write the report to {args.emit}: it is a directory")
+    _refuse_grid(args.g_max, hi - lo + 1 - (lo <= 0 <= hi))  # the nonzero n in lo..hi
+    n_values = [n for n in range(lo, hi + 1) if n]
     report = run_sweep(args.g_max, n_values, corrupt_d2=args.corrupt_d2, timing=args.timing)
     entries = report["entries"]
     failure = None

@@ -165,16 +165,6 @@ class ExtVector:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_homogeneous(self) -> bool:
-        return len({len(m) for m, _ in self.terms}) <= 1
-
-    def exterior_degree(self) -> int:
-        """Common monomial length of a homogeneous vector."""
-        lengths = {len(m) for m, _ in self.terms}
-        if len(lengths) != 1:
-            raise ValueError("vector is not homogeneous")
-        return lengths.pop()
-
     # -- algebra structure ------------------------------------------------
 
     def wedge(self, other: "ExtVector") -> "ExtVector":

@@ -19,23 +19,24 @@ exact.  ``_surface_runs`` and ``_circle_runs`` write each run's degree, and
 nothing shifts it afterwards: a surface generator (monomial, p) sits where
 the tower element (monomial, U^(p-1)) of X(g, d) does.
 
-No generator is ever built: each degree is a fixed sequence of runs.  A
-SURFACE run ``(SURFACE, size, p, 0)`` is every genus-g monomial of one
-size at one U-power p >= 1 (column i = -p); a CIRCLES run ``(CIRCLES,
-size, p, eps)`` is every genus-(g-1) monomial (symbols 2..2g-1) of one
-size at one U-power and cohomological bit eps, on one circle label.  A
-degree's runs sit back to back.  Inside a surface run the monomials fall
-into four blocks by their {a1, b1} part, in the order none, a1, b1, both,
-and inside a block a monomial's index is the colex rank of the rest over
-symbols 2..2g-1 (the combinatorial number system, Knuth TAOCP 4A
-7.2.1.3); a circle run is one block, the none block.  Contraction drops
-a1, wedging adds b1 and the page-two arrow keeps the monomial, so neither
-changes: every block of a boundary is one strip, a signed, shifted
-identity onto a block of the degree below.  One builder, ``_ranked_page``,
-turns runs into strips for X(g, d) and for the circles of one label;
-``_d1_image`` and ``_d2_image`` stay the only definitions of the two
-differentials, each asked of a block's first and last generators.  A page
-costs time in its runs, not in its generators.
+No generator is ever built: each degree is a fixed sequence of runs, and a
+page's runs are all of one kind.  A run ``(size, p, eps)`` is every
+monomial of one size at one U-power p >= 1 (column i = -p): on X(g, d)
+the genus-g monomials, with eps = 0, and on a circle label the genus-(g-1)
+monomials (symbols 2..2g-1) at cohomological bit eps.  A degree's runs sit
+back to back.  The page names its runs' blocks: inside a surface run the
+monomials fall into the four ``BLOCKS`` by their {a1, b1} part, in the
+order none, a1, b1, both, and a circle run is one block, the none block
+(``CIRCLE_BLOCKS``); inside a block a monomial's index is the colex rank
+of the rest over symbols 2..2g-1 (the combinatorial number system, Knuth
+TAOCP 4A 7.2.1.3).  Contraction drops a1, wedging adds b1 and the page-two
+arrow keeps the monomial, so neither changes: every block of a boundary is
+one strip, a signed, shifted identity onto a block of the degree below.
+One builder, ``_ranked_page``, turns runs into strips for X(g, d) and for
+one circle label; ``_d1_image`` and ``_d2_image`` stay the only
+definitions of the two differentials, each asked of a block's first and
+last generators and answering in the page's runs.  A page costs time in
+its runs, not in its generators.
 
 The surface summand of the region at level k is the truncated tower
 X(g, d), d = g - 1 - |k|, and ``build_x_complex`` is its one builder: its
@@ -72,9 +73,6 @@ from .graded import GradedGroup, circles_cohomology
 from .homology import FreeComplex
 from .params import Params, eps
 
-SURFACE = "surface"
-CIRCLES = "circles"
-
 
 def active_half(left: bool) -> str:
     """Half of the exterior splitting the page-one differential acts on, for a left or a right twist."""
@@ -109,17 +107,17 @@ class E2Page:
 
 @dataclass(frozen=True)
 class SurfacePage:
-    """What both pages take from one ``surface_key``: the surface summand and one circle label.
+    """What both pages take from one ``surface_key``: the surface summand and one circle label's page.
 
     ``complex`` is X(g, d) from ``build_x_complex``, checked; page one
-    widens it by |n| times ``circle_sizes``, one label's circle count per
-    degree (``FreeComplex.with_cycles``).  ``circles`` is that label's
-    generators under the page-two differential, checked; page two is
-    |n| - 1 copies of it (``FreeComplex.copies``).  It is ranked when a
-    triple with |n| >= 2 first asks for it, for ``spec``, the triple the
-    page was built for, and kept for the rest of the group.  Each
-    complex's invariant factors are worked out once.  ``below`` is
-    x_ranks(g - 1, d - 1), for page two's fixed part.
+    widens it by |n| times ``circle_sizes``, the circle count per degree
+    (``FreeComplex.with_cycles``).  ``circles`` is the circle runs under
+    the page-two differential, checked; every label has those runs, and
+    page two is |n| - 1 copies of it (``FreeComplex.copies``).  It is
+    ranked when a triple with |n| >= 2 first asks for it, for ``spec``,
+    the triple the page was built for, and kept for the rest of the
+    group.  Each complex's invariant factors are worked out once.
+    ``below`` is x_ranks(g - 1, d - 1), for page two's fixed part.
     """
 
     complex: FreeComplex
@@ -136,29 +134,31 @@ class SurfacePage:
 
 # The {a1, b1} part of a surface monomial, in the order its blocks take in a run.
 BLOCKS: tuple[Monomial, ...] = ((), (0,), (1,), (0, 1))
+# A circle monomial holds neither a1 nor b1: a circle run is one block, the none block.
+CIRCLE_BLOCKS: tuple[Monomial, ...] = ((),)
 
 
 def _surface_runs(genus: int, k: int) -> dict[int, list[tuple]]:
     """The surface runs of the region {i < 0, j >= k}, grouped by degree F - 2(p - 1).
 
-    A run ``(SURFACE, size, p, 0)`` is every genus-``genus`` monomial
-    of one size s at one U-power p; F = s - genus, and p runs over 1 .. F - k.
-    Its degree is the grading of the tower element (monomial, U^(p-1)).
+    A run ``(size, p, 0)`` is every genus-``genus`` monomial of one size s
+    at one U-power p; F = s - genus, and p runs over 1 .. F - k.  Its
+    degree is the grading of the tower element (monomial, U^(p-1)).
     """
     by_degree: dict[int, list[tuple]] = {}
     for size in range(max(genus + k + 1, 0), 2 * genus + 1):
         F = size - genus
         for p in range(1, F - k + 1):
-            by_degree.setdefault(F - 2 * (p - 1), []).append((SURFACE, size, p, 0))
+            by_degree.setdefault(F - 2 * (p - 1), []).append((size, p, 0))
     return by_degree
 
 
 def _circle_runs(spec: Params) -> dict[int, list[tuple]]:
     """The circle runs of one label, grouped by degree F + eps + eps_n - 2(p - 1).
 
-    A run ``(CIRCLES, size, p, eps)`` is every genus-(g-1) monomial (symbol
-    indices 2..2g-1) of one size s at one U-power and eps; F = s - (g - 1),
-    and p runs over 1 .. F - |k|.  Every label has these runs.
+    A run ``(size, p, eps)`` is every genus-(g-1) monomial (symbol indices
+    2..2g-1) of one size s at one U-power and eps; F = s - (g - 1), and p
+    runs over 1 .. F - |k|.  Every label has these runs.
     """
     by_degree: dict[int, list[tuple]] = {}
     for size in range(spec.g + spec.abs_k, 2 * spec.g - 1):
@@ -166,33 +166,29 @@ def _circle_runs(spec: Params) -> dict[int, list[tuple]]:
         for bit in (0, 1):
             for p in range(1, F - spec.abs_k + 1):
                 deg = F + bit + spec.eps_n - 2 * (p - 1)
-                by_degree.setdefault(deg, []).append((CIRCLES, size, p, bit))
+                by_degree.setdefault(deg, []).append((size, p, bit))
     return by_degree
 
 
 @functools.cache
-def _run_blocks(genus: int, tag: str, size: int) -> dict[Monomial, tuple[int, int]]:
-    """The blocks of a run of one tag and size, in run order: {block: (start, length)}.
+def _run_blocks(genus: int, blocks: tuple[Monomial, ...], size: int) -> tuple[dict[Monomial, tuple[int, int]], int]:
+    """A run of one size on a page of ``blocks``: ({block: (start, length)} in run order, the run's length).
 
-    A surface run has the four ``BLOCKS``; a circle run, whose monomials
-    hold neither a1 nor b1, is one block ``()`` of length C(2g - 2, s).
+    A block's rest is C(2g - 2, s - |block|) monomials, so a surface run
+    holds C(2g, s) (Vandermonde's identity) and a circle run C(2g - 2, s).
     Every run of a shape asks for the same blocks, so they are kept.
     """
-    blocks, start = {}, 0
-    for block in BLOCKS if tag == SURFACE else BLOCKS[:1]:
+    starts, start = {}, 0
+    for block in blocks:
         rest = size - len(block)
-        blocks[block] = (start, comb(2 * genus - 2, rest) if rest >= 0 else 0)
-        start += blocks[block][1]
-    return blocks
+        starts[block] = (start, comb(2 * genus - 2, rest) if rest >= 0 else 0)
+        start += starts[block][1]
+    return starts, start
 
 
-@functools.cache
-def _run_length(genus: int, tag: str, size: int) -> int:
-    """A run's length, its blocks' total: C(2g, s) on the surface (Vandermonde's identity), C(2g - 2, s) on a circle."""
-    return sum(length for _, length in _run_blocks(genus, tag, size).values())
-
-
-def _layout(genus: int, runs: dict[int, list[tuple]]) -> tuple[dict[int, int], dict[tuple, tuple[int, int]]]:
+def _layout(
+    genus: int, blocks: tuple[Monomial, ...], runs: dict[int, list[tuple]]
+) -> tuple[dict[int, int], dict[tuple, tuple[int, int]]]:
     """Each degree's size and each run's (degree, offset): a degree's runs sit back to back, as listed."""
     sizes: dict[int, int] = {}
     where: dict[tuple, tuple[int, int]] = {}
@@ -200,7 +196,7 @@ def _layout(genus: int, runs: dict[int, list[tuple]]) -> tuple[dict[int, int], d
         offset = 0
         for run in listed:
             where[run] = (deg, offset)
-            offset += _run_length(genus, run[0], run[1])
+            offset += _run_blocks(genus, blocks, run[0])[1]
         sizes[deg] = offset
     return sizes, where
 
@@ -211,13 +207,15 @@ def _split(mono: Monomial) -> tuple[Monomial, Monomial]:
     return mono[:cut], mono[cut:]
 
 
-# the differential on one generator (monomial) of a run in a degree, as
-# (target run, target monomial, coefficient) terms
-Image = Callable[[int, tuple, Monomial], list[tuple[tuple, Monomial, int]]]
+# the differential on one generator (monomial) of a run, as (target run,
+# target monomial, coefficient) terms
+Image = Callable[[tuple, Monomial], list[tuple[tuple, Monomial, int]]]
 
 
-def _ranked_page(genus: int, runs: dict[int, list[tuple]], image: Image) -> tuple[dict[int, int], dict[int, list]]:
-    """The sizes and boundary strips of a page of runs, each degree as the runs are grouped.
+def _ranked_page(
+    genus: int, blocks: tuple[Monomial, ...], runs: dict[int, list[tuple]], image: Image
+) -> tuple[dict[int, int], dict[int, list]]:
+    """The sizes and boundary strips of a page of runs of ``blocks``, each degree as the runs are grouped.
 
     ``image`` is asked of each nonempty block's first and last generators.
     Neither page differential changes the rest, so each term names a target
@@ -226,15 +224,15 @@ def _ranked_page(genus: int, runs: dict[int, list[tuple]], image: Image) -> tupl
     refused, and so are a term that changes the rest and a last generator
     whose image differs from the first's.
     """
-    sizes, where = _layout(genus, runs)
+    sizes, where = _layout(genus, blocks, runs)
 
     def targets(deg: int, run: tuple, block: Monomial, rest: Monomial) -> list[tuple[int, int]]:
         """Where ``image`` sends the generator block + rest: (start of its target block, coefficient) pairs."""
         rows: dict[int, int] = {}
-        for target_run, target, coeff in image(deg, run, block + rest):
+        for target_run, target, coeff in image(run, block + rest):
             target_block, target_rest = _split(target)
-            blocks = _run_blocks(genus, target_run[0], target_run[1])
-            if target_rest != rest or target_block not in blocks:
+            starts = _run_blocks(genus, blocks, target_run[0])[0]
+            if target_rest != rest or target_block not in starts:
                 raise NotAComplex(f"differential at degree {deg} sends {block + rest} to {target}, "
                                   "which changes the rest: not a shifted identity")
             tdeg, start = where.get(target_run, (None, 0))
@@ -242,7 +240,7 @@ def _ranked_page(genus: int, runs: dict[int, list[tuple]], image: Image) -> tupl
                 raise NotAComplex(f"differential leaves the generator set at degree {deg}")
             if tdeg != deg - 1:
                 raise NotAComplex(f"differential drops grading by {deg - tdeg}, not 1")
-            row = start + blocks[target_block][0]
+            row = start + starts[target_block][0]
             rows[row] = rows.get(row, 0) + coeff
         return [(row, coeff) for row, coeff in rows.items() if coeff]
 
@@ -252,10 +250,10 @@ def _ranked_page(genus: int, runs: dict[int, list[tuple]], image: Image) -> tupl
         strips = []
         for run in listed:
             offset = where[run][1]
-            for block, (start, length) in _run_blocks(genus, run[0], run[1]).items():
+            for block, (start, length) in _run_blocks(genus, blocks, run[0])[0].items():
                 if not length:
                     continue
-                rest = run[1] - len(block)
+                rest = run[0] - len(block)
                 first, last = symbols[2 : 2 + rest], symbols[2 * genus - rest :]
                 hit = targets(deg, run, block, first)
                 if length > 1 and targets(deg, run, block, last) != hit:
@@ -312,7 +310,7 @@ def _check_tower(genus: int, d: int, surface: dict[int, list[tuple]]) -> None:
     powers: dict[int, list[int]] = {}
     symbols = tuple(range(2 * genus))  # sliced for each run's grading, never rebuilt
     for deg, runs in surface.items():
-        for _, size, p, _ in runs:
+        for size, p, _ in runs:
             if XBasisElement(genus, symbols[:size], p - 1).grading != deg:
                 raise mismatch
             powers.setdefault(size, []).append(p)
@@ -337,13 +335,13 @@ def build_x_complex(genus: int, d: int, left: bool = False, pd_sign: int = 1) ->
     _check_tower(genus, d, runs)
     half = active_half(left)
 
-    def image(deg: int, run: tuple, mono: Monomial) -> list[tuple[tuple, Monomial, int]]:
+    def image(run: tuple, mono: Monomial) -> list[tuple[tuple, Monomial, int]]:
         return [
-            ((SURFACE, len(target), u + 1, 0), target, coeff)
-            for target, u, coeff in _d1_image(mono, run[2] - 1, genus, d, half, pd_sign)
+            ((len(target), u + 1, 0), target, coeff)
+            for target, u, coeff in _d1_image(mono, run[1] - 1, genus, d, half, pd_sign)
         ]
 
-    sizes, strips = _ranked_page(genus, runs, image)
+    sizes, strips = _ranked_page(genus, BLOCKS, runs, image)
     del runs  # not held while the complex checks its strips: at g = 446 the runs take 9 MB
     return FreeComplex(sizes, strips)
 
@@ -395,31 +393,17 @@ def surface_key(spec: Params) -> tuple[int, int, bool]:
     return spec.g, spec.abs_k, spec.n > 0
 
 
-def _d2_image(spec: Params, gen: tuple) -> list[tuple[tuple, int]]:
-    """The page-two arrow out of one circle generator, if its target is in the region."""
-    tag, mono, p, c, bit = gen
+def _d2_image(spec: Params, run: tuple, mono: Monomial) -> list[tuple[tuple, Monomial, int]]:
+    """The page-two arrow out of the circle generator ``mono`` of ``run``, if its target is in the region."""
+    _, p, bit = run
     if bit == 0 and p + 1 <= len(mono) - (spec.g - 1) - spec.abs_k:
-        return [((tag, mono, p + 1, c, 1), 1)]
+        return [((len(mono), p + 1, 1), mono, 1)]
     return []
 
 
-ASKED_LABEL = 2  # the first label page two moves; every other label is a copy of it
-
-
 def _circle_page(spec: Params) -> FreeComplex:
-    """One circle label's generators under ``_d2_image``, asked as label 2; an arrow onto another label is refused."""
-
-    def image(deg: int, run: tuple, mono: Monomial) -> list[tuple[tuple, Monomial, int]]:
-        tag, _, p, bit = run
-        terms = []
-        for (t, target, tp, label, tbit), coeff in _d2_image(spec, (tag, mono, p, ASKED_LABEL, bit)):
-            if label != ASKED_LABEL:
-                raise NotAComplex(f"differential at degree {deg} sends {mono} on label {ASKED_LABEL} to label "
-                                  f"{label}, which changes the label: not a shifted identity")
-            terms.append(((t, len(target), tp, tbit), target, coeff))
-        return terms
-
-    return FreeComplex(*_ranked_page(spec.g, _circle_runs(spec), image))
+    """The circle runs under ``_d2_image``: one label's page two, which every label copies."""
+    return FreeComplex(*_ranked_page(spec.g, CIRCLE_BLOCKS, _circle_runs(spec), functools.partial(_d2_image, spec)))
 
 
 def build_surface_page(spec: Params, pd_sign: int = 1) -> SurfacePage:
@@ -430,17 +414,17 @@ def build_surface_page(spec: Params, pd_sign: int = 1) -> SurfacePage:
     complex is ranked only when a triple first asks for ``circles``.
     """
     x_complex = build_x_complex(spec.g, spec.d, left=spec.n < 0, pd_sign=pd_sign)
-    circle_sizes = _layout(spec.g, _circle_runs(spec))[0]
+    circle_sizes = _layout(spec.g, CIRCLE_BLOCKS, _circle_runs(spec))[0]
     return SurfacePage(x_complex, circle_sizes, x_ranks(spec.g - 1, spec.d - 1), spec)
 
 
 def build_e1_region(spec: Params, surface: SurfacePage | None = None) -> FreeComplex:
     """Page one of the region {i < 0, j >= k}.
 
-    Page one is the surface complex plus counted circle cycles.  SURFACE
+    Page one is the surface complex plus counted circle cycles.  Surface
     generators in the active half carry the page-one differential (with
     image terms leaving the region dropped), and only they get strips.
-    CIRCLES generators are cycles that no arrow hits: each degree gets |n|
+    Circle generators are cycles that no arrow hits: each degree gets |n|
     times one label's circle count, after its surface runs, where no strip
     reaches them.  ``surface`` is the page of ``surface_key(spec)``, built
     here when not given.
@@ -469,9 +453,10 @@ def build_e2_symbolic(spec: Params, corrupt_d2: bool = False, surface: SurfacePa
 
     The fixed part is the page-one homology of the surface summand together
     with one circle copy; the remaining ``|n| - 1`` circle copies stay
-    subject to the page-two differential, which sends (label, c, eps=0, p)
-    to (label, c, eps=1, p+1) whenever the target is still in the region:
-    |n| - 1 copies of ``surface.circles``, one per label after the first.
+    subject to the page-two differential, which sends (c, eps=0, p) to
+    (c, eps=1, p+1) on the same label whenever the target is still in the
+    region: |n| - 1 copies of ``surface.circles``, one per label after the
+    first.
     ``surface`` is the page of ``surface_key(spec)``, built when not given.
 
     ``corrupt_d2`` (a test hook) drops every page-two arrow.

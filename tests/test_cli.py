@@ -33,10 +33,13 @@ def run_main(capsys, *argv):
 
 
 def test_parse_n_range():
-    assert cli._parse_n_range("-2..2") == [-2, -1, 1, 2]
-    assert cli._parse_n_range("3") == [3]
-    assert cli._parse_n_range("-3") == [-3]
-    assert cli._parse_n_range("2..2") == [2]
+    # the ends of the range, 0 still inside: nothing is listed
+    assert cli._parse_n_range("-2..2") == (-2, 2)
+    assert cli._parse_n_range("3") == (3, 3)
+    assert cli._parse_n_range("-3") == (-3, -3)
+    assert cli._parse_n_range("2..2") == (2, 2)
+    assert cli._parse_n_range("0..1") == (0, 1)
+    assert cli._parse_n_range(f"1..{10**4000}") == (1, 10**4000)
     with pytest.raises(BadParams):
         cli._parse_n_range("3..1")
     with pytest.raises(BadParams):
@@ -297,6 +300,29 @@ def test_verify_refuses_by_g_max_before_listing_the_grid():
     assert peak < 1_000_000
 
 
+def test_verify_refuses_a_grid_by_its_count_before_listing_it(capsys):
+    # ten trillion twist powers at g = 2: the count is taken from the ends of the range
+    tracemalloc.start()
+    try:
+        code, out, err = run_main(capsys, "verify", "--g-max", "2", "--n", "1..9999999999999")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "error: the grid up to g=2 has 9999999999999 triples, more than 100000\n"
+    assert peak < 1_000_000
+    # g = 2 .. g-max holds g-max (g-max - 1) / 2 levels per twist power, and 0 is no twist power:
+    # -5000..5001 holds 10,001 of them, ten levels each up to g = 5
+    code, out, err = run_main(capsys, "verify", "--g-max", "5", "--n", "-5000..5001")
+    assert (code, out, err) == (2, "", "error: the grid up to g=5 has 100010 triples, more than 100000\n")
+    cli._refuse_grid(5, 10_000)
+    with pytest.raises(BadParams, match="the grid up to g=5 has 100010 triples, more than 100000"):
+        cli.run_sweep(5, list(range(1, 10_002)))
+    # the run bound and a bad g-max speak first, as before
+    assert run_main(capsys, "verify", "--g-max", "2000", "--n", "1..9999999999999")[2].startswith("error: the region at g=2000")
+    assert run_main(capsys, "verify", "--g-max", "1", "--n", "1..9999999999999")[2] == "error: g-max 1 < 2\n"
+
+
 def test_verify_default_grid(capsys):
     code, out, err = run_main(capsys, "verify", "--g-max", "2")
     assert code == 0 and err == ""
@@ -469,6 +495,18 @@ def test_csv_rows_are_built_only_for_csv(capsys, monkeypatch):
         assert (code, err) == (0, "")
     with pytest.raises(AssertionError, match="CSV rows built"):
         cli.main(["verify", "--g-max", "2", "--n", "1", "--format", "csv"])
+
+
+def test_verify_csv_reads_ranks_off_the_report_entries(capsys, monkeypatch):
+    # each row's ranks come from the entry's degree list: no group is rebuilt from the report
+    def unwanted(obj):
+        raise AssertionError("a group was rebuilt from the report")
+
+    monkeypatch.setenv("MTFLOER_THREADS", "1")
+    monkeypatch.setattr(cli.GradedGroup, "from_json_dict", unwanted)
+    code, out, err = run_main(capsys, "verify", "--g-max", "3", "--n", "-1..1", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:3] == ["2,-1,1,2,1,1,true", "2,1,1,2,1,1,true"]
 
 
 def test_verify_bad_range_exit_two(capsys):
@@ -861,6 +899,24 @@ def test_cheap_commands_refuse_what_they_cannot_print(capsys):
     code, out, err = run_main(capsys, "tables", "hfk_Mn", "--n", str(10**4300 - 3), "--format", "json")
     assert (code, err) == (0, "")
     assert f'"rank": {10**4300 - 1},' in out
+
+
+def test_a_level_of_depth_zero_is_not_charged_for_n(capsys):
+    # at d = 0 every rank is C(2g - 2, 0) = 1, which n does not reach: the longest n prints its rank
+    for method in ("closed", "both"):
+        code, out, err = run_main(capsys, "compute", "--method", method, "--g", "3", "--n", str(NINES), "--k", "2",
+                                  "--format", "json")
+        assert (code, err) == (0, ""), method
+        payload = json.loads(out)
+        for group in [payload] if method == "closed" else [payload["oracle"], payload["closed"]]:
+            assert group["degrees"] == _degrees((3, 1)), method
+    # from d = 1 on, |n| is charged as before
+    code, out, err = run_main(capsys, "compute", "--method", "closed", "--g", "3", "--n", str(NINES), "--k", "1")
+    assert (code, out) == (2, "")
+    assert err == f"error: the ranks at g=3 d=1 |n|={NINES} may have 4302 digits{REFUSED_TAIL}"
+    # a grid at g = 2 is d = 0 too, and its triple count is refused before it is printed
+    code, out, err = run_main(capsys, "verify", "--g-max", "2", "--n", f"{-NINES}..{NINES}")
+    assert (code, out, err) == (2, "", f"error: the triple count of the grid has more than 4300 digits{REFUSED_TAIL}")
 
 
 def test_the_digit_bound_is_safe_past_the_floats(capsys):

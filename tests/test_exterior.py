@@ -82,15 +82,6 @@ def test_genus_mismatch():
         ExtVector.unit(2).wedge(ExtVector.unit(3))
 
 
-def test_degree_accessors():
-    v = ExtVector.monomial(2, [0, 1])
-    assert v.is_homogeneous() and v.exterior_degree() == 2
-    mixed = v + ExtVector.unit(2)
-    assert not mixed.is_homogeneous()
-    with pytest.raises(ValueError):
-        mixed.exterior_degree()
-
-
 # -- vector space laws ---------------------------------------------------------------
 
 

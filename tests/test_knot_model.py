@@ -16,8 +16,6 @@ from mtfloer.graded import GradedGroup
 from mtfloer.homology import FreeComplex, IntMatrix
 from mtfloer import knot_model
 from mtfloer.knot_model import (
-    CIRCLES,
-    SURFACE,
     E2Page,
     FilteredGroup,
     active_half,
@@ -40,10 +38,14 @@ from test_homology import assert_matches_the_references, column_homology, elemen
 
 G = GradedGroup.free
 
+# the tags of the tuple reference's generators; the pipeline's runs carry none
+SURFACE = "surface"
+CIRCLES = "circles"
+
 
 class PageGenerator(NamedTuple):
-    """One region generator, field by field: the reference for the pipeline's
-    plain tuples ``(tag, monomial, p, circle, eps)``.
+    """One region generator, field by field: the tuple reference's plain
+    tuples ``(tag, monomial, p, circle, eps)``.
 
     SURFACE generators carry a genus-g monomial; CIRCLES generators carry a
     genus-(g-1) monomial (symbol indices 2..2g-1), a circle index and a
@@ -172,6 +174,17 @@ def page_one_image(spec, pd_sign=1):
     return image
 
 
+def page_two_image(spec):
+    """The page-two image of one circle tuple, through ``_d2_image``: the arrow keeps the label."""
+
+    def image(gen):
+        tag, mono, p, label, bit = gen
+        terms = knot_model._d2_image(spec, (len(mono), p, bit), mono)
+        return [((tag, target, tp, label, tbit), coeff) for (_, tp, tbit), target, coeff in terms]
+
+    return image
+
+
 def page_two_generators(spec):
     """The generators page two can move: the circle generators on every label but the first."""
     return circle_generators(spec, range(2, spec.abs_n + 1))
@@ -192,11 +205,11 @@ def colex_unrank(rank, size):
     return tuple(reversed(symbols))
 
 
-def unrank_run(genus, run, index, labels):
-    """The generator at ``index`` in a run: a circle monomial by its colex rank and, as
-    ``FreeComplex.copies`` lays them out, its copy, one per label in the order given; a
-    surface monomial by its block (none, a1, b1, both) and the colex rank of its rest."""
-    tag, size, p, bit = run
+def unrank_run(genus, tag, run, index, labels):
+    """The generator at ``index`` in a run of the page ``tag``: a circle monomial by its colex
+    rank and, as ``FreeComplex.copies`` lays them out, its copy, one per label in the order
+    given; a surface monomial by its block (none, a1, b1, both) and the colex rank of its rest."""
+    size, p, bit = run
     if tag == CIRCLES:
         rank, copy = divmod(index, len(labels))
         return (CIRCLES, colex_unrank(rank, size), p, labels[copy], bit)
@@ -209,16 +222,17 @@ def unrank_run(genus, run, index, labels):
 
 
 def unranked(genus, *parts, labels=()):
-    """Every generator of a ranked page, by degree and index: each degree lists the
-    runs of ``parts`` in turn, back to back, a circle run once for each of ``labels``."""
+    """Every generator of a ranked page, by degree and index: ``parts`` are (tag, runs)
+    pairs, and each degree lists their runs in turn, back to back, a circle run once for
+    each of ``labels``."""
     by_degree = {}
-    for part in parts:
+    for tag, part in parts:
         for deg, runs in part.items():
             gens = by_degree.setdefault(deg, [])
             for run in runs:
-                tag, size, _, _ = run
+                size = run[0]
                 length = comb(2 * genus, size) if tag == SURFACE else len(labels) * comb(2 * genus - 2, size)
-                gens.extend(unrank_run(genus, run, i, labels) for i in range(length))
+                gens.extend(unrank_run(genus, tag, run, i, labels) for i in range(length))
     return by_degree
 
 
@@ -309,7 +323,7 @@ def test_region_size_at_g3():
 def test_region_size_bound_is_enforced(monkeypatch):
     # the region at g=2, |n|=1, k=1 is one surface generator and no circles;
     # a size-0 circle run at g=2 holds C(2, 0) = 1 generator
-    padding = {2: [(CIRCLES, 0, p, 0) for p in range(1, 50)]}
+    padding = {2: [(0, p, 0) for p in range(1, 50)]}
     monkeypatch.setattr(knot_model, "_circle_runs", lambda spec: padding)
     with pytest.raises(GateFailure, match="region has 50 generators, but its count is 1"):
         build_e1_region(Params(2, 1, 1))
@@ -388,26 +402,31 @@ def test_region_homology_matches_dense_reference(spec):
 RANKED = REGIONS + [Params(g, n, k) for g in (6, 7) for n in (1, -1, 2, -2, 3, -3) for k in range(1, g)]
 
 
+def page_one_runs(spec):
+    """Page one's runs, tagged for ``unranked``: the surface runs, then one label's circle runs."""
+    return (SURFACE, knot_model._surface_runs(spec.g, spec.abs_k)), (CIRCLES, knot_model._circle_runs(spec))
+
+
 @pytest.mark.parametrize("spec", RANKED, ids=region_id)
 def test_ranked_pages_unrank_onto_the_tuple_reference(spec):
     labels = range(1, spec.abs_n + 1)
-    page_one = unranked(spec.g, knot_model._surface_runs(spec.g, spec.abs_k), knot_model._circle_runs(spec), labels=labels)
+    page_one = unranked(spec.g, *page_one_runs(spec), labels=labels)
     assert_unranks_onto(page_one, region_generators(spec))
-    assert_unranks_onto(unranked(spec.g, knot_model._circle_runs(spec), labels=labels[1:]), page_two_generators(spec))
+    assert_unranks_onto(unranked(spec.g, (CIRCLES, knot_model._circle_runs(spec)), labels=labels[1:]), page_two_generators(spec))
 
 
 @pytest.mark.parametrize("spec", RANKED, ids=region_id)
 def test_ranked_columns_match_the_reference_assembly(spec):
     labels = range(1, spec.abs_n + 1)
     reference = region_generators(spec)
-    page_one = unranked(spec.g, knot_model._surface_runs(spec.g, spec.abs_k), knot_model._circle_runs(spec), labels=labels)
+    page_one = unranked(spec.g, *page_one_runs(spec), labels=labels)
     assert_columns_match(
         build_e1_region(spec), page_one, from_columns(*assemble_complex(reference, page_one_image(spec))), reference
     )
     # page two is |n| - 1 copies of one label's page: generator i's copies are (|n| - 1) i .. (|n| - 1) i + |n| - 2
     reference = page_two_generators(spec)
-    page_two = unranked(spec.g, knot_model._circle_runs(spec), labels=labels[1:])
-    reference_cx = from_columns(*assemble_complex(reference, lambda gen: knot_model._d2_image(spec, gen)))
+    page_two = unranked(spec.g, (CIRCLES, knot_model._circle_runs(spec)), labels=labels[1:])
+    reference_cx = from_columns(*assemble_complex(reference, page_two_image(spec)))
     assert_columns_match(build_e2_symbolic(spec).d2_complex, page_two, reference_cx, reference)
 
 
@@ -431,17 +450,18 @@ def test_circle_counts_from_the_layout_are_the_circle_page_sizes(genus):
     for k in [k for k in range(1 - genus, genus) if k]:
         for n in (1, -1):
             spec = Params(genus, n, k)
-            assert knot_model._layout(genus, knot_model._circle_runs(spec))[0] == knot_model._circle_page(spec).sizes, spec
+            circles = knot_model._circle_runs(spec)
+            assert knot_model._layout(genus, knot_model.CIRCLE_BLOCKS, circles)[0] == knot_model._circle_page(spec).sizes, spec
 
 
-def layout_by_binomials(genus, runs):
-    """``_layout`` with each run's length written as its binomial: C(2g, s) on the surface, C(2g - 2, s) on a circle."""
+def layout_by_binomials(symbols, runs):
+    """``_layout`` with each run's length written as its binomial C(symbols, s): 2g symbols on the surface, 2g - 2 on a circle."""
     sizes, where = {}, {}
     for deg, listed in runs.items():
         offset = 0
         for run in listed:
             where[run] = (deg, offset)
-            offset += comb(2 * genus if run[0] == SURFACE else 2 * genus - 2, run[1])
+            offset += comb(symbols, run[0])
         sizes[deg] = offset
     return sizes, where
 
@@ -449,15 +469,15 @@ def layout_by_binomials(genus, runs):
 def test_layout_run_lengths_are_the_binomials():
     # a run's length is the sum of its cached blocks' lengths, C(2g, s) by Vandermonde on the surface
     knot_model._run_blocks.cache_clear()
-    knot_model._run_length.cache_clear()
     for genus in range(2, 31):
         for k in range(-genus - 2, genus):
             runs = knot_model._surface_runs(genus, k)
-            assert knot_model._layout(genus, runs) == layout_by_binomials(genus, runs), (genus, k)
+            assert knot_model._layout(genus, knot_model.BLOCKS, runs) == layout_by_binomials(2 * genus, runs), (genus, k)
             for n in (1, -1):
                 if k:
                     runs = knot_model._circle_runs(Params(genus, n, k))
-                    assert knot_model._layout(genus, runs) == layout_by_binomials(genus, runs), (genus, n, k)
+                    layout = knot_model._layout(genus, knot_model.CIRCLE_BLOCKS, runs)
+                    assert layout == layout_by_binomials(2 * genus - 2, runs), (genus, n, k)
 
 
 @pytest.mark.parametrize("genus", range(2, 9))
@@ -491,7 +511,7 @@ def test_page_one_image_is_asked_only_of_surface_generators(monkeypatch, spec):
     expected = [
         (block + symbols, p - 1)
         for runs in knot_model._surface_runs(spec.g, spec.abs_k).values()
-        for _, size, p, _ in runs
+        for size, p, _ in runs
         for block in knot_model.BLOCKS
         if 0 <= (rest := size - len(block)) <= 2 * spec.g - 2
         for symbols in {tuple(range(2, 2 + rest)), tuple(range(2 * spec.g - rest, 2 * spec.g))}
@@ -511,7 +531,7 @@ def test_ranked_pages_refuse_a_term_that_changes_the_rest(monkeypatch):
     with pytest.raises(NotAComplex, match="which changes the rest: not a shifted identity"):
         build_e1_region(spec)
     monkeypatch.undo()
-    monkeypatch.setattr(knot_model, "_d2_image", lambda spec, gen: [((gen[0], gen[1][1:], gen[2] + 1, gen[3], 1), 1)])
+    monkeypatch.setattr(knot_model, "_d2_image", lambda spec, run, mono: [((len(mono) - 1, run[1] + 1, 1), mono[1:], 1)])
     with pytest.raises(NotAComplex, match="which changes the rest: not a shifted identity"):
         build_e2_symbolic(spec)
 
@@ -539,9 +559,10 @@ def test_ranked_pages_refuse_a_last_monomial_that_the_first_does_not_speak_for(m
         build_e1_region(spec)
     # page two is built on the surface page, so the surface's differential goes back first
     monkeypatch.undo()
-    monkeypatch.setattr(knot_model, "_d2_image", lambda spec, gen: [
-        ((gen[0], gen[1], gen[2] + 1, gen[3], 1), 1 if 2 in gen[1] else 2)
-    ] if gen[4] == 0 and gen[2] + 1 <= len(gen[1]) - (spec.g - 1) - spec.abs_k else [])
+    real_d2 = knot_model._d2_image
+    monkeypatch.setattr(knot_model, "_d2_image", lambda spec, run, mono: [
+        (target_run, target, 1 if 2 in mono else 2) for target_run, target, _ in real_d2(spec, run, mono)
+    ])
     # at g = 5, the arrows leave runs of eight monomials
     with pytest.raises(NotAComplex, match="elsewhere than"):
         build_e2_symbolic(Params(5, 2, 1))
@@ -559,10 +580,10 @@ def test_ranked_pages_refuse_a_target_outside_the_degree_below(monkeypatch):
     with pytest.raises(NotAComplex, match="leaves the generator set at degree"):
         build_e1_region(spec)
     monkeypatch.undo()
-    monkeypatch.setattr(knot_model, "_d2_image", lambda spec, gen: [((gen[0], gen[1], gen[2], gen[3], 1 - gen[4]), 1)])
+    monkeypatch.setattr(knot_model, "_d2_image", lambda spec, run, mono: [((run[0], run[1], 1 - run[2]), mono, 1)])
     with pytest.raises(NotAComplex, match="drops grading by -1, not 1"):
         build_e2_symbolic(spec)
-    monkeypatch.setattr(knot_model, "_d2_image", lambda spec, gen: [((gen[0], gen[1], gen[2] + 9, gen[3], 1), 1)])
+    monkeypatch.setattr(knot_model, "_d2_image", lambda spec, run, mono: [((run[0], run[1] + 9, 1), mono, 1)])
     with pytest.raises(NotAComplex, match="leaves the generator set at degree"):
         build_e2_symbolic(spec)
 
@@ -576,7 +597,6 @@ def test_tower_check_refuses_each_run_out_of_place(spec):
     knot_model._check_tower(spec.g, spec.d, tower_runs(spec))
     mismatch = f"region/tower basis mismatch at g={spec.g} d={spec.d}"
     top = max(tower_runs(spec))
-    _, size, p, _ = tower_runs(spec)[top][0]
     moved = tower_runs(spec)
     moved[top + 2] = [moved[top].pop(0)]
     gap = tower_runs(spec)
@@ -586,14 +606,14 @@ def test_tower_check_refuses_each_run_out_of_place(spec):
     extra = tower_runs(spec)
     # one U-power past the region: the p-range one too long at the top size
     last = 2 * spec.g - spec.g - spec.abs_k
-    extra.setdefault(spec.g - 2 * last, []).append((SURFACE, 2 * spec.g, last + 1, 0))
+    extra.setdefault(spec.g - 2 * last, []).append((2 * spec.g, last + 1, 0))
     # every run of the top size one U-power up, each in its own degree: the right count, the wrong powers
     shifted = {}
     for deg, runs in tower_runs(spec).items():
         for run in runs:
-            tag, size, p, bit = run
+            size, p, bit = run
             if size == 2 * spec.g:
-                run, deg = (tag, size, p + 1, bit), deg - 2
+                run, deg = (size, p + 1, bit), deg - 2
             shifted.setdefault(deg, []).append(run)
     for runs in (moved, gap, twice, extra, shifted):
         with pytest.raises(GateFailure, match=re.escape(mismatch)):
@@ -626,7 +646,7 @@ def stream_tower_check(spec, surface):
     g = spec.g
     powers = {}
     for deg, runs in surface.items():
-        for _, size, p, _ in runs:
+        for size, p, _ in runs:
             if XBasisElement(g, tuple(range(size)), p - 1).grading != deg:
                 return False
             powers.setdefault(size, []).append(p)
@@ -660,12 +680,11 @@ def single_run_perturbations(runs):
     """
     for deg, listed in runs.items():
         for i, run in enumerate(listed):
-            tag, size, p, bit = run
+            size, p, bit = run
             dropped = {d: [r for j, r in enumerate(rs) if (d, j) != (deg, i)] for d, rs in runs.items()}
             yield dropped
             yield {**runs, deg: listed + [run]}
-            for new in (run, (tag, size, p + 1, bit), (tag, size, p - 1, bit),
-                        (tag, size + 1, p, bit), (tag, size - 1, p, bit)):
+            for new in (run, (size, p + 1, bit), (size, p - 1, bit), (size + 1, p, bit), (size - 1, p, bit)):
                 for move in (-2, 0, 1):
                     if (new, move) != (run, 0):
                         out = {d: list(rs) for d, rs in dropped.items()}
@@ -701,7 +720,7 @@ def test_x_complex_columns_match_the_reference_assembly(genus):
         runs = knot_model._surface_runs(genus, genus - 1 - d)
         ranked = {
             deg: [XBasisElement(genus, mono, p - 1) for _, mono, p, _, _ in gens]
-            for deg, gens in unranked(genus, runs).items()
+            for deg, gens in unranked(genus, (SURFACE, runs)).items()
         }
         assert_unranks_onto(ranked, reference)
         for left in (False, True):

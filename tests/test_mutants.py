@@ -13,7 +13,7 @@ import sys
 
 import pytest
 
-from mtfloer import cli, closed_form, exterior, homology, knot_model
+from mtfloer import closed_form, exterior, homology, knot_model
 from mtfloer.cli import run_sweep
 from mtfloer.closed_form import theorem_answer
 from mtfloer.errors import GateFailure
@@ -27,6 +27,7 @@ from test_knot_model import (
     assert_columns_match,
     d1_image_mismatches,
     page_one_image,
+    page_one_runs,
     region_generators,
     unranked,
 )
@@ -105,7 +106,7 @@ def test_dropped_sign_at_the_d1_call_site_breaks_the_extvector_pin(monkeypatch):
 def ranked_column_mismatch(spec):
     """The failure of the page-one column comparison with the tuple reference at ``spec``, or None."""
     reference = region_generators(spec)
-    ranked = unranked(spec.g, knot_model._surface_runs(spec.g, spec.abs_k), knot_model._circle_runs(spec), labels=range(1, spec.abs_n + 1))
+    ranked = unranked(spec.g, *page_one_runs(spec), labels=range(1, spec.abs_n + 1))
     reference_cx = from_columns(*assemble_complex(reference, page_one_image(spec)))
     try:
         assert_columns_match(knot_model.build_e1_region(spec), ranked, reference_cx, reference)
@@ -133,14 +134,9 @@ def sweep_failures(monkeypatch):
 def surface_p_range_one_too_long(genus, k):
     """The surface runs with U-powers p = 1 .. F - k + 1."""
     by_degree = REAL_SURFACE(genus, k)
-    extra = [
-        (tag, size, p + 1, bit)
-        for runs in by_degree.values()
-        for tag, size, p, bit in runs
-        if p == size - genus - k
-    ]
+    extra = [(size, p + 1, bit) for runs in by_degree.values() for size, p, bit in runs if p == size - genus - k]
     for run in extra:
-        _, size, p, _ = run
+        size, p, _ = run
         by_degree.setdefault(XBasisElement(genus, tuple(range(size)), p - 1).grading, []).append(run)
     return by_degree
 
@@ -148,13 +144,12 @@ def surface_p_range_one_too_long(genus, k):
 def circle_sizes_one_short(spec):
     """The circle runs with label sizes g + |k| + 1 .. 2g - 2."""
     by_degree = REAL_CIRCLES(spec)
-    return {deg: [run for run in runs if run[1] != spec.g + spec.abs_k] for deg, runs in by_degree.items()}
+    return {deg: [run for run in runs if run[0] != spec.g + spec.abs_k] for deg, runs in by_degree.items()}
 
 
-def capacity_one_short(spec, gen):
+def capacity_one_short(spec, run, mono):
     """The page-two arrow only while p + 1 <= capacity - 1."""
-    _, mono, p, _, _ = gen
-    return REAL_D2(spec, gen) if p + 2 <= len(mono) - (spec.g - 1) - spec.abs_k else []
+    return REAL_D2(spec, run, mono) if run[1] + 2 <= len(mono) - (spec.g - 1) - spec.abs_k else []
 
 
 def test_surface_p_range_off_by_one_fails_the_tower_check(monkeypatch):
@@ -174,7 +169,8 @@ def test_circle_size_range_off_by_one_fails_the_count(monkeypatch):
     # with the count check out of the way, the page-one gate catches it
     def mutant_count(spec):
         # the surface runs once, the circle runs once for each of the |n| labels
-        surface, circles = (knot_model._layout(spec.g, runs)[0] for runs in (REAL_SURFACE(spec.g, spec.abs_k), circle_sizes_one_short(spec)))
+        surface = knot_model._layout(spec.g, knot_model.BLOCKS, REAL_SURFACE(spec.g, spec.abs_k))[0]
+        circles = knot_model._layout(spec.g, knot_model.CIRCLE_BLOCKS, circle_sizes_one_short(spec))[0]
         return sum(surface.values()) + spec.abs_n * sum(circles.values())
 
     monkeypatch.setattr(knot_model, "region_size", mutant_count)
@@ -200,8 +196,8 @@ def test_wedge_block_target_off_by_one_fails_the_row_check_and_the_page_one_gate
     # a surface wedge target is one U-power up: its rows land one past their block
     plant_source(
         monkeypatch, knot_model._ranked_page,
-        "+ blocks[target_block][0]",
-        "+ blocks[target_block][0] + (target_run[0] == SURFACE and target_run[2] > run[2])",
+        "+ starts[target_block][0]",
+        "+ starts[target_block][0] + (blocks is BLOCKS and target_run[1] > run[1])",
     )
     failures = sweep_failures(monkeypatch)
     gates = {gate.split(" at ")[0].split(" has row ")[0] for _, gate in failures}
@@ -344,42 +340,6 @@ def test_surface_key_without_handedness_fails_the_page_one_gate(monkeypatch):
     assert all(gate.startswith("failed: page-one gate failed") for _, gate in failures)
     # a group's first triple, n = -3, builds the page: the right twists get the left twists' page
     assert all(n > 0 for (_, n, _), _ in failures)
-
-
-def label_moved(spec, gen):
-    """The page-two arrow onto the next circle label."""
-    return [((tag, mono, p, c + 1, bit), coeff) for (tag, mono, p, c, bit), coeff in REAL_D2(spec, gen)]
-
-
-def last_label_moved(spec, gen):
-    """The page-two arrow, but out of the last label onto the first that page two moves, label 2."""
-    return [
-        ((tag, mono, p, 2 if c == spec.abs_n else c, bit), coeff) for (tag, mono, p, c, bit), coeff in REAL_D2(spec, gen)
-    ]
-
-
-def test_page_two_label_moved_fails_the_builder_check(monkeypatch):
-    assert sweep_failures(monkeypatch) == []
-    monkeypatch.setattr(knot_model, "_d2_image", label_moved)
-    failures = sweep_failures(monkeypatch)
-    assert all(
-        re.fullmatch(r"error: NotAComplex: differential at degree -?\d+ sends .* which changes the label: not a shifted identity", gate)
-        for _, gate in failures
-    )
-    # page two has arrows from g = 4 on; every triple with |n| >= 2 of a key with arrows asks for the
-    # circle page and sees the move, and |n| = 1, which has no page-two copy, never ranks it
-    assert [triple for triple, _ in failures] == [(4, n, 1) for n in (-3, -2, 2, 3)]
-
-
-def test_last_label_moved_is_an_equivalent_mutant(monkeypatch):
-    monkeypatch.setenv("MTFLOER_THREADS", "1")
-    n_values = [-3, -2, -1, 1, 2, 3]
-    report = cli._dumps(run_sweep(4, n_values))
-    # the arrow is asked about label 2 only, which this mutant moves nowhere: it cannot change the output
-    spec, gen = Params(4, 3, 1), (knot_model.CIRCLES, (2, 3, 4, 5, 6, 7), 1, knot_model.ASKED_LABEL, 0)
-    assert REAL_D2(spec, gen) and last_label_moved(spec, gen) == REAL_D2(spec, gen)
-    monkeypatch.setattr(knot_model, "_d2_image", last_label_moved)
-    assert cli._dumps(run_sweep(4, n_values)) == report
 
 
 # -- mutants of the strips ------------------------------------------------------
